@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .capacity import capacity_profile, rate_R
 from .duplication import DupParams, Word
-from .errors import TandemError
+from .errors import DomainError, TandemError
 from .oracles import ALL_SUITES
 from .utr import (
     UtrCode,
@@ -124,7 +124,10 @@ def cmd_rate_curve(args) -> int:
 
 
 def _load_code(path: str) -> UtrCode:
-    return UtrCode.loads(Path(path).read_text())
+    try:
+        return UtrCode.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise DomainError(f"{path} is not JSON: {err}") from err
 
 
 def cmd_code_build(args) -> int:

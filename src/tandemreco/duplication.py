@@ -14,6 +14,8 @@ import json
 import os
 import random
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 
 from .errors import (
     ConeMismatchError,
@@ -49,7 +51,7 @@ class DupParams:
             raise DomainError(f"duplication length must be an integer >= 1, got {self.k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """Immutable word over {0..q-1}, tagged with its channel parameters.
 
@@ -67,6 +69,14 @@ class Word:
         for s in self.symbols:
             if not isinstance(s, int) or not 0 <= s < q:
                 raise DomainError(f"symbol {s!r} outside alphabet of size {q}")
+
+    @classmethod
+    def _trusted(cls, symbols: tuple[int, ...], params: DupParams) -> "Word":
+        """A word from symbols of already validated words, without the alphabet check."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "symbols", symbols)
+        object.__setattr__(w, "params", params)
+        return w
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -91,12 +101,13 @@ class Word:
     @classmethod
     def parse(cls, text: str, params: DupParams) -> "Word":
         text = text.strip()
-        if params.q <= 10:
-            if not all(c.isdigit() for c in text):
-                raise DomainError(f"not a digit string: {text!r}")
-            symbols = tuple(int(c) for c in text)
-        else:
-            symbols = tuple(int(f) for f in text.split(",")) if text else ()
+        if params.q <= 10 and not all(c.isdigit() for c in text):
+            raise DomainError(f"not a digit string: {text!r}")
+        fields = text if params.q <= 10 else (text.split(",") if text else ())
+        try:
+            symbols = tuple(int(f) for f in fields)
+        except ValueError as err:
+            raise DomainError(f"not a word over {params.q} symbols: {text!r}") from err
         return cls(symbols, params)
 
     def hamming_weight(self) -> int:
@@ -148,7 +159,7 @@ def tandem_duplicate(x: Word, i: int) -> Word:
     if len(x) < i + k:
         return x
     sym = x.symbols
-    return Word(sym[: i + k] + sym[i:], x.params)
+    return Word._trusted(sym[: i + k] + sym[i:], x.params)
 
 
 def _expand_layer(layer: set[tuple[int, ...]], k: int, cap: int) -> set[tuple[int, ...]]:
@@ -172,7 +183,7 @@ def descendants(x: Word, t: int, cap: int | None = None) -> set[Word]:
         layer = _expand_layer(layer, k, cap)
         if not layer:
             break
-    return {Word(sym, x.params) for sym in layer}
+    return {Word._trusted(sym, x.params) for sym in layer}
 
 
 def phi(x: Word) -> PhiImage:
@@ -287,24 +298,49 @@ class RootDecomposition:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
+def _cone(sym: tuple[int, ...], k: int) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+    """Root symbols, cone coordinates and zero-run ends of a word, in one pass.
+
+    The difference string is zero at j exactly when sym[j] == sym[j + k], so
+    its zero runs end where the two differ and at len(sym) - k.  A run of
+    length r ending at e makes sym[e - r : e + k] periodic with period k;
+    deleting the last k * (r // k) symbols of that stretch undoes its r // k
+    duplications.  Root and sigma equal those of phi, mu_sigma and phi_inv.
+    """
+    if len(sym) < k:
+        raise WordLengthError(f"word of length {len(sym)} is shorter than k={k}")
+    ends = list(compress(range(len(sym) - k), map(ne, sym, sym[k:])))
+    ends.append(len(sym) - k)
+    sigma = []
+    kept = ()
+    start = cut = 0
+    for e in ends:
+        s = (e - start) // k
+        sigma.append(s)
+        if s:
+            kept += sym[cut : e + k - k * s]
+            cut = e + k
+        start = e + 1
+    return (kept + sym[cut:] if cut else sym), tuple(sigma), ends
+
+
 def root_decomposition(x: Word) -> RootDecomposition:
     """Full decomposition of x: transform, then split the difference string."""
-    img = phi(x)
-    mu, sigma = mu_sigma(img.diff)
-    return RootDecomposition(img.prefix, mu, sigma)
+    k, q = x.params.k, x.params.q
+    r, sigma, _ = _cone(x.symbols, k)
+    mu = Word._trusted(tuple((b - a) % q for a, b in zip(r, r[k:])), x.params)
+    return RootDecomposition(Word._trusted(r[:k], x.params), mu, sigma)
 
 
 def root(x: Word) -> Word:
     """The unique duplication-free ancestor of x."""
-    dec = root_decomposition(x)
-    return phi_inv(PhiImage(dec.prefix, dec.mu))
+    r = _cone(x.symbols, x.params.k)[0]
+    return x if r is x.symbols else Word._trusted(r, x.params)
 
 
 def is_irreducible(x: Word) -> bool:
     """True iff x is nobody's proper descendant (difference string has no k-zero run)."""
-    k = x.params.k
-    runs, _ = _zero_runs(phi(x).diff.symbols)
-    return all(r < k for r in runs)
+    return not any(_cone(x.symbols, x.params.k)[1])
 
 
 def cone_dimension(x: Word) -> int:
@@ -313,9 +349,10 @@ def cone_dimension(x: Word) -> int:
     The descendant cone of x is coordinatized by vectors with this many
     coordinates plus one.
     """
-    if not is_irreducible(x):
+    sigma = _cone(x.symbols, x.params.k)[1]
+    if any(sigma):
         raise NotIrreducibleError(f"{x!r} is not irreducible")
-    return phi(x).diff.hamming_weight()
+    return len(sigma) - 1
 
 
 def psi(x_root: Word, y: Word) -> tuple[int, ...]:
@@ -328,20 +365,30 @@ def psi(x_root: Word, y: Word) -> tuple[int, ...]:
     if not is_irreducible(x_root):
         raise NotIrreducibleError(f"{x_root!r} is not irreducible")
     _same_params(x_root, y)
-    if root(y) != x_root:
+    r, sigma, _ = _cone(y.symbols, y.params.k)
+    if r != x_root.symbols:
         raise ConeMismatchError(f"{y!r} is not in the descendant cone of {x_root!r}")
-    _, sigma = mu_sigma(phi(y).diff)
     return sigma
 
 
 def psi_inv(x_root: Word, v: tuple[int, ...]) -> Word:
     """The unique cone member of x_root with the given coordinates."""
-    m = cone_dimension(x_root)
-    if len(v) != m + 1:
-        raise DimensionMismatchError(f"expected {m + 1} coordinates, got {len(v)}")
-    dec = root_decomposition(x_root)
-    diff = rebuild_diff(dec.mu, tuple(v))
-    return phi_inv(PhiImage(dec.prefix, diff))
+    sym, k = x_root.symbols, x_root.params.k
+    _, sigma, ends = _cone(sym, k)
+    if any(sigma):
+        raise NotIrreducibleError(f"{x_root!r} is not irreducible")
+    if len(v) != len(ends):
+        raise DimensionMismatchError(f"expected {len(ends)} coordinates, got {len(v)}")
+    if any(s < 0 for s in v):
+        raise DomainError("sigma entries must be nonnegative")
+    # run i grows by v[i] k-blocks: sym[e : e + k] is duplicated v[i] times
+    out = ()
+    cut = 0
+    for e, s in zip(ends, v):
+        if s:
+            out += sym[cut : e + k] + sym[e : e + k] * s
+            cut = e + k
+    return Word._trusted(out + sym[cut:], x_root.params)
 
 
 def channel_sample(x: Word, t: int, seed: int) -> Word:
@@ -356,4 +403,4 @@ def channel_sample(x: Word, t: int, seed: int) -> Word:
     for _ in range(t):
         i = rng.randrange(len(sym) - k + 1)
         sym = sym[: i + k] + sym[i:]
-    return Word(sym, x.params)
+    return Word._trusted(sym, x.params)

@@ -11,33 +11,36 @@ import math
 
 from .duplication import (
     Word,
+    _cone,
     _expand_layer,
     _effective_cap,
     _same_params,
     cone_dimension,
-    is_irreducible,
-    mu_sigma,
-    phi,
-    psi,
     psi_inv,
-    root,
 )
-from .errors import ConeMismatchError, NotIrreducibleError, WordLengthError
+from .errors import ConeMismatchError, TandemError, WordLengthError
 from .simplex import binom
+
+
+def _distance_in_cone(x: Word, y: Word) -> tuple[int | float, int]:
+    """Closed-form distance and the cone dimension of the shared root (-1 across cones)."""
+    _same_params(x, y)
+    if len(x) != len(y):
+        raise WordLengthError(f"length mismatch: {len(x)} vs {len(y)}")
+    k = x.params.k
+    rx, sx, _ = _cone(x.symbols, k)
+    ry, sy, _ = _cone(y.symbols, k)
+    if rx != ry:
+        return math.inf, -1
+    total = sum(abs(a - b) for a, b in zip(sx, sy))
+    if total % 2:
+        raise TandemError(f"odd coordinate gap {total} between equal-length cone mates")
+    return total // 2, len(sx) - 1
 
 
 def duplication_distance(x: Word, y: Word) -> int | float:
     """Closed-form distance between equal-length words; math.inf across cones."""
-    _same_params(x, y)
-    if len(x) != len(y):
-        raise WordLengthError(f"length mismatch: {len(x)} vs {len(y)}")
-    if root(x) != root(y):
-        return math.inf
-    _, sx = mu_sigma(phi(x).diff)
-    _, sy = mu_sigma(phi(y).diff)
-    total = sum(abs(a - b) for a, b in zip(sx, sy))
-    assert total % 2 == 0
-    return total // 2
+    return _distance_in_cone(x, y)[0]
 
 
 def duplication_distance_bfs(
@@ -61,33 +64,30 @@ def duplication_distance_bfs(
 
 def descendant_count(x: Word, t: int) -> int:
     """Exact size of the t-th descendant layer of an irreducible word."""
-    if not is_irreducible(x):
-        raise NotIrreducibleError(f"{x!r} is not irreducible")
     m = cone_dimension(x)
     return binom(t + m, m)
 
 
 def cone_intersection_size(y: Word, y2: Word, t: int) -> int:
     """Number of common t-descendants of two equal-length cone mates."""
-    d = duplication_distance(y, y2)
+    d, m = _distance_in_cone(y, y2)
     if math.isinf(d):
         raise ConeMismatchError(
             "words have different roots; their descendant sets never meet"
         )
     if t < d:
         return 0
-    m = cone_dimension(root(y))
     return binom(t - d + m, m)
 
 
 def join_meet(y: Word, y2: Word) -> tuple[Word, Word]:
     """Least common descendant and greatest common ancestor within one cone."""
     _same_params(y, y2)
-    r0 = root(y)
-    if root(y2) != r0:
+    r, u, _ = _cone(y.symbols, y.params.k)
+    r2, v, _ = _cone(y2.symbols, y2.params.k)
+    if r2 != r:
         raise ConeMismatchError("words have different roots")
-    u = psi(r0, y)
-    v = psi(r0, y2)
+    r0 = Word._trusted(r, y.params)
     join = psi_inv(r0, tuple(max(a, b) for a, b in zip(u, v)))
     meet = psi_inv(r0, tuple(min(a, b) for a, b in zip(u, v)))
     return join, meet

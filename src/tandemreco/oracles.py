@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import product
 
 from .duplication import DupParams, Word, descendants
 from .metric import (
@@ -163,14 +164,8 @@ def _random_code(
     total = q**n
     size = rng.randint(1, min(5, total))
     picks = rng.sample(range(total), size)
-    words = []
-    for value in picks:
-        digits = []
-        v = value
-        for _ in range(n):
-            digits.append(v % q)
-            v //= q
-        words.append(Word(tuple(reversed(digits)), params))
+    space = list(product(range(q), repeat=n))
+    words = [Word(space[value], params) for value in picks]
     return UtrCode(params, n, N, t, tuple(words))
 
 

@@ -17,20 +17,19 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Callable, Iterable, NamedTuple
 
 from .capacity import capacity_profile
 from .duplication import (
     DupParams,
     Word,
+    _cone,
     _same_params,
     channel_sample,
     cone_dimension,
     descendants,
     is_irreducible,
-    phi_inv,
-    PhiImage,
-    psi,
     psi_inv,
     root,
 )
@@ -42,6 +41,7 @@ from .errors import (
     NoCandidateError,
     ParamsMismatchError,
     ResourceCapError,
+    TandemError,
     WordLengthError,
 )
 from .metric import descendant_count
@@ -54,6 +54,9 @@ from .simplex import (
     sidon_code,
     sidon_code_size,
 )
+
+
+_CODE_KEYS = (("q", int), ("k", int), ("n", int), ("N", int), ("t", int), ("codewords", list))
 
 
 @dataclass(frozen=True)
@@ -90,12 +93,13 @@ class UtrCode:
     @cached_property
     def cone_index(self) -> dict[Word, list[tuple[Word, tuple[int, ...]]]]:
         """Codewords grouped by root, each with its cone coordinates."""
-        index: dict[Word, list[tuple[Word, tuple[int, ...]]]] = defaultdict(list)
+        index: dict[tuple[int, ...], list[tuple[Word, tuple[int, ...]]]] = defaultdict(list)
+        k = self.params.k
         for w in self.codewords:
-            if len(w) >= self.params.k:
-                r = root(w)
-                index[r].append((w, psi(r, w)))
-        return dict(index)
+            if len(w) >= k:
+                r, sigma, _ = _cone(w.symbols, k)
+                index[r].append((w, sigma))
+        return {Word._trusted(r, self.params): members for r, members in index.items()}
 
     def to_json(self) -> dict:
         return {
@@ -109,6 +113,17 @@ class UtrCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "UtrCode":
+        if not isinstance(data, dict):
+            raise DomainError(f"code must be a JSON object, got {type(data).__name__}")
+        for key, kind in _CODE_KEYS:
+            if key not in data:
+                raise DomainError(f"code lacks the key {key!r}")
+            if not isinstance(data[key], kind):
+                raise DomainError(
+                    f"code key {key!r} must be {kind.__name__}, got {type(data[key]).__name__}"
+                )
+        if not all(isinstance(s, str) for s in data["codewords"]):
+            raise DomainError("code key 'codewords' must hold strings")
         params = DupParams(data["q"], data["k"])
         words = tuple(Word.parse(s, params) for s in data["codewords"])
         return cls(params, data["n"], data["N"], data["t"], words)
@@ -152,8 +167,8 @@ def is_utr_code_reduced(code: UtrCode) -> UtrCheck:
         return UtrCheck(True)
     k = code.params.k
     for r, members in code.cone_index.items():
-        rr = (code.n - len(r)) // k
-        assert (code.n - len(r)) % k == 0 and rr < code.n // k
+        if (code.n - len(r)) % k or (code.n - len(r)) // k >= code.n // k:
+            raise TandemError(f"root {r!r} of length {len(r)} cannot grow to length {code.n}")
         if len(members) < 2:
             continue
         need = required_distance(code.N, code.t, cone_dimension(r))
@@ -268,16 +283,12 @@ def irreducible_words(
     rec([], 0, 0)
 
     out: list[Word] = []
-    prefix_count = q**k
-    for p in range(prefix_count):
-        digits = []
-        value = p
-        for _ in range(k):
-            digits.append(value % q)
-            value //= q
-        prefix = Word(tuple(reversed(digits)), params)
+    for prefix in product(range(q), repeat=k):
         for diff in diffs:
-            out.append(phi_inv(PhiImage(prefix, Word(diff, params))))
+            sym = list(prefix)
+            for j, d in enumerate(diff):
+                sym.append((sym[j] + d) % q)
+            out.append(Word._trusted(tuple(sym), params))
             if len(out) > cap:
                 raise ResourceCapError(f"irreducible enumeration above cap {cap}")
     return out
@@ -321,21 +332,25 @@ def construction_a(
         pool = irreducible_words(params, root_len, min_weight=m_n)
     else:
         pool = [x for x in roots if len(x) == root_len and is_irreducible(x)]
-    qualifying = [x for x in pool if cone_dimension(x) >= m_n]
+    dims = [(x, cone_dimension(x)) for x in pool]
+    qualifying = [(x, m) for x, m in dims if m >= m_n]
     if not qualifying:
         raise InfeasibleGeometryError(
             f"no roots of length {root_len} with weight >= {m_n}"
         )
 
+    # every root of one cone dimension gets the same simplex code
+    points: dict[int, tuple] = {}
     codewords: list[Word] = []
-    for x in qualifying:
-        m = cone_dimension(x)
-        code = sidon_code(m, r_n, required_distance(N, t, m))
-        codewords.extend(psi_inv(x, p) for p in code.points)
+    for x, m in qualifying:
+        if m not in points:
+            points[m] = sidon_code(m, r_n, required_distance(N, t, m)).points
+        codewords.extend(psi_inv(x, p) for p in points[m])
 
     out = UtrCode(params, n, N, t, tuple(codewords))
     check = is_utr_code_reduced(out)
-    assert check.ok, f"construction produced an invalid code: {check}"
+    if not check.ok:
+        raise TandemError(f"construction produced an invalid code: {check}")
     return out
 
 
@@ -352,14 +367,7 @@ def max_utr_code_bruteforce(
     total = q**n
     if total > cap:
         raise ResourceCapError(f"{total} words exceed the cap of {cap}")
-    words = []
-    for value in range(total):
-        digits = []
-        v = value
-        for _ in range(n):
-            digits.append(v % q)
-            v //= q
-        words.append(Word(tuple(reversed(digits)), params))
+    words = [Word(sym, params) for sym in product(range(q), repeat=n)]
     desc = [descendants(w, t) for w in words]
     adjacency = [0] * total
     for i in range(total):
@@ -398,20 +406,21 @@ def reconstruct(code: UtrCode, reads: Iterable[Word]) -> Word:
     whenever the survivor happens to be unique.
     """
     read_list = _validated_reads(code, reads)
-    if len(read_list[0]) < code.params.k:
+    k = code.params.k
+    if len(read_list[0]) < k:
         # too short to carry a duplication: a read must be the codeword itself
         if len(read_list) == 1 and read_list[0] in code.codewords:
             return read_list[0]
         raise NoCandidateError("reads below the duplication length match no codeword")
-    roots = {root(r) for r in read_list}
+    cones = [_cone(r.symbols, k)[:2] for r in read_list]
+    roots = {r for r, _ in cones}
     if len(roots) != 1:
         raise ConeMismatchError("reads do not share a root")
     (shared_root,) = roots
-    vectors = [psi(shared_root, r) for r in read_list]
-    meet = tuple(min(col) for col in zip(*vectors))
+    meet = tuple(min(col) for col in zip(*(sigma for _, sigma in cones)))
     candidates = [
         w
-        for w, coords in code.cone_index.get(shared_root, [])
+        for w, coords in code.cone_index.get(Word._trusted(shared_root, code.params), [])
         if all(a <= b for a, b in zip(coords, meet))
     ]
     if not candidates:

@@ -142,6 +142,26 @@ def test_missing_file_exit(capsys):
     capsys.readouterr()
 
 
+def test_code_file_missing_key_exit(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({k: v for k, v in FIXTURE.items() if k != "codewords"}))
+    assert main(["code", "info", "--code", str(path)]) == 2
+    assert "'codewords'" in capsys.readouterr().err
+    # a word that does not parse is malformed input too
+    for bad in ({"q": 12, "codewords": ["1,x,0,0"]}, {"codewords": ["0\u00b210"]}):
+        write_fixture(tmp_path, **bad)
+        assert main(["code", "info", "--code", str(path)]) == 2
+        assert bad["codewords"][0] in capsys.readouterr().err
+
+
+def test_code_file_not_json_exit(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    for content in (b"this is not JSON\n", b"\xff\xfe binary"):
+        path.write_bytes(content)
+        assert main(["code", "info", "--code", str(path)]) == 2
+        assert "not JSON" in capsys.readouterr().err
+
+
 def test_oracle_single_suite(capsys):
     assert main(["oracle", "--suite", "cone-count", "--max-root-len", "3"]) == 0
     out = capsys.readouterr().out

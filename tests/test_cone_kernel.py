@@ -1,0 +1,154 @@
+"""The one-pass cone kernel against the literal transform chain.
+
+root, psi, psi_inv, is_irreducible, cone_dimension, root_decomposition and
+the duplication distance are computed from one decomposition per word; the
+chain phi -> mu_sigma -> phi_inv (kept as written) is their reference.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tandemreco import (
+    ConeMismatchError,
+    DomainError,
+    DupParams,
+    NotIrreducibleError,
+    ParamsMismatchError,
+    PhiImage,
+    RootDecomposition,
+    UtrCode,
+    Word,
+    WordLengthError,
+    channel_sample,
+    cone_dimension,
+    descendants,
+    duplication_distance,
+    is_irreducible,
+    mu_sigma,
+    phi,
+    phi_inv,
+    psi,
+    psi_inv,
+    root,
+    root_decomposition,
+    word,
+)
+
+MAX_LEN = 30
+PROPERTY = settings(max_examples=300, deadline=None)
+
+
+@st.composite
+def words(draw):
+    """A word of length k..30 over q in {2, 3, 4}, k in {1, 2, 3}.
+
+    A random base grown by random duplications, so that deep cones occur.
+    """
+    p = DupParams(draw(st.sampled_from((2, 3, 4))), draw(st.sampled_from((1, 2, 3))))
+    t = draw(st.integers(0, (MAX_LEN - p.k) // p.k))
+    n = draw(st.integers(p.k, MAX_LEN - t * p.k))
+    base = Word(tuple(draw(st.lists(st.integers(0, p.q - 1), min_size=n, max_size=n))), p)
+    return channel_sample(base, t, draw(st.integers(0, 2**32 - 1)))
+
+
+def chain(x: Word) -> tuple[Word, Word, tuple[int, ...]]:
+    """(root, reduced difference string, sigma) through phi, mu_sigma and phi_inv."""
+    img = phi(x)
+    mu, sigma = mu_sigma(img.diff)
+    return phi_inv(PhiImage(img.prefix, mu)), mu, sigma
+
+
+@PROPERTY
+@given(words())
+def test_root_matches_chain(x):
+    want, mu, sigma = chain(x)
+    got = root(x)
+    assert got == want and hash(got) == hash(want)
+    assert root_decomposition(x) == RootDecomposition(phi(x).prefix, mu, sigma)
+
+
+@PROPERTY
+@given(words())
+def test_psi_matches_chain_and_inverts(x):
+    r = root(x)
+    v = psi(r, x)
+    assert v == mu_sigma(phi(x).diff)[1]
+    assert psi_inv(r, v) == x
+
+
+@PROPERTY
+@given(words())
+def test_irreducibility_and_dimension_match_chain(x):
+    img = phi(x)
+    irreducible = mu_sigma(img.diff)[0] == img.diff
+    assert is_irreducible(x) == irreducible
+    if irreducible:
+        assert cone_dimension(x) == img.diff.hamming_weight()
+    else:
+        with pytest.raises(NotIrreducibleError):
+            cone_dimension(x)
+        with pytest.raises(NotIrreducibleError):
+            psi(x, x)
+        with pytest.raises(NotIrreducibleError):
+            psi_inv(x, mu_sigma(img.diff)[1])
+
+
+def chain_distance(x: Word, y: Word) -> int | float:
+    rx, _, sx = chain(x)
+    ry, _, sy = chain(y)
+    if rx != ry:
+        return math.inf
+    return sum(abs(a - b) for a, b in zip(sx, sy)) // 2
+
+
+@PROPERTY
+@given(st.data())
+def test_distance_matches_chain(data):
+    x = data.draw(words())
+    # a cone mate of equal length, and an unrelated word of equal length
+    t = data.draw(st.integers(0, 3))
+    mate = channel_sample(x, t, data.draw(st.integers(0, 2**32 - 1)))
+    x = channel_sample(x, t, data.draw(st.integers(0, 2**32 - 1)))
+    symbols = st.lists(st.integers(0, x.params.q - 1), min_size=len(x), max_size=len(x))
+    other = Word(tuple(data.draw(symbols)), x.params)
+    assert duplication_distance(x, mate) == chain_distance(x, mate)
+    assert duplication_distance(x, other) == chain_distance(x, other)
+
+
+def test_error_order_kept():
+    reducible, short = word("0101", 2, 2), word("0", 2, 2)
+    assert not is_irreducible(reducible)
+    with pytest.raises(NotIrreducibleError):
+        psi(reducible, word("01", 3, 2))
+    with pytest.raises(ParamsMismatchError):
+        psi(word("01", 2, 2), word("01", 3, 2))
+    with pytest.raises(ConeMismatchError):
+        psi(word("01", 2, 2), word("0110", 2, 2))
+    for op in (root, is_irreducible, cone_dimension, root_decomposition, lambda w: psi(w, w)):
+        with pytest.raises(WordLengthError):
+            op(short)
+    with pytest.raises(WordLengthError):
+        psi_inv(short, (0,))
+    with pytest.raises(DomainError):
+        psi_inv(word("0110", 2, 2), (1, -1, 0))
+
+
+def test_alphabet_checked_at_the_boundary_only():
+    p = DupParams(2, 2)
+    with pytest.raises(DomainError):
+        Word((0, 2), p)
+    with pytest.raises(DomainError):
+        word("012", 2, 2)
+    with pytest.raises(DomainError):
+        UtrCode.loads('{"q": 2, "k": 2, "n": 4, "N": 1, "t": 1, "codewords": ["0120"]}')
+    # words derived without the check behave exactly like checked ones
+    x = word("0110101", 2, 2)
+    derived = [root(x), psi_inv(root(x), (0, 1, 0)), *descendants(x, 2)]
+    for w in derived:
+        checked = Word(w.symbols, w.params)
+        assert w == checked and checked == w and hash(w) == hash(checked)
+        assert type(w.symbols) is tuple
+    assert set(derived) == {Word(w.symbols, p) for w in derived}

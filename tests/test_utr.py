@@ -170,6 +170,30 @@ def test_construction_a_examples():
     assert len(big) > irreducible_count(P22, 14)
 
 
+def test_construction_a_rejects_invalid_result(monkeypatch):
+    # the re-verification must hold under python -O as well
+    from tandemreco import TandemError, utr
+
+    failing = utr.UtrCheck(False, (word("0110", 2, 2), word("0110", 2, 2)), 2)
+    monkeypatch.setattr(utr, "is_utr_code_reduced", lambda code: failing)
+    with pytest.raises(TandemError, match="invalid code"):
+        construction_a(P22, 10, 1, 1)
+
+
+def test_code_from_json_names_bad_key():
+    from tandemreco import DomainError
+
+    data = fixture_code().to_json()
+    with pytest.raises(DomainError, match="'t'"):
+        UtrCode.from_json({k: v for k, v in data.items() if k != "t"})
+    with pytest.raises(DomainError, match="'n' must be int, got str"):
+        UtrCode.from_json(dict(data, n="4"))
+    with pytest.raises(DomainError, match="'codewords'"):
+        UtrCode.from_json(dict(data, codewords=[10]))
+    with pytest.raises(DomainError, match="JSON object"):
+        UtrCode.from_json([data])
+
+
 def test_construction_a_infeasible():
     from tandemreco import InfeasibleGeometryError
 
