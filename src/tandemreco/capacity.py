@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .duplication import DupParams, Word
-from .entropy import binary_entropy, cal_H, q_ary_entropy
+from .entropy import cal_H, q_ary_entropy
 from .errors import (
     DegenerateParamsError,
     DomainError,
@@ -26,31 +26,6 @@ from .errors import (
     RegimeParamsError,
 )
 from .simplex import required_distance, required_distance_upper_log
-
-__all__ = [
-    "binary_entropy",
-    "q_ary_entropy",
-    "cal_H",
-    "perron_lambda",
-    "irr_capacity",
-    "pi1",
-    "default_theta",
-    "ConstraintGraph",
-    "build_chain",
-    "sample_rll",
-    "rate_R",
-    "rate_R_alt",
-    "rate_R_prime",
-    "fixed_point_map",
-    "x0_solve",
-    "x0_bisect",
-    "x0_bounds",
-    "refine_bounds",
-    "hamming_fraction_bound",
-    "regime_distance",
-    "CapacityProfile",
-    "capacity_profile",
-]
 
 
 def _char_poly(x: float, q: int, k: int) -> float:

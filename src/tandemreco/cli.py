@@ -12,6 +12,7 @@ descendant expansion globally.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -211,7 +212,9 @@ def cmd_oracle(args) -> int:
     return EXIT_ORACLE if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="tandemreco",
         description="Reconstruction codes for the uniform tandem-duplication channel.",

@@ -43,14 +43,12 @@ def duplication_distance(x: Word, y: Word) -> int | float:
     return _distance_in_cone(x, y)[0]
 
 
-def duplication_distance_bfs(
-    x: Word, y: Word, t_max: int, cap: int | None = None
-) -> int | None:
+def duplication_distance_bfs(x: Word, y: Word, t_max: int) -> int | None:
     """Distance by layered double expansion up to t_max; the oracle for the closed form."""
     _same_params(x, y)
     if len(x) != len(y):
         raise WordLengthError(f"length mismatch: {len(x)} vs {len(y)}")
-    cap = _effective_cap(cap)
+    cap = _effective_cap(None)
     k = x.params.k
     lx = {x.symbols}
     ly = {y.symbols}

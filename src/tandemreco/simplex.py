@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
 from .entropy import binary_entropy, cal_H
@@ -21,12 +22,15 @@ from .errors import (
     DomainError,
     ResourceCapError,
     SearchBudgetError,
+    TandemError,
     WeightMismatchError,
 )
 
 SimplexPoint = tuple[int, ...]
 
 DEFAULT_ENUM_CAP = 1_000_000
+EXACT_MAX_POINTS = 2000
+SIDON_BUDGET = 500_000
 
 
 def binom(a: int, b: int) -> int:
@@ -71,7 +75,8 @@ def half_manhattan(u: SimplexPoint, v: SimplexPoint) -> int:
     if sum(u) != sum(v):
         raise WeightMismatchError(f"coordinate sums differ: {sum(u)} vs {sum(v)}")
     total = sum(abs(a - b) for a, b in zip(u, v))
-    assert total % 2 == 0
+    if total % 2:
+        raise TandemError(f"odd coordinate gap {total} between equal-weight points")
     return total // 2
 
 
@@ -120,15 +125,14 @@ def min_half_distance(points: list[SimplexPoint]) -> int | None:
 
 @dataclass(frozen=True)
 class SimplexCode:
-    """A set of equal-weight points with its recorded minimum distance."""
+    """A set of equal-weight points, sorted and distinct; its distance is derived."""
 
     m: int
     r: int
     points: tuple[SimplexPoint, ...]
-    min_half_distance: int | None
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
+        object.__setattr__(self, "points", tuple(sorted(set(tuple(p) for p in self.points))))
         for p in self.points:
             if len(p) != self.m + 1 or sum(p) != self.r or any(c < 0 for c in p):
                 raise DomainError(f"point {p} not in the ({self.m},{self.r})-simplex")
@@ -136,10 +140,9 @@ class SimplexCode:
     def __len__(self) -> int:
         return len(self.points)
 
-    @classmethod
-    def build(cls, m: int, r: int, points: list[SimplexPoint]) -> "SimplexCode":
-        pts = tuple(sorted(set(tuple(p) for p in points)))
-        return cls(m, r, pts, min_half_distance(list(pts)))
+    @cached_property
+    def min_half_distance(self) -> int | None:
+        return min_half_distance(self.points)
 
     def to_json(self) -> dict:
         return {
@@ -151,7 +154,7 @@ class SimplexCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "SimplexCode":
-        return cls.build(data["m"], data["r"], [tuple(p) for p in data["points"]])
+        return cls(data["m"], data["r"], data["points"])
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -215,17 +218,18 @@ def max_clique_bitset(adjacency: list[int]) -> list[int]:
     return sorted(best)
 
 
-def exact_max_code(m: int, r: int, d: int, max_points: int = 2000) -> SimplexCode:
+def exact_max_code(m: int, r: int, d: int) -> SimplexCode:
     """A maximum code of the requested distance, by exhaustive clique search.
 
-    Exactness is only offered while the simplex has at most ``max_points``
-    points; larger instances raise rather than silently degrade.
+    Exactness is only offered while the simplex has at most
+    ``EXACT_MAX_POINTS`` points; larger instances raise rather than silently
+    degrade.
     """
     if d < 0:
         raise DomainError("distance must be nonnegative")
-    pts = enumerate_simplex(m, r, cap=max_points)
+    pts = enumerate_simplex(m, r, cap=EXACT_MAX_POINTS)
     if d <= 1:
-        return SimplexCode.build(m, r, pts)
+        return SimplexCode(m, r, pts)
     n = len(pts)
     adjacency = [0] * n
     for i in range(n):
@@ -234,22 +238,21 @@ def exact_max_code(m: int, r: int, d: int, max_points: int = 2000) -> SimplexCod
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
     chosen = max_clique_bitset(adjacency)
-    return SimplexCode.build(m, r, [pts[i] for i in chosen])
+    return SimplexCode(m, r, [pts[i] for i in chosen])
 
 
-def greedy_code(m: int, r: int, d: int, cap: int | None = None) -> SimplexCode:
+def greedy_code(m: int, r: int, d: int) -> SimplexCode:
     """Lexicographic greedy code; meets the covering lower bound by construction."""
     if d < 0:
         raise DomainError("distance must be nonnegative")
-    pts = enumerate_simplex(m, r, cap)
     chosen: list[SimplexPoint] = []
-    for p in pts:
+    for p in enumerate_simplex(m, r):
         if all(half_manhattan(p, c) >= d for c in chosen):
             chosen.append(p)
-    if d >= 1 and m >= 1:
-        # every point sits within d-1 of some chosen point
-        assert len(chosen) * ball_size(m, d - 1) >= simplex_size(m, r)
-    return SimplexCode.build(m, r, chosen)
+    # every point sits within d-1 of some chosen point
+    if d >= 1 and m >= 1 and len(chosen) * ball_size(m, d - 1) < simplex_size(m, r):
+        raise TandemError(f"greedy code of {len(chosen)} points leaves simplex points uncovered")
+    return SimplexCode(m, r, chosen)
 
 
 # --- Sidon sets and congruence codes ---
@@ -265,24 +268,18 @@ def is_sidon_set(elements: tuple[int, ...], h: int, modulus: int) -> bool:
     return True
 
 
-def sidon_set(
-    h: int,
-    size: int,
-    modulus_hint: int | None = None,
-    budget: int = 500_000,
-) -> tuple[tuple[int, ...], int]:
+def sidon_set(h: int, size: int) -> tuple[tuple[int, ...], int]:
     """Find ``size`` residues whose h-multiset sums are pairwise distinct.
 
-    Searches moduli upward from the counting lower bound (or the hint),
-    growing the set greedily with backtracking.  Returns (elements, modulus).
+    Searches moduli upward from the counting lower bound, growing the set
+    greedily with backtracking, within ``SIDON_BUDGET`` attempts in all.
+    Returns (elements, modulus).
     """
     if h < 1 or size < 1:
         raise DomainError("order and size must be positive")
     if h == 1:
-        modulus = max(size, modulus_hint or size)
-        return tuple(range(size)), modulus
+        return tuple(range(size)), size
 
-    start = max(size, binom(size + h - 1, h), modulus_hint or 0)
     checks = 0
 
     def dfs(current: list[int], begin: int, modulus: int) -> tuple[int, ...] | None:
@@ -291,8 +288,8 @@ def sidon_set(
             return tuple(current)
         for e in range(begin, modulus):
             checks += 1
-            if checks > budget:
-                raise SearchBudgetError(f"Sidon search exceeded {budget} attempts")
+            if checks > SIDON_BUDGET:
+                raise SearchBudgetError(f"Sidon search exceeded {SIDON_BUDGET} attempts")
             current.append(e)
             if is_sidon_set(tuple(current), h, modulus):
                 found = dfs(current, e + 1, modulus)
@@ -301,11 +298,12 @@ def sidon_set(
             current.pop()
         return None
 
-    modulus = start
+    modulus = max(size, binom(size + h - 1, h))
     while True:
         found = dfs([0], 1, modulus)
         if found is not None:
-            assert is_sidon_set(found, h, modulus)
+            if not is_sidon_set(found, h, modulus):
+                raise TandemError(f"{found} is not a Sidon set of order {h} mod {modulus}")
             return found, modulus
         modulus += 1
 
@@ -335,7 +333,7 @@ def congruence_class_sizes(m: int, r: int, weights: tuple[int, ...], modulus: in
     return dp[r]
 
 
-def sidon_code(m: int, r: int, d: int, cap: int | None = None) -> SimplexCode:
+def sidon_code(m: int, r: int, d: int) -> SimplexCode:
     """Largest congruence class of a Sidon weighting; distance re-verified.
 
     Weights come from a Sidon set of order d-1: two points closer than d
@@ -344,17 +342,18 @@ def sidon_code(m: int, r: int, d: int, cap: int | None = None) -> SimplexCode:
     """
     if d < 1:
         raise DomainError("distance must be >= 1")
-    pts = enumerate_simplex(m, r, cap)
+    pts = enumerate_simplex(m, r)
     if d == 1:
-        return SimplexCode.build(m, r, pts)
+        return SimplexCode(m, r, pts)
     weights, modulus = sidon_set(d - 1, m + 1)
     buckets: dict[int, list[SimplexPoint]] = {}
     for p in pts:
         residue = sum(w * c for w, c in zip(weights, p)) % modulus
         buckets.setdefault(residue, []).append(p)
     best_residue = min(buckets, key=lambda a: (-len(buckets[a]), a))
-    code = SimplexCode.build(m, r, buckets[best_residue])
-    assert code.min_half_distance is None or code.min_half_distance >= d
+    code = SimplexCode(m, r, buckets[best_residue])
+    if code.min_half_distance is not None and code.min_half_distance < d:
+        raise TandemError(f"congruence code has distance {code.min_half_distance} < {d}")
     return code
 
 
@@ -377,13 +376,11 @@ def ball_size(m: int, d: int) -> int:
     return sum(binom(m, j) * binom(d, j) * binom(d + m - j, d) for j in range(0, d + 1))
 
 
-def ball_size_bruteforce(
-    m: int, r: int, center: SimplexPoint, d: int, cap: int | None = None
-) -> int:
+def ball_size_bruteforce(m: int, r: int, center: SimplexPoint, d: int) -> int:
     """Ball size by simplex enumeration; the oracle for :func:`ball_size`."""
     if len(center) != m + 1 or sum(center) != r or any(c < 0 for c in center):
         raise DomainError(f"center {center} not in the ({m},{r})-simplex")
-    return sum(1 for p in enumerate_simplex(m, r, cap) if half_manhattan(p, center) <= d)
+    return sum(1 for p in enumerate_simplex(m, r) if half_manhattan(p, center) <= d)
 
 
 def asymptotic_simplex_rate(mu: float, rho: float) -> float:

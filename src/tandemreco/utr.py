@@ -57,6 +57,9 @@ from .simplex import (
 
 
 _CODE_KEYS = (("q", int), ("k", int), ("n", int), ("N", int), ("t", int), ("codewords", list))
+IRREDUCIBLE_CAP = 10**6
+ROOT_ENUM_MAX_LEN = 20
+BRUTEFORCE_MAX_WORDS = 4096
 
 
 @dataclass(frozen=True)
@@ -144,10 +147,10 @@ class UtrCheck(NamedTuple):
     detail: int | None = None
 
 
-def is_utr_code_direct(code: UtrCode, cap: int | None = None) -> UtrCheck:
+def is_utr_code_direct(code: UtrCode) -> UtrCheck:
     """Definition checked literally: expand and intersect every pair's descendants."""
     words = code.codewords
-    desc = [descendants(w, code.t, cap) for w in words]
+    desc = [descendants(w, code.t) for w in words]
     for i in range(len(words)):
         for j in range(i + 1, len(words)):
             shared = len(desc[i] & desc[j])
@@ -242,12 +245,7 @@ def utr_size_formula(
     return total
 
 
-def irreducible_words(
-    params: DupParams,
-    length: int,
-    min_weight: int = 0,
-    cap: int | None = None,
-) -> list[Word]:
+def irreducible_words(params: DupParams, length: int, min_weight: int = 0) -> list[Word]:
     """All irreducible words of one length (weight filter optional), lex by transform.
 
     Enumerates prefixes against zero-run-limited difference strings; returns
@@ -257,7 +255,6 @@ def irreducible_words(
         return []
     q, k = params.q, params.k
     l = length - params.k
-    cap = 10**6 if cap is None else cap
 
     diffs: list[tuple[int, ...]] = []
 
@@ -265,8 +262,8 @@ def irreducible_words(
         if len(acc) == l:
             if weight >= min_weight:
                 diffs.append(tuple(acc))
-                if len(diffs) > cap:
-                    raise ResourceCapError(f"irreducible enumeration above cap {cap}")
+                if len(diffs) > IRREDUCIBLE_CAP:
+                    raise ResourceCapError(f"irreducible enumeration above cap {IRREDUCIBLE_CAP}")
             return
         remaining = l - len(acc)
         if weight + remaining < min_weight:
@@ -289,8 +286,8 @@ def irreducible_words(
             for j, d in enumerate(diff):
                 sym.append((sym[j] + d) % q)
             out.append(Word._trusted(tuple(sym), params))
-            if len(out) > cap:
-                raise ResourceCapError(f"irreducible enumeration above cap {cap}")
+            if len(out) > IRREDUCIBLE_CAP:
+                raise ResourceCapError(f"irreducible enumeration above cap {IRREDUCIBLE_CAP}")
     return out
 
 
@@ -301,7 +298,6 @@ def construction_a(
     N: int,
     theta: float | None = None,
     roots: Iterable[Word] | None = None,
-    max_root_enum_len: int = 20,
 ) -> UtrCode:
     """Build a reconstruction code from the rate-maximizing geometry.
 
@@ -325,7 +321,7 @@ def construction_a(
     m_n = math.ceil(profile.theta * profile.gamma0 * n)
 
     if roots is None:
-        if root_len > max_root_enum_len:
+        if root_len > ROOT_ENUM_MAX_LEN:
             raise ResourceCapError(
                 f"root length {root_len} above enumeration limit; pass roots=..."
             )
@@ -354,9 +350,7 @@ def construction_a(
     return out
 
 
-def max_utr_code_bruteforce(
-    params: DupParams, n: int, N: int, t: int, cap: int = 4096
-) -> UtrCode:
+def max_utr_code_bruteforce(params: DupParams, n: int, N: int, t: int) -> UtrCode:
     """Largest valid code over the whole space, by exact clique search.
 
     The compatibility graph joins two words when their t-step descendant
@@ -365,8 +359,8 @@ def max_utr_code_bruteforce(
     """
     q = params.q
     total = q**n
-    if total > cap:
-        raise ResourceCapError(f"{total} words exceed the cap of {cap}")
+    if total > BRUTEFORCE_MAX_WORDS:
+        raise ResourceCapError(f"{total} words exceed the cap of {BRUTEFORCE_MAX_WORDS}")
     words = [Word(sym, params) for sym in product(range(q), repeat=n)]
     desc = [descendants(w, t) for w in words]
     adjacency = [0] * total
@@ -430,13 +424,13 @@ def reconstruct(code: UtrCode, reads: Iterable[Word]) -> Word:
     return candidates[0]
 
 
-def reconstruct_scan(code: UtrCode, reads: Iterable[Word], cap: int | None = None) -> Word:
+def reconstruct_scan(code: UtrCode, reads: Iterable[Word]) -> Word:
     """Oracle decoder: test read containment in literally expanded descendant sets."""
     read_list = _validated_reads(code, reads)
     extra = (len(read_list[0]) - code.n) // code.params.k
     candidates = []
     for w in code.codewords:
-        pool = descendants(w, extra, cap)
+        pool = descendants(w, extra)
         if all(r in pool for r in read_list):
             candidates.append(w)
     if not candidates:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from tandemreco import oracles
-from tandemreco.cli import main
+from tandemreco.cli import build_parser, main
 
 FIXTURE = {
     "q": 2,
@@ -110,6 +110,16 @@ def test_code_info(tmp_path, capsys):
     assert main(["code", "info", "--code", str(path)]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["size"] == 3 and data["roots"] == 1
+
+
+def test_main_twice_in_one_process(tmp_path, capsys):
+    # the parser is built once and shared; a second call with another verb still parses afresh
+    path = write_fixture(tmp_path)
+    assert main(["code", "info", "--code", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["size"] == 3
+    assert main(["capacity", "--q", "2", "--k", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["cap_irr"] == pytest.approx(0.6942, abs=5e-4)
+    assert build_parser() is build_parser()
 
 
 def test_code_decode(tmp_path, capsys):

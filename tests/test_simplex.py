@@ -2,13 +2,20 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tandemreco
+from tandemreco import simplex
 from tandemreco import (
     DomainError,
     SimplexCode,
+    TandemError,
     WeightMismatchError,
     asymptotic_simplex_rate,
     ball_size,
@@ -246,3 +253,67 @@ def test_simplex_code_json_roundtrip():
     code = sidon_code(2, 4, 2)
     back = SimplexCode.from_json(code.to_json())
     assert back == code
+
+
+def test_simplex_code_distance_is_lazy(monkeypatch):
+    real = simplex.min_half_distance
+
+    def eager(points):
+        raise AssertionError("minimum distance computed before it was read")
+
+    monkeypatch.setattr(simplex, "min_half_distance", eager)
+    codes = [sidon_code(3, 4, 1), exact_max_code(2, 3, 1), SimplexCode(1, 2, [(2, 0), (0, 2)])]
+    calls = []
+    monkeypatch.setattr(simplex, "min_half_distance", lambda pts: calls.append(pts) or real(pts))
+    assert [c.min_half_distance for c in codes] == [1, 1, 2]
+    assert [c.min_half_distance for c in codes] == [1, 1, 2]
+    assert len(calls) == 3
+
+
+def test_simplex_code_normalises_points():
+    code = SimplexCode(1, 2, [(2, 0), (0, 2), (2, 0)])
+    assert code.points == ((0, 2), (2, 0))
+    assert code == SimplexCode(1, 2, [[0, 2], [2, 0]])
+    assert hash(code) == hash(SimplexCode(1, 2, ((2, 0), (0, 2))))
+    with pytest.raises(DomainError):
+        SimplexCode(1, 2, [(1, 0)])
+
+
+def test_simplex_code_dumps_literal():
+    assert sidon_code(2, 4, 2).dumps() == (
+        '{"d": 2, "m": 2, '
+        '"points": [[0, 2, 2], [1, 0, 3], [1, 3, 0], [2, 1, 1], [4, 0, 0]], "r": 4}'
+    )
+
+
+def test_sidon_code_distance_guard(monkeypatch):
+    # a weighting that is not Sidon puts the whole simplex in one class
+    monkeypatch.setattr(simplex, "sidon_set", lambda h, size: ((0,) * size, 1))
+    with pytest.raises(TandemError, match="distance 1 < 2"):
+        sidon_code(2, 4, 2)
+
+
+def test_sidon_code_distance_guard_survives_optimize():
+    # under -O every assert is stripped, so only an explicit raise can stop the bad code
+    script = (
+        "import sys\n"
+        "from tandemreco import TandemError, simplex\n"
+        "simplex.sidon_set = lambda h, size: ((0,) * size, 1)\n"
+        "try:\n"
+        "    simplex.sidon_code(2, 4, 2)\n"
+        "except TandemError as err:\n"
+        "    print(sys.flags.optimize, err)\n"
+    )
+    src = str(Path(tandemreco.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "1 congruence code has distance 1 < 2"
+
+
+def test_greedy_covering_guard(monkeypatch):
+    monkeypatch.setattr(simplex, "ball_size", lambda m, d: 0)
+    with pytest.raises(TandemError, match="uncovered"):
+        greedy_code(2, 3, 2)
