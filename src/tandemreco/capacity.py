@@ -24,6 +24,7 @@ from .errors import (
     InvertedIntervalError,
     NonConvergenceError,
     RegimeParamsError,
+    TandemError,
 )
 from .simplex import required_distance, required_distance_upper_log
 
@@ -123,14 +124,6 @@ def build_chain(params: DupParams) -> ConstraintGraph:
     unnormalized = [left[j] * right[j] for j in range(k)]
     total = sum(unnormalized)
     stationary = tuple(p / total for p in unnormalized)
-
-    for i in range(k):
-        assert abs(sum(transition[i]) - 1.0) < 1e-12
-        assert right[i] > 0.0 and left[i] > 0.0
-    for j in range(k):
-        back = sum(stationary[i] * transition[i][j] for i in range(k))
-        assert abs(back - stationary[j]) < 1e-10
-
     return ConstraintGraph(
         params, adjacency, tuple(right), tuple(left), transition, stationary
     )
@@ -357,10 +350,12 @@ def regime_distance(
         raise RegimeParamsError(f"unknown regime {regime!r}")
 
     d = required_distance(big_n, t_n, m_n)
-    if 1 <= big_n <= m_n:
-        assert d == t_n
+    if 1 <= big_n <= m_n and d != t_n:
+        raise TandemError(f"distance {d} differs from t={t_n} at N={big_n} <= m={m_n}")
     if big_n > m_n > 0:
-        assert d <= required_distance_upper_log(big_n, t_n, m_n)
+        bound = required_distance_upper_log(big_n, t_n, m_n)
+        if d > bound:
+            raise TandemError(f"distance {d} exceeds the log bound {bound}")
     return d
 
 
@@ -410,9 +405,12 @@ def capacity_profile(
     x0, gamma0, _ = x0_solve(theta, params, tol)
 
     # positivity of pi1 gives lam > q*k/(k+1); pi1 < 1 gives lam > q - 1/k
-    assert max(q - q / (k + 1), q - 1.0 / k) < lam < q
-    assert 0.5 < p1 < 1.0
-    assert 0.0 < x0 < k * theta
+    if not max(q - q / (k + 1), q - 1.0 / k) < lam < q:
+        raise TandemError(f"eigenvalue {lam} outside its bracket below q={q}")
+    if not 0.5 < p1 < 1.0:
+        raise TandemError(f"pi1 = {p1} outside (1/2, 1)")
+    if not 0.0 < x0 < k * theta:
+        raise TandemError(f"x0 = {x0} outside (0, k*theta) = (0, {k * theta})")
 
     return CapacityProfile(
         params=params,

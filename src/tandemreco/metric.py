@@ -18,8 +18,8 @@ from .duplication import (
     cone_dimension,
     psi_inv,
 )
-from .errors import ConeMismatchError, TandemError, WordLengthError
-from .simplex import binom
+from .errors import ConeMismatchError, WordLengthError
+from .simplex import binom, half_manhattan
 
 
 def _distance_in_cone(x: Word, y: Word) -> tuple[int | float, int]:
@@ -32,10 +32,7 @@ def _distance_in_cone(x: Word, y: Word) -> tuple[int | float, int]:
     ry, sy, _ = _cone(y.symbols, k)
     if rx != ry:
         return math.inf, -1
-    total = sum(abs(a - b) for a, b in zip(sx, sy))
-    if total % 2:
-        raise TandemError(f"odd coordinate gap {total} between equal-length cone mates")
-    return total // 2, len(sx) - 1
+    return half_manhattan(sx, sy), len(sx) - 1
 
 
 def duplication_distance(x: Word, y: Word) -> int | float:

@@ -23,7 +23,6 @@ from .simplex import (
     ball_size,
     ball_size_bruteforce,
     enumerate_simplex,
-    min_half_distance,
     required_distance,
     required_distance_upper_entropy,
     required_distance_upper_log,
@@ -261,7 +260,7 @@ def suite_sidon(max_m: int = 5, max_r: int = 8, max_d: int = 3) -> OracleResult:
         for r in range(0, max_r + 1):
             for d in range(1, max_d + 1):
                 code = sidon_code(m, r, d)
-                dist = min_half_distance(list(code.points))
+                dist = code.min_half_distance
                 result.record(
                     dist is None or dist >= d,
                     lambda m=m, r=r, d=d, dist=dist: (

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement
 
 from .entropy import binary_entropy, cal_H
@@ -268,12 +268,14 @@ def is_sidon_set(elements: tuple[int, ...], h: int, modulus: int) -> bool:
     return True
 
 
+@cache
 def sidon_set(h: int, size: int) -> tuple[tuple[int, ...], int]:
     """Find ``size`` residues whose h-multiset sums are pairwise distinct.
 
     Searches moduli upward from the counting lower bound, growing the set
     greedily with backtracking, within ``SIDON_BUDGET`` attempts in all.
-    Returns (elements, modulus).
+    Returns (elements, modulus), remembered per (h, size); a failed search
+    raises and is retried on the next call.
     """
     if h < 1 or size < 1:
         raise DomainError("order and size must be positive")

@@ -29,7 +29,6 @@ from .duplication import (
     channel_sample,
     cone_dimension,
     descendants,
-    is_irreducible,
     psi_inv,
     root,
 )
@@ -94,15 +93,15 @@ class UtrCode:
         return math.log(len(self.codewords), self.params.q) / self.n
 
     @cached_property
-    def cone_index(self) -> dict[Word, list[tuple[Word, tuple[int, ...]]]]:
-        """Codewords grouped by root, each with its cone coordinates."""
+    def cone_index(self) -> dict[tuple[int, ...], list[tuple[Word, tuple[int, ...]]]]:
+        """Codewords grouped by their root's symbols, each with its cone coordinates."""
         index: dict[tuple[int, ...], list[tuple[Word, tuple[int, ...]]]] = defaultdict(list)
         k = self.params.k
         for w in self.codewords:
             if len(w) >= k:
                 r, sigma, _ = _cone(w.symbols, k)
                 index[r].append((w, sigma))
-        return {Word._trusted(r, self.params): members for r, members in index.items()}
+        return dict(index)
 
     def to_json(self) -> dict:
         return {
@@ -171,10 +170,11 @@ def is_utr_code_reduced(code: UtrCode) -> UtrCheck:
     k = code.params.k
     for r, members in code.cone_index.items():
         if (code.n - len(r)) % k or (code.n - len(r)) // k >= code.n // k:
-            raise TandemError(f"root {r!r} of length {len(r)} cannot grow to length {code.n}")
-        if len(members) < 2:
+            raise TandemError(f"root {r} of length {len(r)} cannot grow to length {code.n}")
+        need = required_distance(code.N, code.t, len(members[0][1]) - 1)
+        # psi is injective, so distinct cone mates are always at least 1 apart
+        if need <= 1:
             continue
-        need = required_distance(code.N, code.t, cone_dimension(r))
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 dist = half_manhattan(members[i][1], members[j][1])
@@ -297,14 +297,13 @@ def construction_a(
     t: int,
     N: int,
     theta: float | None = None,
-    roots: Iterable[Word] | None = None,
 ) -> UtrCode:
     """Build a reconstruction code from the rate-maximizing geometry.
 
     The capacity engine fixes the optimal root-length fraction; roots of
-    that length with enough nonzero difference symbols are enumerated (or
-    supplied), and each cone is filled with a congruence-class code at the
-    required distance, mapped back to words.  The result is re-verified.
+    that length with enough nonzero difference symbols are enumerated, and
+    each cone is filled with a congruence-class code at the required
+    distance, mapped back to words.  The result is re-verified.
     """
     if params.k < 2:
         raise DomainError("construction needs k >= 2 (rate analysis is undefined at k = 1)")
@@ -320,17 +319,10 @@ def construction_a(
         raise InfeasibleGeometryError(f"derived root length {root_len} is below k={k}")
     m_n = math.ceil(profile.theta * profile.gamma0 * n)
 
-    if roots is None:
-        if root_len > ROOT_ENUM_MAX_LEN:
-            raise ResourceCapError(
-                f"root length {root_len} above enumeration limit; pass roots=..."
-            )
-        pool = irreducible_words(params, root_len, min_weight=m_n)
-    else:
-        pool = [x for x in roots if len(x) == root_len and is_irreducible(x)]
-    dims = [(x, cone_dimension(x)) for x in pool]
-    qualifying = [(x, m) for x, m in dims if m >= m_n]
-    if not qualifying:
+    if root_len > ROOT_ENUM_MAX_LEN:
+        raise ResourceCapError(f"root length {root_len} above enumeration limit")
+    pool = irreducible_words(params, root_len, min_weight=m_n)
+    if not pool:
         raise InfeasibleGeometryError(
             f"no roots of length {root_len} with weight >= {m_n}"
         )
@@ -338,7 +330,8 @@ def construction_a(
     # every root of one cone dimension gets the same simplex code
     points: dict[int, tuple] = {}
     codewords: list[Word] = []
-    for x, m in qualifying:
+    for x in pool:
+        m = cone_dimension(x)
         if m not in points:
             points[m] = sidon_code(m, r_n, required_distance(N, t, m)).points
         codewords.extend(psi_inv(x, p) for p in points[m])
@@ -414,7 +407,7 @@ def reconstruct(code: UtrCode, reads: Iterable[Word]) -> Word:
     meet = tuple(min(col) for col in zip(*(sigma for _, sigma in cones)))
     candidates = [
         w
-        for w, coords in code.cone_index.get(Word._trusted(shared_root, code.params), [])
+        for w, coords in code.cone_index.get(shared_root, [])
         if all(a <= b for a, b in zip(coords, meet))
     ]
     if not candidates:

@@ -4,12 +4,14 @@ import math
 
 import pytest
 
+from tandemreco import capacity
 from tandemreco import (
     DegenerateParamsError,
     DomainError,
     DupParams,
     InvertedIntervalError,
     RegimeParamsError,
+    TandemError,
     binary_entropy,
     build_chain,
     cal_H,
@@ -257,3 +259,24 @@ def test_capacity_profile_fields():
     assert capacity_profile(P22).theta == pytest.approx(pi1(P22) - 0.01)
     with pytest.raises(DegenerateParamsError):
         capacity_profile(DupParams(2, 1))
+
+
+def test_capacity_profile_guard(monkeypatch):
+    # a solver that leaves (0, k*theta) must be stopped, not passed on
+    monkeypatch.setattr(capacity, "x0_solve", lambda theta, params, tol: (0.0, 1.0, 1))
+    with pytest.raises(TandemError, match="outside"):
+        capacity_profile(P22, 0.7236)
+
+
+def test_capacity_profile_guard_survives_optimize(run_optimized):
+    # under -O every assert is stripped, so only an explicit raise can stop the bad profile
+    script = (
+        "import sys\n"
+        "from tandemreco import DupParams, TandemError, capacity\n"
+        "capacity.x0_solve = lambda theta, params, tol: (0.0, 1.0, 1)\n"
+        "try:\n"
+        "    capacity.capacity_profile(DupParams(2, 2), 0.7236)\n"
+        "except TandemError as err:\n"
+        "    print(sys.flags.optimize, err)\n"
+    )
+    assert run_optimized(script).strip() == "1 x0 = 0.0 outside (0, k*theta) = (0, 1.4472)"

@@ -2,15 +2,10 @@
 
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import tandemreco
 from tandemreco import simplex
 from tandemreco import (
     DomainError,
@@ -176,6 +171,29 @@ def test_sidon_set_examples():
         assert is_sidon_set(elems, h, modulus)
 
 
+def test_sidon_set_is_remembered():
+    assert sidon_set(2, 5) is sidon_set(2, 5)
+
+
+def test_sidon_suite_computes_each_distance_once(monkeypatch):
+    from tandemreco import oracles
+
+    calls = []
+    real = simplex.min_half_distance
+
+    def counted(points):
+        calls.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(simplex, "min_half_distance", counted)
+    # a copy imported into oracles would bypass the code's cached distance
+    if hasattr(oracles, "min_half_distance"):
+        monkeypatch.setattr(oracles, "min_half_distance", counted)
+    result = oracles.suite_sidon(max_m=3, max_r=4, max_d=3)
+    assert result.ok and result.checks == 45
+    assert len(calls) <= result.checks
+
+
 def test_sidon_code_examples():
     assert len(sidon_code(2, 3, 1)) == 10
     code = sidon_code(2, 4, 2)
@@ -293,7 +311,7 @@ def test_sidon_code_distance_guard(monkeypatch):
         sidon_code(2, 4, 2)
 
 
-def test_sidon_code_distance_guard_survives_optimize():
+def test_sidon_code_distance_guard_survives_optimize(run_optimized):
     # under -O every assert is stripped, so only an explicit raise can stop the bad code
     script = (
         "import sys\n"
@@ -304,13 +322,7 @@ def test_sidon_code_distance_guard_survives_optimize():
         "except TandemError as err:\n"
         "    print(sys.flags.optimize, err)\n"
     )
-    src = str(Path(tandemreco.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "1 congruence code has distance 1 < 2"
+    assert run_optimized(script).strip() == "1 congruence code has distance 1 < 2"
 
 
 def test_greedy_covering_guard(monkeypatch):

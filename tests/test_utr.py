@@ -19,6 +19,7 @@ from tandemreco import (
     descendants,
     exact_size,
     greedy_size,
+    half_manhattan,
     irreducible_count,
     irreducible_words,
     is_irreducible,
@@ -27,8 +28,10 @@ from tandemreco import (
     max_utr_code_bruteforce,
     reconstruct,
     reconstruct_scan,
+    root,
     sidon_size,
     simulate_reconstruction,
+    utr,
     utr_size_formula,
     word,
 )
@@ -74,6 +77,44 @@ def test_reduced_checker_examples():
     cross = UtrCode(P21, 4, 0, 2, (word("0010", 2, 1), word("0111", 2, 1)))
     assert is_utr_code_reduced(cross).ok
     assert is_utr_code_direct(cross).ok
+
+
+def test_cone_index_keyed_by_root_symbols():
+    code = construction_a(P22, 10, 1, 1)
+    assert set(code.cone_index) == {root(w).symbols for w in code.codewords}
+
+
+def test_reduced_checker_reads_dimension_from_coordinates(monkeypatch):
+    ok, broken = fixture_code(N=1), fixture_code(N=0)
+
+    def refuse(x):
+        raise AssertionError("the checker re-derived a cone dimension")
+
+    monkeypatch.setattr(utr, "cone_dimension", refuse)
+    assert is_utr_code_reduced(ok).ok
+    failed = is_utr_code_reduced(broken)
+    assert not failed.ok and failed.detail == 1
+
+
+def test_reduced_checker_skips_distance_one_cones(monkeypatch):
+    # t = 1, N = 1 needs distance 1, which distinct cone mates always meet
+    code = construction_a(P22, 12, 1, 1)
+
+    def refuse(u, v):
+        raise AssertionError("compared a pair in a distance-1 cone")
+
+    monkeypatch.setattr(utr, "half_manhattan", refuse)
+    assert is_utr_code_reduced(code).ok
+    # at N = 0 the cone needs distance 2, so its pairs are still compared
+    calls = []
+
+    def count(u, v):
+        calls.append((u, v))
+        return half_manhattan(u, v)
+
+    monkeypatch.setattr(utr, "half_manhattan", count)
+    failed = is_utr_code_reduced(fixture_code(N=0))
+    assert not failed.ok and failed.detail == 1 and calls
 
 
 def test_checkers_agree_on_random_codes():
@@ -199,8 +240,8 @@ def test_construction_a_infeasible():
 
     with pytest.raises(InfeasibleGeometryError):
         construction_a(P22, 3, 1, 1)  # no duplication budget at this length
-    with pytest.raises(InfeasibleGeometryError):
-        construction_a(P22, 10, 1, 1, roots=[])  # no qualifying roots supplied
+    with pytest.raises(InfeasibleGeometryError, match="no roots of length 7 with weight >= 6"):
+        construction_a(P22, 9, 1, 1, theta=0.95)  # the weight threshold empties the pool
 
 
 def test_reconstruct_examples():
