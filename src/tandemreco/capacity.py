@@ -11,7 +11,6 @@ contraction fixed point with an independent bisection cross-check.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -232,7 +231,7 @@ def x0_solve(
     raise NonConvergenceError("fixed-point iteration did not settle in 500 steps")
 
 
-def x0_bisect(theta: float, params: DupParams, tol: float = 1e-12) -> float:
+def x0_bisect(theta: float, params: DupParams) -> float:
     """Independent root of the stationarity equation; cross-check for the solver."""
     if params.k < 2:
         raise DegenerateParamsError("rate analysis needs k >= 2")
@@ -245,7 +244,7 @@ def x0_bisect(theta: float, params: DupParams, tol: float = 1e-12) -> float:
         return (1.0 + x / kt) ** (kt - 1.0) * (x / kt) - a
 
     lo, hi = 0.0, kt
-    while hi - lo > tol / 10.0:
+    while hi - lo > 1e-13:
         mid = (lo + hi) / 2.0
         if residual(mid) < 0.0:
             lo = mid
@@ -384,9 +383,6 @@ class CapacityProfile:
             "gamma0": self.gamma0,
             "rate_at_gamma0": self.rate_at_gamma0,
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def capacity_profile(

@@ -201,8 +201,6 @@ def cmd_oracle(args) -> int:
         "distance": {"max_root_len": min(args.max_root_len, 5)},
         "checker": {"samples": args.samples, "seed": args.seed},
         "bounds": {"samples": args.samples * 10, "seed": args.seed},
-        "ball": {},
-        "sidon": {},
     }
     failed = False
     for name in names:

@@ -10,7 +10,6 @@ cone inherits from its root.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from dataclasses import dataclass
@@ -30,9 +29,7 @@ from .errors import (
 DEFAULT_NODE_CAP = 10**7
 
 
-def _effective_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
+def _effective_cap() -> int:
     env = os.environ.get("TANDEM_NODE_CAP")
     return int(env) if env else DEFAULT_NODE_CAP
 
@@ -172,11 +169,11 @@ def _expand_layer(layer: set[tuple[int, ...]], k: int, cap: int) -> set[tuple[in
     return out
 
 
-def descendants(x: Word, t: int, cap: int | None = None) -> set[Word]:
+def descendants(x: Word, t: int) -> set[Word]:
     """The exact set of words reachable from x by exactly t duplications."""
     if t < 0:
         raise DomainError("descendant depth must be nonnegative")
-    cap = _effective_cap(cap)
+    cap = _effective_cap()
     k = x.params.k
     layer = {x.symbols}
     for _ in range(t):
@@ -293,9 +290,6 @@ class RootDecomposition:
             Word.parse(data["mu"], params),
             tuple(data["sigma"]),
         )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def _cone(sym: tuple[int, ...], k: int) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:

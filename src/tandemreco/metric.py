@@ -45,7 +45,7 @@ def duplication_distance_bfs(x: Word, y: Word, t_max: int) -> int | None:
     _same_params(x, y)
     if len(x) != len(y):
         raise WordLengthError(f"length mismatch: {len(x)} vs {len(y)}")
-    cap = _effective_cap(None)
+    cap = _effective_cap()
     k = x.params.k
     lx = {x.symbols}
     ly = {y.symbols}

@@ -1,8 +1,10 @@
 """Brute-force cross-check suites.
 
 Each suite pits a closed form against literal enumeration over a bounded
-range and reports every mismatch.  The command line exposes them; the
-acceptance tests run them at their contractual ranges.
+range and reports every mismatch.  The ranges are the module constants
+below, stated once; the command line and the benchmark set only
+``max_root_len``, ``max_t``, ``samples`` and ``seed``, and the acceptance
+tests run every suite at its defaults.
 """
 
 from __future__ import annotations
@@ -31,6 +33,13 @@ from .simplex import (
 from .utr import UtrCode, irreducible_words, is_utr_code_direct, is_utr_code_reduced
 
 MAX_REPORTED = 5
+QS = (2, 3)
+KS = (1, 2)
+MAX_S = 2
+CHECKER_RANGE = (6, (1, 2), 3)  # (max_n, ts, max_N)
+TRIV_SAMPLES = 1_000
+BALL_RANGE = (4, 3)  # (max_m, max_d)
+SIDON_RANGE = (5, 8, 3)  # (max_m, max_r, max_d)
 
 
 @dataclass
@@ -64,13 +73,11 @@ def _all_roots(q: int, k: int, max_len: int) -> list[Word]:
     return out
 
 
-def suite_cone_count(
-    qs=(2, 3), ks=(1, 2), max_root_len: int = 6, max_t: int = 3
-) -> OracleResult:
+def suite_cone_count(max_root_len: int = 6, max_t: int = 3) -> OracleResult:
     """Descendant-layer sizes against the balls-in-bins closed form."""
     result = OracleResult("cone-count")
-    for q in qs:
-        for k in ks:
+    for q in QS:
+        for k in KS:
             for x in _all_roots(q, k, max_root_len):
                 for t in range(max_t + 1):
                     got = len(descendants(x, t))
@@ -84,16 +91,14 @@ def suite_cone_count(
     return result
 
 
-def suite_intersection(
-    qs=(2, 3), ks=(1, 2), max_root_len: int = 6, max_s: int = 2, max_t: int = 3
-) -> OracleResult:
+def suite_intersection(max_root_len: int = 6, max_t: int = 3) -> OracleResult:
     """Pairwise intersection sizes against the shifted-cone closed form."""
     result = OracleResult("intersection")
-    for q in qs:
-        for k in ks:
+    for q in QS:
+        for k in KS:
             for x in _all_roots(q, k, max_root_len):
                 layer = {x}
-                for s in range(max_s + 1):
+                for s in range(MAX_S + 1):
                     members = sorted(layer, key=lambda w: w.symbols)
                     tables = {
                         w: [descendants(w, t) for t in range(max_t + 1)]
@@ -112,27 +117,25 @@ def suite_intersection(
                                         f" formula says {want}"
                                     ),
                                 )
-                    if s < max_s:
+                    if s < MAX_S:
                         layer = descendants(x, s + 1)
     return result
 
 
-def suite_distance(
-    qs=(2, 3), ks=(1, 2), max_root_len: int = 5, max_s: int = 2
-) -> OracleResult:
+def suite_distance(max_root_len: int = 5) -> OracleResult:
     """Closed-form distance against layered search, plus cross-cone pairs."""
     result = OracleResult("distance")
-    for q in qs:
-        for k in ks:
+    for q in QS:
+        for k in KS:
             roots = _all_roots(q, k, max_root_len)
             for x in roots:
-                for s in range(max_s + 1):
+                for s in range(MAX_S + 1):
                     members = sorted(descendants(x, s), key=lambda w: w.symbols)
                     for i in range(len(members)):
                         for j in range(i, len(members)):
                             y, y2 = members[i], members[j]
                             want = duplication_distance(y, y2)
-                            got = duplication_distance_bfs(y, y2, t_max=max_s * k + 2)
+                            got = duplication_distance_bfs(y, y2, t_max=MAX_S * k + 2)
                             result.record(
                                 got == want,
                                 lambda y=y, y2=y2, got=got, want=want: (
@@ -157,37 +160,28 @@ def suite_distance(
 
 
 def _random_code(
-    rng: random.Random, params: DupParams, n: int, N: int, t: int
+    rng: random.Random, space: list[tuple[int, ...]], params: DupParams, N: int, t: int
 ) -> UtrCode:
-    q = params.q
-    total = q**n
-    size = rng.randint(1, min(5, total))
-    picks = rng.sample(range(total), size)
-    space = list(product(range(q), repeat=n))
+    size = rng.randint(1, min(5, len(space)))
+    picks = rng.sample(range(len(space)), size)
     words = [Word(space[value], params) for value in picks]
-    return UtrCode(params, n, N, t, tuple(words))
+    return UtrCode(params, len(space[0]), N, t, tuple(words))
 
 
-def suite_checker(
-    qs=(2, 3),
-    ks=(1, 2),
-    max_n: int = 6,
-    ts=(1, 2),
-    max_N: int = 3,
-    samples: int = 100,
-    seed: int = 20240,
-) -> OracleResult:
+def suite_checker(samples: int = 100, seed: int = 20240) -> OracleResult:
     """Direct and reduced validity checkers must agree on random codes."""
     result = OracleResult("checker")
     rng = random.Random(seed)
-    for q in qs:
-        for k in ks:
+    max_n, ts, max_N = CHECKER_RANGE
+    for q in QS:
+        for k in KS:
             params = DupParams(q, k)
             for n in range(1, max_n + 1):
+                space = list(product(range(q), repeat=n))
                 for t in ts:
                     for N in range(0, max_N + 1):
                         for _ in range(samples):
-                            code = _random_code(rng, params, n, N, t)
+                            code = _random_code(rng, space, params, N, t)
                             direct = is_utr_code_direct(code)
                             reduced = is_utr_code_reduced(code)
                             result.record(
@@ -200,9 +194,10 @@ def suite_checker(
     return result
 
 
-def suite_ball(max_m: int = 4, max_d: int = 3) -> OracleResult:
+def suite_ball() -> OracleResult:
     """Interior ball sizes against enumeration, all interior centers."""
     result = OracleResult("ball")
+    max_m, max_d = BALL_RANGE
     for m in range(1, max_m + 1):
         for d in range(0, max_d + 1):
             r = (m + 1) * d + 2
@@ -220,9 +215,7 @@ def suite_ball(max_m: int = 4, max_d: int = 3) -> OracleResult:
     return result
 
 
-def suite_bounds(
-    samples: int = 10_000, triv_samples: int = 1_000, seed: int = 51423
-) -> OracleResult:
+def suite_bounds(samples: int = 10_000, seed: int = 51423) -> OracleResult:
     """Distance-requirement bound ordering and the small-N collapse."""
     result = OracleResult("bounds")
     rng = random.Random(seed)
@@ -239,7 +232,7 @@ def suite_bounds(
                 f"(N={big_n}, t={t}, m={m}): exact {exact}, entropy {ent}, log {log}"
             ),
         )
-    for _ in range(triv_samples):
+    for _ in range(TRIV_SAMPLES):
         m = rng.randint(1, 60)
         t = rng.randint(1, 50)
         big_n = rng.randint(1, m)
@@ -253,9 +246,10 @@ def suite_bounds(
     return result
 
 
-def suite_sidon(max_m: int = 5, max_r: int = 8, max_d: int = 3) -> OracleResult:
+def suite_sidon() -> OracleResult:
     """Congruence-class codes must deliver their promised distance."""
     result = OracleResult("sidon")
+    max_m, max_r, max_d = SIDON_RANGE
     for m in range(1, max_m + 1):
         for r in range(0, max_r + 1):
             for d in range(1, max_d + 1):

@@ -168,10 +168,14 @@ def is_utr_code_reduced(code: UtrCode) -> UtrCheck:
     if code.n < code.params.k:
         return UtrCheck(True)
     k = code.params.k
+    needs: dict[int, int] = {}
     for r, members in code.cone_index.items():
         if (code.n - len(r)) % k or (code.n - len(r)) // k >= code.n // k:
             raise TandemError(f"root {r} of length {len(r)} cannot grow to length {code.n}")
-        need = required_distance(code.N, code.t, len(members[0][1]) - 1)
+        m = len(members[0][1]) - 1
+        if m not in needs:
+            needs[m] = required_distance(code.N, code.t, m)
+        need = needs[m]
         # psi is injective, so distinct cone mates are always at least 1 apart
         if need <= 1:
             continue

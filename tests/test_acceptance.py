@@ -113,28 +113,26 @@ def test_criterion_02_rate_curve_shape():
 
 def test_criterion_03_cone_count_oracle():
     start = time.perf_counter()
-    result = suite_cone_count(qs=(2, 3), ks=(1, 2), max_root_len=6, max_t=3)
+    result = suite_cone_count(max_root_len=6, max_t=3)
     failures = list(result.failures)
     elapsed = time.perf_counter() - start
     if elapsed >= 60.0:
         failures.append(f"took {elapsed:.2f}s, budget 60s")
-    if result.checks < 1000:
-        failures.append(f"only {result.checks} checks ran")
+    if result.checks != 4492:
+        failures.append(f"ran {result.checks} checks, expected 4492")
     _report(3, f"descendant counts vs formula ({result.checks} checks)", failures)
 
 
 def test_criterion_04_intersection_oracle():
-    result = suite_intersection(qs=(2, 3), ks=(1, 2), max_root_len=6, max_s=2, max_t=3)
+    result = suite_intersection(max_root_len=6, max_t=3)
     failures = list(result.failures)
-    if result.checks < 1000:
-        failures.append(f"only {result.checks} checks ran")
+    if result.checks != 284_808:
+        failures.append(f"ran {result.checks} checks, expected 284808")
     _report(4, f"cone intersections vs brute force ({result.checks} checks)", failures)
 
 
 def test_criterion_05_checker_equivalence():
-    result = suite_checker(
-        qs=(2, 3), ks=(1, 2), max_n=6, ts=(1, 2), max_N=3, samples=100, seed=20240
-    )
+    result = suite_checker(samples=100, seed=20240)
     failures = list(result.failures)
     expected_cells = 2 * 2 * 6 * 2 * 4
     if result.checks != expected_cells * 100:
@@ -143,8 +141,10 @@ def test_criterion_05_checker_equivalence():
 
 
 def test_criterion_06_distance_bounds():
-    result = suite_bounds(samples=10_000, triv_samples=1_000, seed=51423)
+    result = suite_bounds(samples=10_000, seed=51423)
     failures = list(result.failures)
+    if result.checks != 11_000:
+        failures.append(f"ran {result.checks} checks, expected 11000")
     _report(6, "bound ordering and small-uncertainty collapse", failures)
 
 
@@ -255,10 +255,14 @@ def test_criterion_10_reconstruction_round_trip():
 
 def test_criterion_11_sidon_and_ball():
     failures = []
-    sidon = suite_sidon(max_m=5, max_r=8, max_d=3)
+    sidon = suite_sidon()
     failures += sidon.failures
-    ball = suite_ball(max_m=4, max_d=3)
+    if sidon.checks != 135:
+        failures.append(f"ran {sidon.checks} sidon checks, expected 135")
+    ball = suite_ball()
     failures += ball.failures
+    if ball.checks != 136:
+        failures.append(f"ran {ball.checks} ball checks, expected 136")
     _report(
         11,
         f"congruence-code distance ({sidon.checks}) and ball sizes ({ball.checks})",

@@ -77,12 +77,13 @@ def test_descendants_examples():
     assert len(descendants(word("010", 2, 1), 2)) == 6
 
 
-def test_descendants_short_word_and_cap():
+def test_descendants_short_word_and_cap(monkeypatch):
     short = word("0", 2, 2)
     assert descendants(short, 0) == {short}
     assert descendants(short, 1) == set()
+    monkeypatch.setenv("TANDEM_NODE_CAP", "10")
     with pytest.raises(ResourceCapError):
-        descendants(word("0101", 2, 1), 4, cap=10)
+        descendants(word("0101", 2, 1), 4)
 
 
 def test_node_cap_env_override(monkeypatch):

@@ -89,9 +89,9 @@ def test_distance_matches_bfs_exhaustive():
 def test_distance_oracle_full_range():
     from tandemreco.oracles import suite_distance
 
-    result = suite_distance(qs=(2, 3), ks=(1, 2), max_root_len=5, max_s=2)
+    result = suite_distance(max_root_len=5)
     assert result.ok, result.failures
-    assert result.checks > 2000
+    assert result.checks == 19_892
 
 
 def test_metric_axioms_on_one_layer():

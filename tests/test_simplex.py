@@ -189,7 +189,8 @@ def test_sidon_suite_computes_each_distance_once(monkeypatch):
     # a copy imported into oracles would bypass the code's cached distance
     if hasattr(oracles, "min_half_distance"):
         monkeypatch.setattr(oracles, "min_half_distance", counted)
-    result = oracles.suite_sidon(max_m=3, max_r=4, max_d=3)
+    monkeypatch.setattr(oracles, "SIDON_RANGE", (3, 4, 3))
+    result = oracles.suite_sidon()
     assert result.ok and result.checks == 45
     assert len(calls) <= result.checks
 

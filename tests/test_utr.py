@@ -28,6 +28,7 @@ from tandemreco import (
     max_utr_code_bruteforce,
     reconstruct,
     reconstruct_scan,
+    required_distance,
     root,
     sidon_size,
     simulate_reconstruction,
@@ -115,6 +116,21 @@ def test_reduced_checker_skips_distance_one_cones(monkeypatch):
     monkeypatch.setattr(utr, "half_manhattan", count)
     failed = is_utr_code_reduced(fixture_code(N=0))
     assert not failed.ok and failed.detail == 1 and calls
+
+
+def test_reduced_checker_computes_each_dimension_need_once(monkeypatch):
+    code = construction_a(P22, 16, 1, 1)
+    calls = []
+
+    def counted(N, t, m):
+        calls.append(m)
+        return required_distance(N, t, m)
+
+    monkeypatch.setattr(utr, "required_distance", counted)
+    assert is_utr_code_reduced(code).ok
+    dims = {len(members[0][1]) - 1 for members in code.cone_index.values()}
+    assert sorted(calls) == sorted(dims)
+    assert len(dims) < len(code.cone_index)
 
 
 def test_checkers_agree_on_random_codes():
