@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement
@@ -113,11 +114,58 @@ def required_distance_upper_log(N: int, t: int, m: int) -> int:
     return max(1, t - math.floor(math.log2(N) ** 2 / (4 * m)))
 
 
-def min_half_distance(points: list[SimplexPoint]) -> int | None:
-    """Minimum pairwise distance, or None for fewer than two points."""
+def min_half_distance_pairwise(points: list[SimplexPoint]) -> int | None:
+    """Minimum pairwise distance by comparing every pair; the twin of the probe."""
     if len(points) < 2:
         return None
     return min(half_manhattan(u, v) for u, v in combinations(points, 2))
+
+
+def _shell(p: SimplexPoint, rho: int) -> Iterator[SimplexPoint]:
+    """The nonnegative points of p's sum at distance exactly rho from p.
+
+    Each takes rho units off p (a multiset of coordinates, none below zero)
+    and adds rho units to coordinates that gave none.
+    """
+    for take in combinations_with_replacement(range(len(p)), rho):
+        base = list(p)
+        for i in take:
+            base[i] -= 1
+        if min(base) < 0:
+            continue
+        free = [i for i in range(len(p)) if i not in take]
+        for give in combinations_with_replacement(free, rho):
+            q = base[:]
+            for i in give:
+                q[i] += 1
+            yield tuple(q)
+
+
+def min_half_distance(points: list[SimplexPoint]) -> int | None:
+    """Minimum pairwise distance, or None for fewer than two points.
+
+    Looks each point's radius-rho shell up in a set, for rho = 1, 2, ...,
+    while the |C| * ball_size(m, rho) lookups cost less than the
+    |C|(|C| - 1)/2 pairs, then compares pairs.  Input off a nonnegative
+    simplex goes to the pairwise form, which also reports mixed lengths or
+    sums.
+    """
+    n = len(points)
+    if n < 2:
+        return None
+    if len({(len(p), sum(p)) for p in points}) > 1 or any(c < 0 for p in points for c in p):
+        return min_half_distance_pairwise(points)
+    present = {tuple(p) for p in points}
+    # at dimension 0 every point is (r,), so two points always repeat one
+    if len(present) < n:
+        return 0
+    m = len(points[0]) - 1
+    rho = 1
+    while 2 * ball_size(m, rho) < n - 1:
+        if any(q in present for p in present for q in _shell(p, rho)):
+            return rho
+        rho += 1
+    return min_half_distance_pairwise(points)
 
 
 @dataclass(frozen=True)

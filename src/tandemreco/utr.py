@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -25,6 +25,7 @@ from .duplication import (
     DupParams,
     Word,
     _cone,
+    _effective_cap,
     _same_params,
     channel_sample,
     cone_dimension,
@@ -147,15 +148,36 @@ class UtrCheck(NamedTuple):
 
 
 def is_utr_code_direct(code: UtrCode) -> UtrCheck:
-    """Definition checked literally: expand and intersect every pair's descendants."""
+    """Definition checked literally: count every pair's shared descendants.
+
+    An index maps each expanded t-descendant to the codewords that own it.
+    Words enter it from last to first, so word i counts what it shares with
+    every later word j, and the last violation seen is the smallest (i, j).
+    The descendants together may hold at most the node cap.
+    """
     words = code.codewords
-    desc = [descendants(w, code.t) for w in words]
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            shared = len(desc[i] & desc[j])
-            if shared > code.N:
-                return UtrCheck(False, (words[i], words[j]), shared)
-    return UtrCheck(True)
+    cap = _effective_cap()
+    total = 0
+    owners: dict[tuple[int, ...], tuple[int, ...]] = {}
+    found = UtrCheck(True)
+    for i in range(len(words) - 1, -1, -1):
+        desc = descendants(words[i], code.t)
+        total += len(desc)
+        if total > cap:
+            raise ResourceCapError(f"descendant index exceeded cap of {cap} nodes")
+        # one entry per descendant that word i shares with a later word
+        mates: list[int] = []
+        for d in desc:
+            owned = owners.get(d.symbols, ())
+            mates += owned
+            owners[d.symbols] = owned + (i,)
+        if len(mates) > code.N:  # else no later word can share more than N
+            shared = Counter(mates)
+            bad = [j for j, count in shared.items() if count > code.N]
+            if bad:
+                j = min(bad)
+                found = UtrCheck(False, (words[i], words[j]), shared[j])
+    return found
 
 
 def is_utr_code_reduced(code: UtrCode) -> UtrCheck:

@@ -102,7 +102,11 @@ def test_code_verify_paths(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(FIXTURE, N=0)))
     assert main(["code", "verify", "--code", str(bad)]) == 3
-    assert "INVALID" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "direct checker:  violation\n"
+        "reduced checker: violation\n"
+        "INVALID: |shared 1-descendants of 0010 and 0100| = 1 > N = 0\n"
+    )
 
 
 def test_code_info(tmp_path, capsys):

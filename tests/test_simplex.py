@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tandemreco import simplex
 from tandemreco import (
@@ -65,6 +67,87 @@ def test_half_manhattan_examples():
     assert half_manhattan((3, 0, 1), (0, 2, 2)) == 3
     with pytest.raises(WeightMismatchError):
         half_manhattan((1, 0), (1, 1))
+
+
+@st.composite
+def point_sets(draw):
+    """Sampled congruence classes of a simplex, with optional defects.
+
+    Random weights give classes of any distance, the whole simplex among
+    them (modulus 1); Sidon weights of order h give classes of distance
+    above h.  The sum r skews high so that classes outgrow the probe's ball.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m, r, order = rng.randint(0, 5), max(rng.randint(0, 8), rng.randint(0, 8)), rng.randint(0, 2)
+    if order:
+        weights, modulus = sidon_set(order, m + 1)
+    else:
+        modulus = rng.randint(1, 4)
+        weights = [rng.randrange(modulus) for _ in range(m + 1)]
+    simplex_points = enumerate_simplex(m, r)
+
+    def residue(p):
+        return sum(w * c for w, c in zip(weights, p)) % modulus
+
+    chosen = residue(rng.choice(simplex_points))
+    members = [p for p in simplex_points if residue(p) == chosen]
+    size = min(len(members), 100)
+    points = rng.sample(members, rng.choice([size, rng.randint(0, size)]))
+    defects = st.lists(st.sampled_from(["repeat", "negative", "length", "sum"]), max_size=2)
+    for defect in draw(defects):
+        if defect == "repeat" and points:
+            extra = rng.choice(points)
+        elif defect == "negative" and m >= 1:
+            # p[0] + 1 away from a member p
+            p = rng.choice(points) if points else (r,) + (0,) * m
+            extra = (-1, p[0] + p[1] + 1) + p[2:]
+        elif defect == "length":
+            extra = (r,) + (0,) * (m + 1)
+        elif defect == "sum":
+            extra = (r + 1,) + (0,) * m
+        else:
+            continue
+        points.insert(rng.randint(0, len(points)), extra)
+    return points
+
+
+def _distance_or_error(fn, points):
+    try:
+        return fn(points)
+    except TandemError as err:
+        return type(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_min_half_distance_matches_pairwise(points):
+    # faces, repeats, one-point sets, negative coordinates, mixed lengths and sums
+    want = _distance_or_error(simplex.min_half_distance_pairwise, points)
+    assert _distance_or_error(min_half_distance, points) == want
+
+
+def _refuse_pairs(points):
+    raise AssertionError("compared every pair")
+
+
+def test_distance_one_code_never_compares_pairs(monkeypatch):
+    # the work guard of suite_sidon's distance-1 codes: no quadratic fallback
+    monkeypatch.setattr(simplex, "min_half_distance_pairwise", _refuse_pairs)
+    assert min_half_distance(enumerate_simplex(5, 8)) == 1
+
+
+def test_probe_finds_distances_behind_empty_shells(monkeypatch):
+    # big enough that every shell up to the distance is probed, none compared in pairs
+    cases = [(1, 60, 3), (1, 80, 4), (2, 24, 2), (2, 40, 3), (3, 12, 2)]
+    sets = [list(sidon_code(m, r, d).points) for m, r, d in cases]
+    # the one close pair: either point is the other with a unit moved onto its zero
+    sets.append(sets[3] + [(1, 0, 39), (0, 1, 39)])
+    want = [simplex.min_half_distance_pairwise(points) for points in sets]
+    # off the simplex no shell is complete, so a negative coordinate sends the set to pairs
+    member = next(p for p in sets[3] if p[0] == 0)
+    assert min_half_distance(sets[3] + [(-1, member[1] + 1) + member[2:]]) == 1
+    monkeypatch.setattr(simplex, "min_half_distance_pairwise", _refuse_pairs)
+    assert [min_half_distance(points) for points in sets] == want == [3, 4, 2, 3, 2, 1]
 
 
 def test_required_distance_examples():

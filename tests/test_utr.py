@@ -11,6 +11,8 @@ from tandemreco import (
     DupParams,
     NoCandidateError,
     ParamsMismatchError,
+    ResourceCapError,
+    UtrCheck,
     UtrCode,
     Word,
     WordLengthError,
@@ -152,6 +154,58 @@ def test_checkers_agree_on_random_codes():
                 words.append(Word(tuple(reversed(digits)), params))
             code = UtrCode(params, n, N, t, tuple(words))
             assert is_utr_code_direct(code).ok == is_utr_code_reduced(code).ok
+
+
+def pairwise_direct_checker(code: UtrCode) -> UtrCheck:
+    """The literal checker as a loop over pairs; the reference of the inverted index."""
+    words = code.codewords
+    desc = [descendants(w, code.t) for w in words]
+    for i in range(len(words)):
+        for j in range(i + 1, len(words)):
+            shared = len(desc[i] & desc[j])
+            if shared > code.N:
+                return UtrCheck(False, (words[i], words[j]), shared)
+    return UtrCheck(True)
+
+
+def test_direct_checker_matches_pairwise_loop():
+    rng = random.Random(2024)
+    invalid = 0
+    for _ in range(320):
+        params = DupParams(rng.choice((2, 3)), rng.choice((1, 2)))
+        n = rng.randint(1, 6)
+        space = list(itertools.product(range(params.q), repeat=n))
+        words = [Word(s, params) for s in rng.sample(space, rng.randint(1, min(40, len(space))))]
+        code = UtrCode(params, n, rng.randint(0, 3), rng.randint(1, 2), tuple(words))
+        want = pairwise_direct_checker(code)
+        assert is_utr_code_direct(code) == want
+        invalid += not want.ok
+    assert invalid >= 50  # 63 of the 320 codes are invalid
+
+
+def test_direct_checker_caps_its_index(monkeypatch):
+    code = construction_a(P22, 12, 1, 1)
+    total = sum(len(descendants(w, 1)) for w in code.codewords)
+    monkeypatch.setenv("TANDEM_NODE_CAP", str(total))
+    assert is_utr_code_direct(code).ok
+    monkeypatch.setenv("TANDEM_NODE_CAP", str(total - 1))
+    with pytest.raises(ResourceCapError, match=f"cap of {total - 1} nodes"):
+        is_utr_code_direct(code)
+
+
+def test_direct_checker_cap_survives_optimize(run_optimized):
+    # under -O every assert is stripped, so only an explicit raise can stop the expansion
+    script = (
+        "import os, sys\n"
+        "from tandemreco import DupParams, ResourceCapError, construction_a, is_utr_code_direct\n"
+        "code = construction_a(DupParams(2, 2), 12, 1, 1)\n"
+        "os.environ['TANDEM_NODE_CAP'] = '1000'\n"
+        "try:\n"
+        "    is_utr_code_direct(code)\n"
+        "except ResourceCapError as err:\n"
+        "    print(sys.flags.optimize, err)\n"
+    )
+    assert run_optimized(script).strip() == "1 descendant index exceeded cap of 1000 nodes"
 
 
 def test_count_rll_weight_examples():
