@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import os
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from operator import ne
 
 from .errors import (
@@ -159,28 +160,36 @@ def tandem_duplicate(x: Word, i: int) -> Word:
     return Word._trusted(sym[: i + k] + sym[i:], x.params)
 
 
-def _expand_layer(layer: set[tuple[int, ...]], k: int, cap: int) -> set[tuple[int, ...]]:
-    out: set[tuple[int, ...]] = set()
-    for sym in layer:
-        for i in range(len(sym) - k + 1):
-            out.add(sym[: i + k] + sym[i:])
+def _layers(x: Word) -> Iterator[set[tuple[int, ...]]]:
+    """The symbol sets of D_0(x), D_1(x), ..., each grown from the one before.
+
+    The node cap is read when D_1 is grown, and no layer may exceed it.  A word shorter than k has only empty layers after D_0.
+    """
+    layer = {x.symbols}
+    yield layer
+    cap = _effective_cap()
+    k = x.params.k
+    while True:
+        out: set[tuple[int, ...]] = set()
+        for sym in layer:
+            for i in range(len(sym) - k + 1):
+                out.add(sym[: i + k] + sym[i:])
             if len(out) > cap:
                 raise ResourceCapError(f"descendant expansion exceeded cap of {cap} nodes")
-    return out
+        layer = out
+        yield layer
+
+
+def _layer(x: Word, t: int) -> set[tuple[int, ...]]:
+    """The symbols of D_t(x)."""
+    return next(islice(_layers(x), t, None))
 
 
 def descendants(x: Word, t: int) -> set[Word]:
     """The exact set of words reachable from x by exactly t duplications."""
     if t < 0:
         raise DomainError("descendant depth must be nonnegative")
-    cap = _effective_cap()
-    k = x.params.k
-    layer = {x.symbols}
-    for _ in range(t):
-        layer = _expand_layer(layer, k, cap)
-        if not layer:
-            break
-    return {Word._trusted(sym, x.params) for sym in layer}
+    return {Word._trusted(sym, x.params) for sym in _layer(x, t)}
 
 
 def phi(x: Word) -> PhiImage:

@@ -12,8 +12,7 @@ import math
 from .duplication import (
     Word,
     _cone,
-    _expand_layer,
-    _effective_cap,
+    _layers,
     _same_params,
     cone_dimension,
     psi_inv,
@@ -45,15 +44,9 @@ def duplication_distance_bfs(x: Word, y: Word, t_max: int) -> int | None:
     _same_params(x, y)
     if len(x) != len(y):
         raise WordLengthError(f"length mismatch: {len(x)} vs {len(y)}")
-    cap = _effective_cap()
-    k = x.params.k
-    lx = {x.symbols}
-    ly = {y.symbols}
-    for t in range(t_max + 1):
+    for t, lx, ly in zip(range(t_max + 1), _layers(x), _layers(y)):
         if lx & ly:
             return t
-        lx = _expand_layer(lx, k, cap)
-        ly = _expand_layer(ly, k, cap)
     return None
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 
-from .duplication import DupParams, Word, descendants
+from .duplication import DupParams, Word, _layers
 from .metric import (
     cone_intersection_size,
     descendant_count,
@@ -79,8 +79,8 @@ def suite_cone_count(max_root_len: int = 6, max_t: int = 3) -> OracleResult:
     for q in QS:
         for k in KS:
             for x in _all_roots(q, k, max_root_len):
-                for t in range(max_t + 1):
-                    got = len(descendants(x, t))
+                for t, layer in enumerate(islice(_layers(x), max_t + 1)):
+                    got = len(layer)
                     want = descendant_count(x, t)
                     result.record(
                         got == want,
@@ -97,18 +97,14 @@ def suite_intersection(max_root_len: int = 6, max_t: int = 3) -> OracleResult:
     for q in QS:
         for k in KS:
             for x in _all_roots(q, k, max_root_len):
-                layer = {x}
-                for s in range(MAX_S + 1):
-                    members = sorted(layer, key=lambda w: w.symbols)
-                    tables = {
-                        w: [descendants(w, t) for t in range(max_t + 1)]
-                        for w in members
-                    }
+                for layer in islice(_layers(x), MAX_S + 1):
+                    members = [Word._trusted(sym, x.params) for sym in sorted(layer)]
+                    tables = [list(islice(_layers(w), max_t + 1)) for w in members]
                     for i in range(len(members)):
                         for j in range(i + 1, len(members)):
                             y, y2 = members[i], members[j]
                             for t in range(max_t + 1):
-                                got = len(tables[y][t] & tables[y2][t])
+                                got = len(tables[i][t] & tables[j][t])
                                 want = cone_intersection_size(y, y2, t)
                                 result.record(
                                     got == want,
@@ -117,8 +113,6 @@ def suite_intersection(max_root_len: int = 6, max_t: int = 3) -> OracleResult:
                                         f" formula says {want}"
                                     ),
                                 )
-                    if s < MAX_S:
-                        layer = descendants(x, s + 1)
     return result
 
 
@@ -129,8 +123,8 @@ def suite_distance(max_root_len: int = 5) -> OracleResult:
         for k in KS:
             roots = _all_roots(q, k, max_root_len)
             for x in roots:
-                for s in range(MAX_S + 1):
-                    members = sorted(descendants(x, s), key=lambda w: w.symbols)
+                for layer in islice(_layers(x), MAX_S + 1):
+                    members = [Word._trusted(sym, x.params) for sym in sorted(layer)]
                     for i in range(len(members)):
                         for j in range(i, len(members)):
                             y, y2 = members[i], members[j]

@@ -26,6 +26,7 @@ from .duplication import (
     Word,
     _cone,
     _effective_cap,
+    _layer,
     _same_params,
     channel_sample,
     cone_dimension,
@@ -161,16 +162,16 @@ def is_utr_code_direct(code: UtrCode) -> UtrCheck:
     owners: dict[tuple[int, ...], tuple[int, ...]] = {}
     found = UtrCheck(True)
     for i in range(len(words) - 1, -1, -1):
-        desc = descendants(words[i], code.t)
+        desc = _layer(words[i], code.t)
         total += len(desc)
         if total > cap:
             raise ResourceCapError(f"descendant index exceeded cap of {cap} nodes")
         # one entry per descendant that word i shares with a later word
         mates: list[int] = []
         for d in desc:
-            owned = owners.get(d.symbols, ())
+            owned = owners.get(d, ())
             mates += owned
-            owners[d.symbols] = owned + (i,)
+            owners[d] = owned + (i,)
         if len(mates) > code.N:  # else no later word can share more than N
             shared = Counter(mates)
             bad = [j for j, count in shared.items() if count > code.N]
@@ -183,17 +184,13 @@ def is_utr_code_direct(code: UtrCode) -> UtrCheck:
 def is_utr_code_reduced(code: UtrCode) -> UtrCheck:
     """Definition checked through the cone reduction.
 
-    Words with different roots never share descendants; within one root's
-    cone the shared-descendant bound is equivalent to a minimum distance on
-    the coordinate images.  Must agree with :func:`is_utr_code_direct`.
+    Words shorter than k never duplicate, and words with different roots
+    never share descendants; within one root's cone the shared-descendant
+    bound is equivalent to a minimum distance on the coordinate images.
+    Must agree with :func:`is_utr_code_direct`.
     """
-    if code.n < code.params.k:
-        return UtrCheck(True)
-    k = code.params.k
     needs: dict[int, int] = {}
-    for r, members in code.cone_index.items():
-        if (code.n - len(r)) % k or (code.n - len(r)) // k >= code.n // k:
-            raise TandemError(f"root {r} of length {len(r)} cannot grow to length {code.n}")
+    for members in code.cone_index.values():
         m = len(members[0][1]) - 1
         if m not in needs:
             needs[m] = required_distance(code.N, code.t, m)
@@ -381,7 +378,7 @@ def max_utr_code_bruteforce(params: DupParams, n: int, N: int, t: int) -> UtrCod
     if total > BRUTEFORCE_MAX_WORDS:
         raise ResourceCapError(f"{total} words exceed the cap of {BRUTEFORCE_MAX_WORDS}")
     words = [Word(sym, params) for sym in product(range(q), repeat=n)]
-    desc = [descendants(w, t) for w in words]
+    desc = [_layer(w, t) for w in words]
     adjacency = [0] * total
     for i in range(total):
         for j in range(i + 1, total):
@@ -447,10 +444,11 @@ def reconstruct_scan(code: UtrCode, reads: Iterable[Word]) -> Word:
     """Oracle decoder: test read containment in literally expanded descendant sets."""
     read_list = _validated_reads(code, reads)
     extra = (len(read_list[0]) - code.n) // code.params.k
+    read_syms = [r.symbols for r in read_list]
     candidates = []
     for w in code.codewords:
-        pool = descendants(w, extra)
-        if all(r in pool for r in read_list):
+        pool = _layer(w, extra)
+        if all(r in pool for r in read_syms):
             candidates.append(w)
     if not candidates:
         raise NoCandidateError("no codeword is an ancestor of all reads")

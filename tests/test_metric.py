@@ -9,6 +9,7 @@ from tandemreco import (
     ConeMismatchError,
     DupParams,
     NotIrreducibleError,
+    ResourceCapError,
     WordLengthError,
     cone_intersection_size,
     descendant_count,
@@ -45,6 +46,15 @@ def test_distance_bfs_examples():
     assert duplication_distance_bfs(word("0010", 2, 1), word("0100", 2, 1), 3) == 1
     assert duplication_distance_bfs(word("0101", 2, 2), word("0101", 2, 2), 3) == 0
     assert duplication_distance_bfs(word("0110", 2, 2), word("0101", 2, 2), 3) is None
+
+
+def test_distance_bfs_expands_no_layer_past_t_max(monkeypatch):
+    # each word's D_1 fits a cap of 3 nodes and D_2 does not; t_max = 1 reads only D_0 and D_1
+    x, y = word("0110", 2, 2), word("0100", 2, 2)
+    monkeypatch.setenv("TANDEM_NODE_CAP", "3")
+    assert duplication_distance_bfs(x, y, 1) is None
+    with pytest.raises(ResourceCapError):
+        duplication_distance_bfs(x, y, 2)
 
 
 def test_descendant_count_examples():
@@ -119,6 +129,18 @@ def test_intersection_matches_bruteforce():
                     assert cone_intersection_size(y, y2, t) == len(
                         tables[y][t] & tables[y2][t]
                     )
+
+
+def test_cone_count_suite_expands_each_root_once(monkeypatch):
+    from tandemreco import oracles
+
+    started = []
+    layers = oracles._layers
+    monkeypatch.setattr(oracles, "_layers", lambda x: started.append(x) or layers(x))
+    result = oracles.suite_cone_count(max_root_len=4, max_t=3)
+    roots = [x for q in oracles.QS for k in oracles.KS for x in oracles._all_roots(q, k, 4)]
+    assert result.ok and result.checks == 4 * len(roots)
+    assert started == roots
 
 
 def test_descendant_count_matches_bruteforce():

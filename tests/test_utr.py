@@ -193,6 +193,18 @@ def test_direct_checker_caps_its_index(monkeypatch):
         is_utr_code_direct(code)
 
 
+def test_direct_checker_builds_no_word(monkeypatch):
+    code = construction_a(P22, 12, 1, 1)
+    built = []
+    trusted, validated = Word._trusted, Word.__post_init__
+    monkeypatch.setattr(
+        Word, "_trusted", classmethod(lambda cls, *args: built.append(args) or trusted(*args))
+    )
+    monkeypatch.setattr(Word, "__post_init__", lambda w: built.append(w) or validated(w))
+    assert is_utr_code_direct(code).ok
+    assert built == []
+
+
 def test_direct_checker_cap_survives_optimize(run_optimized):
     # under -O every assert is stripped, so only an explicit raise can stop the expansion
     script = (
