@@ -107,6 +107,8 @@ def _svg_rate_curve(
 
 def cmd_rate_curve(args) -> int:
     params = DupParams(args.q, args.k)
+    if args.points < 1:
+        raise DomainError(f"--points must be at least 1, got {args.points}")
     profile = capacity_profile(params, args.theta)
     step = 1.0 / (args.points + 1)
     gammas = [step * i for i in range(1, args.points + 1)]

@@ -53,9 +53,9 @@ class DupParams:
 class Word:
     """Immutable word over {0..q-1}, tagged with its channel parameters.
 
-    Text form: a digit string when q <= 10, comma-separated integers
-    otherwise.  Words shorter than k are legal values but are rejected by
-    the transform/root operations below.
+    Text form: ASCII digits when q <= 10, comma-separated ASCII-digit
+    integers otherwise.  Words shorter than k are legal values but are
+    rejected by the transform/root operations below.
     """
 
     symbols: tuple[int, ...]
@@ -99,14 +99,10 @@ class Word:
     @classmethod
     def parse(cls, text: str, params: DupParams) -> "Word":
         text = text.strip()
-        if params.q <= 10 and not all(c.isdigit() for c in text):
-            raise DomainError(f"not a digit string: {text!r}")
-        fields = text if params.q <= 10 else (text.split(",") if text else ())
-        try:
-            symbols = tuple(int(f) for f in fields)
-        except ValueError as err:
-            raise DomainError(f"not a word over {params.q} symbols: {text!r}") from err
-        return cls(symbols, params)
+        fields = (text.split(",") if params.q > 10 else [text]) if text else []
+        if not all(f.isascii() and f.isdigit() for f in fields):
+            raise DomainError(f"not a word over {params.q} symbols: {text!r}")
+        return cls(tuple(map(int, fields if params.q > 10 else text)), params)
 
     def hamming_weight(self) -> int:
         return sum(1 for s in self.symbols if s != 0)
@@ -327,6 +323,18 @@ def _cone(sym: tuple[int, ...], k: int) -> tuple[tuple[int, ...], tuple[int, ...
     return (kept + sym[cut:] if cut else sym), tuple(sigma), ends
 
 
+def _grow(sym: tuple[int, ...], k: int, ends: list[int], v: tuple[int, ...]) -> tuple[int, ...]:
+    """Inverse of :func:`_cone` on an irreducible word: its cone member at coordinates v."""
+    # run i grows by v[i] k-blocks: sym[e : e + k] is duplicated v[i] times
+    out = ()
+    cut = 0
+    for e, s in zip(ends, v):
+        if s:
+            out += sym[cut : e + k] + sym[e : e + k] * s
+            cut = e + k
+    return out + sym[cut:]
+
+
 def root_decomposition(x: Word) -> RootDecomposition:
     """Full decomposition of x: transform, then split the difference string."""
     k, q = x.params.k, x.params.q
@@ -384,14 +392,7 @@ def psi_inv(x_root: Word, v: tuple[int, ...]) -> Word:
         raise DimensionMismatchError(f"expected {len(ends)} coordinates, got {len(v)}")
     if any(s < 0 for s in v):
         raise DomainError("sigma entries must be nonnegative")
-    # run i grows by v[i] k-blocks: sym[e : e + k] is duplicated v[i] times
-    out = ()
-    cut = 0
-    for e, s in zip(ends, v):
-        if s:
-            out += sym[cut : e + k] + sym[e : e + k] * s
-            cut = e + k
-    return Word._trusted(out + sym[cut:], x_root.params)
+    return Word._trusted(_grow(sym, k, ends, v), x_root.params)
 
 
 def channel_sample(x: Word, t: int, seed: int) -> Word:

@@ -12,10 +12,10 @@ import math
 from .duplication import (
     Word,
     _cone,
+    _grow,
     _layers,
     _same_params,
     cone_dimension,
-    psi_inv,
 )
 from .errors import ConeMismatchError, WordLengthError
 from .simplex import binom, half_manhattan
@@ -71,11 +71,12 @@ def cone_intersection_size(y: Word, y2: Word, t: int) -> int:
 def join_meet(y: Word, y2: Word) -> tuple[Word, Word]:
     """Least common descendant and greatest common ancestor within one cone."""
     _same_params(y, y2)
-    r, u, _ = _cone(y.symbols, y.params.k)
-    r2, v, _ = _cone(y2.symbols, y2.params.k)
+    k = y.params.k
+    r, u, _ = _cone(y.symbols, k)
+    r2, v, _ = _cone(y2.symbols, k)
     if r2 != r:
         raise ConeMismatchError("words have different roots")
-    r0 = Word._trusted(r, y.params)
-    join = psi_inv(r0, tuple(max(a, b) for a, b in zip(u, v)))
-    meet = psi_inv(r0, tuple(min(a, b) for a, b in zip(u, v)))
-    return join, meet
+    ends = _cone(r, k)[2]
+    join = _grow(r, k, ends, tuple(map(max, u, v)))
+    meet = _grow(r, k, ends, tuple(map(min, u, v)))
+    return Word._trusted(join, y.params), Word._trusted(meet, y.params)

@@ -26,12 +26,10 @@ from .duplication import (
     Word,
     _cone,
     _effective_cap,
+    _grow,
     _layer,
-    _same_params,
     channel_sample,
-    cone_dimension,
     descendants,
-    psi_inv,
     root,
 )
 from .errors import (
@@ -354,10 +352,11 @@ def construction_a(
     points: dict[int, tuple] = {}
     codewords: list[Word] = []
     for x in pool:
-        m = cone_dimension(x)
+        ends = _cone(x.symbols, k)[2]
+        m = len(ends) - 1
         if m not in points:
             points[m] = sidon_code(m, r_n, required_distance(N, t, m)).points
-        codewords.extend(psi_inv(x, p) for p in points[m])
+        codewords.extend(Word._trusted(_grow(x.symbols, k, ends, p), params) for p in points[m])
 
     out = UtrCode(params, n, N, t, tuple(codewords))
     check = is_utr_code_reduced(out)
@@ -373,6 +372,7 @@ def max_utr_code_bruteforce(params: DupParams, n: int, N: int, t: int) -> UtrCod
     sets share at most N members; a maximum code is a maximum clique.
     Independent of the per-cone accounting, so it serves as its oracle.
     """
+    UtrCode(params, n, N, t, ())  # checks n, N and t before anything is enumerated
     q = params.q
     total = q**n
     if total > BRUTEFORCE_MAX_WORDS:
@@ -393,7 +393,9 @@ def _validated_reads(code: UtrCode, reads: Iterable[Word]) -> list[Word]:
     out = sorted(set(reads), key=lambda w: w.symbols)
     if not out:
         raise NoCandidateError("no reads given")
-    _same_params(code.codewords[0] if code.codewords else out[0], *out)
+    for r in out:
+        if r.params != code.params:
+            raise ParamsMismatchError(f"mixed parameters: {code.params} vs {r.params}")
     lengths = {len(r) for r in out}
     if len(lengths) != 1:
         raise NoCandidateError(f"reads have mixed lengths {sorted(lengths)}")

@@ -162,10 +162,20 @@ def test_code_file_missing_key_exit(tmp_path, capsys):
     assert main(["code", "info", "--code", str(path)]) == 2
     assert "'codewords'" in capsys.readouterr().err
     # a word that does not parse is malformed input too
-    for bad in ({"q": 12, "codewords": ["1,x,0,0"]}, {"codewords": ["0\u00b210"]}):
+    # only ASCII digits form a symbol: no other scripts' digits, signs,
+    # underscores or blanks inside a field
+    for bad in (
+        {"q": 12, "codewords": ["1,x,0,0"]},
+        {"codewords": ["0\u00b210"]},
+        {"codewords": ["\u0661\u0660"]},
+        {"codewords": ["0\uff11"]},
+        {"q": 11, "codewords": ["1_0,3"]},
+        {"q": 11, "codewords": ["+3,4"]},
+        {"q": 11, "codewords": [" 3 , 4"]},
+    ):
         write_fixture(tmp_path, **bad)
         assert main(["code", "info", "--code", str(path)]) == 2
-        assert bad["codewords"][0] in capsys.readouterr().err
+        assert bad["codewords"][0].strip() in capsys.readouterr().err
 
 
 def test_code_file_not_json_exit(tmp_path, capsys):
@@ -194,3 +204,21 @@ def test_usage_error_exit():
     with pytest.raises(SystemExit) as excinfo:
         main(["capacity", "--q", "2"])  # missing --k
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate-curve", "--q", "2", "--k", "2", "--points", "-1", "--out", "{tmp}/c.csv"],
+        ["rate-curve", "--q", "2", "--k", "2", "--points", "0", "--out", "{tmp}/c.csv",
+         "--svg", "{tmp}/c.svg"],
+        ["code", "build", "--q", "2", "--k", "2", "--n", "-1", "--t", "1", "--N", "1",
+         "--method", "exhaustive", "--out", "{tmp}/o.json"],
+        ["code", "build", "--q", "2", "--k", "2", "--n", "4", "--t", "-1", "--N", "1",
+         "--method", "exhaustive", "--out", "{tmp}/o.json"],
+    ],
+)
+def test_bad_arguments_exit_2(tmp_path, capsys, argv):
+    # a bad value is a usage error: exit 2 and one error line, never a traceback
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error:")

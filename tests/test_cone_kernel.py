@@ -2,7 +2,8 @@
 
 root, psi, psi_inv, is_irreducible, cone_dimension, root_decomposition and
 the duplication distance are computed from one decomposition per word; the
-chain phi -> mu_sigma -> phi_inv (kept as written) is their reference.
+chain phi -> mu_sigma -> phi_inv (kept as written) is their reference.  A
+caller that grows many members of one cone decomposes its root once.
 """
 
 import math
@@ -24,9 +25,11 @@ from tandemreco import (
     WordLengthError,
     channel_sample,
     cone_dimension,
+    construction_a,
     descendants,
     duplication_distance,
     is_irreducible,
+    join_meet,
     mu_sigma,
     phi,
     phi_inv,
@@ -36,6 +39,7 @@ from tandemreco import (
     root_decomposition,
     word,
 )
+from tandemreco import duplication, metric, utr
 
 MAX_LEN = 30
 PROPERTY = settings(max_examples=300, deadline=None)
@@ -152,3 +156,35 @@ def test_alphabet_checked_at_the_boundary_only():
         assert w == checked and checked == w and hash(w) == hash(checked)
         assert type(w.symbols) is tuple
     assert set(derived) == {Word(w.symbols, p) for w in derived}
+
+
+def count_cone_calls(monkeypatch) -> list[int]:
+    """Count the calls of ``_cone`` as bound in every module that uses it."""
+    calls = [0]
+    inner = duplication._cone
+
+    def counting(sym, k):
+        calls[0] += 1
+        return inner(sym, k)
+
+    for module in (duplication, utr, metric):
+        monkeypatch.setattr(module, "_cone", counting)
+    return calls
+
+
+def test_construction_decomposes_each_root_once(monkeypatch):
+    calls = count_cone_calls(monkeypatch)
+    code = construction_a(DupParams(2, 2), 12, 1, 1)
+    # one per pool root while growing, one per codeword in the self-check
+    # (whose cone index the code keeps, so reading it costs nothing more)
+    assert (len(code.cone_index), len(code)) == (120, 880)
+    assert calls[0] == 120 + 880
+
+
+def test_join_meet_decomposes_the_shared_root_once(monkeypatch):
+    r = word("0110", 2, 2)
+    y, y2 = psi_inv(r, (1, 0, 2)), psi_inv(r, (0, 1, 1))
+    calls = count_cone_calls(monkeypatch)
+    join, meet = join_meet(y, y2)
+    assert calls[0] == 3
+    assert (psi(r, join), psi(r, meet)) == ((1, 1, 2), (0, 0, 1))

@@ -93,7 +93,8 @@ def test_reduced_checker_reads_dimension_from_coordinates(monkeypatch):
     def refuse(x):
         raise AssertionError("the checker re-derived a cone dimension")
 
-    monkeypatch.setattr(utr, "cone_dimension", refuse)
+    # utr binds no cone_dimension; the patch also refuses one imported later
+    monkeypatch.setattr(utr, "cone_dimension", refuse, raising=False)
     assert is_utr_code_reduced(ok).ok
     failed = is_utr_code_reduced(broken)
     assert not failed.ok and failed.detail == 1
@@ -339,6 +340,14 @@ def test_reconstruct_examples():
         reconstruct(code, {word("01010", 2, 1)})  # a cone holding no codeword
     with pytest.raises(NoCandidateError):
         reconstruct(code, {word("001", 2, 1)})  # shorter than the codewords
+
+
+def test_reads_checked_against_code_params():
+    # an empty code still fixes the alphabet its reads must be over
+    empty = UtrCode(P22, 4, 1, 1, ())
+    for decode in (reconstruct, reconstruct_scan):
+        with pytest.raises(ParamsMismatchError):
+            decode(empty, {word("0120", 3, 2)})
 
 
 def test_reconstruct_ambiguity():
