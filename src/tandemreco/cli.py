@@ -196,6 +196,12 @@ def cmd_code_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # a suite at these values would check nothing and still print OK
+    if args.max_root_len < 1 or args.samples < 1 or args.max_t < 0:
+        raise DomainError(
+            "need --max-root-len >= 1, --samples >= 1 and --max-t >= 0, got "
+            f"{args.max_root_len}, {args.samples} and {args.max_t}"
+        )
     names = list(ALL_SUITES) if args.suite == "all" else [args.suite]
     overrides = {
         "cone-count": {"max_root_len": args.max_root_len, "max_t": args.max_t},

@@ -99,10 +99,14 @@ class Word:
     @classmethod
     def parse(cls, text: str, params: DupParams) -> "Word":
         text = text.strip()
-        fields = (text.split(",") if params.q > 10 else [text]) if text else []
-        if not all(f.isascii() and f.isdigit() for f in fields):
+        wide = params.q > 10
+        fields = (text.split(",") if wide else [text]) if text else []
+        # a symbol is ASCII digits with one spelling: a wide field has no leading zero
+        if not all(
+            f.isascii() and f.isdigit() and not (wide and f[0] == "0" and f != "0") for f in fields
+        ):
             raise DomainError(f"not a word over {params.q} symbols: {text!r}")
-        return cls(tuple(map(int, fields if params.q > 10 else text)), params)
+        return cls(tuple(map(int, fields if wide else text)), params)
 
     def hamming_weight(self) -> int:
         return sum(1 for s in self.symbols if s != 0)

@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 from .entropy import binary_entropy, cal_H
 from .errors import (
@@ -32,6 +33,8 @@ SimplexPoint = tuple[int, ...]
 DEFAULT_ENUM_CAP = 1_000_000
 EXACT_MAX_POINTS = 2000
 SIDON_BUDGET = 500_000
+# per order, the largest size whose Sidon search finishes within SIDON_BUDGET
+SIDON_SEARCH_SIZES = {2: 6, 3: 4, 4: 4, 5: 3, 6: 3}
 
 
 def binom(a: int, b: int) -> int:
@@ -313,14 +316,60 @@ def is_sidon_set(elements: tuple[int, ...], h: int, modulus: int) -> bool:
     return True
 
 
+def _least_prime_at_least(n: int) -> int:
+    p = max(n, 2)
+    while any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        p += 1
+    return p
+
+
+def bose_chowla_set(h: int, size: int) -> tuple[tuple[int, ...], int]:
+    """A B_h set of ``size`` residues mod p^h - 1, p the least prime >= size.
+
+    Bose & Chowla (1962): with theta a primitive element of GF(p^h), the p
+    logarithms log_theta(theta + c), c in GF(p), have distinct h-multiset
+    sums mod p^h - 1, since equal sums would make two distinct monic
+    products of h factors (theta + c) equal, and theta would then be a root
+    of a nonzero polynomial of degree below h.  GF(p^h) is GF(p)[x] modulo
+    the first monic primitive polynomial x^h + a_1 x^(h-1) + ... + a_h in
+    lexicographic order of (a_1, ..., a_h), and theta is x.  The ``size``
+    smallest logarithms, translated so the first is 0, keep the property.
+    """
+    if h < 2 or size < 1:
+        raise DomainError("order must be at least 2 and size positive")
+    p = _least_prime_at_least(size)
+    order = p**h - 1
+    if order > DEFAULT_ENUM_CAP:
+        raise ResourceCapError(f"GF({p}^{h}) has {order + 1} elements, above {DEFAULT_ENUM_CAP}")
+    one = (1,) + (0,) * (h - 1)
+    for coeffs in product(range(p), repeat=h):
+        # x^h = sum of low[j] x^j; elements are coefficient tuples, lowest degree first
+        low = [-a % p for a in reversed(coeffs)]
+        if not low[0]:
+            continue  # x divides the polynomial, so x is no unit
+        elem, logs = one, []
+        for i in range(1, order + 1):
+            top = elem[-1]
+            elem = tuple(((elem[j - 1] if j else 0) + top * low[j]) % p for j in range(h))
+            if elem == one:
+                break
+            if elem[1] == 1 and not any(elem[2:]):
+                logs.append(i)  # x^i = x + elem[0]
+        if i == order and elem == one:
+            return tuple(e - logs[0] for e in logs[:size]), order
+    raise TandemError(f"no primitive polynomial of degree {h} over GF({p})")
+
+
 @cache
 def sidon_set(h: int, size: int) -> tuple[tuple[int, ...], int]:
-    """Find ``size`` residues whose h-multiset sums are pairwise distinct.
+    """``size`` residues whose h-multiset sums are pairwise distinct, and their modulus.
 
-    Searches moduli upward from the counting lower bound, growing the set
-    greedily with backtracking, within ``SIDON_BUDGET`` attempts in all.
-    Returns (elements, modulus), remembered per (h, size); a failed search
-    raises and is retried on the next call.
+    Order 1 is range(size).  Up to ``SIDON_SEARCH_SIZES[h]`` a search scans
+    moduli upward from the counting lower bound, growing the set greedily
+    with backtracking, within ``SIDON_BUDGET`` attempts in all; above it, and
+    wherever the search of an order outside that table uses up its budget,
+    the set is :func:`bose_chowla_set`.  Every result is re-checked and
+    remembered per (h, size).
     """
     if h < 1 or size < 1:
         raise DomainError("order and size must be positive")
@@ -345,14 +394,22 @@ def sidon_set(h: int, size: int) -> tuple[tuple[int, ...], int]:
             current.pop()
         return None
 
-    modulus = max(size, binom(size + h - 1, h))
-    while True:
-        found = dfs([0], 1, modulus)
-        if found is not None:
-            if not is_sidon_set(found, h, modulus):
-                raise TandemError(f"{found} is not a Sidon set of order {h} mod {modulus}")
-            return found, modulus
-        modulus += 1
+    def search() -> tuple[tuple[int, ...], int]:
+        modulus = max(size, binom(size + h - 1, h))
+        while True:
+            found = dfs([0], 1, modulus)
+            if found is not None:
+                return found, modulus
+            modulus += 1
+
+    searched = None
+    if size <= SIDON_SEARCH_SIZES.get(h, size):
+        with suppress(SearchBudgetError):
+            searched = search()
+    found, modulus = searched or bose_chowla_set(h, size)
+    if not is_sidon_set(found, h, modulus):
+        raise TandemError(f"{found} is not a Sidon set of order {h} mod {modulus}")
+    return found, modulus
 
 
 def congruence_class_sizes(m: int, r: int, weights: tuple[int, ...], modulus: int) -> list[int]:

@@ -30,7 +30,6 @@ from .duplication import (
     _layer,
     channel_sample,
     descendants,
-    root,
 )
 from .errors import (
     AmbiguityError,
@@ -43,8 +42,8 @@ from .errors import (
     TandemError,
     WordLengthError,
 )
-from .metric import descendant_count
 from .simplex import (
+    binom,
     exact_max_code,
     greedy_code,
     half_manhattan,
@@ -505,8 +504,9 @@ def simulate_reconstruction(code: UtrCode, trials: int, seed: int) -> Simulation
     needed = code.N + 1
     for _ in range(trials):
         c = words[rng.randrange(len(words))]
-        cone_total = descendant_count(root(c), code.t)
-        if cone_total < needed:
+        # c and its root share their cone dimension, the number of zero runs less one
+        m = len(_cone(c.symbols, code.params.k)[1]) - 1
+        if binom(code.t + m, m) < needed:
             reads = set(descendants(c, code.t))
             short_cones += 1
         else:

@@ -142,6 +142,15 @@ def test_code_decode_failure_exit(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_code_build_at_distance_three(tmp_path, capsys):
+    out = tmp_path / "d3.json"
+    build = ["code", "build", "--q", "2", "--k", "2", "--n", "16", "--t", "3", "--N", "1"]
+    assert main([*build, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote 188 codewords to {out}")
+    assert main(["code", "verify", "--code", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "VALID"
+
+
 def test_code_simulate(tmp_path, capsys):
     path = write_fixture(tmp_path)
     assert main(
@@ -172,6 +181,7 @@ def test_code_file_missing_key_exit(tmp_path, capsys):
         {"q": 11, "codewords": ["1_0,3"]},
         {"q": 11, "codewords": ["+3,4"]},
         {"q": 11, "codewords": [" 3 , 4"]},
+        {"q": 11, "codewords": ["03,4"]},
     ):
         write_fixture(tmp_path, **bad)
         assert main(["code", "info", "--code", str(path)]) == 2
@@ -190,6 +200,20 @@ def test_oracle_single_suite(capsys):
     assert main(["oracle", "--suite", "cone-count", "--max-root-len", "3"]) == 0
     out = capsys.readouterr().out
     assert "cone-count" in out and "OK" in out
+
+
+def test_oracle_that_checks_nothing_exit_2(capsys):
+    for argv in (
+        ["--suite", "checker", "--samples", "0"],
+        ["--suite", "intersection", "--max-root-len", "0"],
+        ["--suite", "cone-count", "--max-t", "-1"],
+    ):
+        assert main(["oracle", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: need --max-root-len")
+    # no duplication is still a check: every word is its own only descendant
+    assert main(["oracle", "--suite", "cone-count", "--max-t", "0"]) == 0
+    assert capsys.readouterr().out == "cone-count: 185 checks, OK\n"
 
 
 def test_oracle_failure_exit(monkeypatch, capsys):

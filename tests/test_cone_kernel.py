@@ -37,6 +37,7 @@ from tandemreco import (
     psi_inv,
     root,
     root_decomposition,
+    simulate_reconstruction,
     word,
 )
 from tandemreco import duplication, metric, utr
@@ -188,3 +189,13 @@ def test_join_meet_decomposes_the_shared_root_once(monkeypatch):
     join, meet = join_meet(y, y2)
     assert calls[0] == 3
     assert (psi(r, join), psi(r, meet)) == ((1, 1, 2), (0, 0, 1))
+
+
+def test_simulate_decomposes_each_drawn_codeword_once(monkeypatch):
+    code = construction_a(DupParams(2, 2), 12, 1, 1)
+    code.cone_index  # built once per code, outside the trials
+    calls = count_cone_calls(monkeypatch)
+    report = simulate_reconstruction(code, 300, seed=17)
+    # per trial: the drawn codeword once (its cone dimension), then the N + 1 = 2 reads
+    assert report.short_cone_trials == 0
+    assert calls[0] == 300 * (1 + 2)

@@ -57,6 +57,12 @@ def test_word_text_roundtrip():
     assert big.text() == "0,11,3"
     assert Word.parse(big.text(), big.params) == big
     assert Word.parse("", DupParams(12, 1)) == Word((), DupParams(12, 1))
+    assert Word.parse("0,10", DupParams(11, 2)) == Word((0, 10), DupParams(11, 2))
+    # above base 10 a symbol has one spelling, so "03" is not "3"
+    with pytest.raises(DomainError):
+        word("03,4", 11, 2)
+    with pytest.raises(DomainError):
+        word("00", 11, 2)
 
 
 def test_mixed_params_rejected():

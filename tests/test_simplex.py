@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tandemreco import simplex
 from tandemreco import (
     DomainError,
+    ResourceCapError,
     SimplexCode,
     TandemError,
     WeightMismatchError,
@@ -19,6 +20,7 @@ from tandemreco import (
     ball_size_bruteforce,
     binom,
     binary_entropy,
+    bose_chowla_set,
     congruence_class_sizes,
     enumerate_simplex,
     exact_max_code,
@@ -256,6 +258,94 @@ def test_sidon_set_examples():
 
 def test_sidon_set_is_remembered():
     assert sidon_set(2, 5) is sidon_set(2, 5)
+
+
+# every (order, size) the search solves within SIDON_BUDGET, with its result;
+# the search keeps them, so code files built from them stay as they were
+SEARCHED_SIDON_SETS = {
+    (2, 1): ((0,), 1),
+    (2, 2): ((0, 1), 3),
+    (2, 3): ((0, 1, 3), 7),
+    (2, 4): ((0, 1, 3, 9), 13),
+    (2, 5): ((0, 1, 4, 14, 16), 21),
+    (2, 6): ((0, 1, 3, 8, 12, 18), 31),
+    (3, 1): ((0,), 1),
+    (3, 2): ((0, 1), 4),
+    (3, 3): ((0, 1, 4), 13),
+    (3, 4): ((0, 1, 5, 19), 30),
+    (4, 1): ((0,), 1),
+    (4, 2): ((0, 1), 5),
+    (4, 3): ((0, 1, 8), 19),
+    (4, 4): ((0, 1, 5, 24), 59),
+    (5, 1): ((0,), 1),
+    (5, 2): ((0, 1), 6),
+    (5, 3): ((0, 1, 9), 30),
+    (6, 1): ((0,), 1),
+    (6, 2): ((0, 1), 7),
+    (6, 3): ((0, 1, 11), 37),
+}
+
+
+def test_searched_sidon_sets_are_pinned():
+    assert simplex.SIDON_SEARCH_SIZES == {
+        h: max(size for order, size in SEARCHED_SIDON_SETS if order == h) for h in range(2, 7)
+    }
+    for (h, size), expected in SEARCHED_SIDON_SETS.items():
+        assert sidon_set(h, size) == expected
+
+
+@pytest.mark.parametrize("h", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_bose_chowla_set_is_sidon(h, p):
+    elems, modulus = bose_chowla_set(h, p)
+    assert modulus == p**h - 1
+    assert len(elems) == p and elems[0] == 0 and list(elems) == sorted(set(elems))
+    assert is_sidon_set(elems, h, modulus)
+
+
+def test_bose_chowla_set_examples_and_limits():
+    assert bose_chowla_set(2, 7) == ((0, 4, 10, 11, 13, 25, 30), 48)
+    assert bose_chowla_set(3, 5) == ((0, 13, 33, 102, 118), 124)
+    # a size between primes takes the smallest logarithms of the next prime's set
+    elems, modulus = bose_chowla_set(2, 13)
+    assert bose_chowla_set(2, 12) == (elems[:12], modulus)
+    with pytest.raises(DomainError):
+        bose_chowla_set(1, 3)
+    with pytest.raises(DomainError):
+        bose_chowla_set(2, 0)
+    # GF(1009^2) has more elements than the enumeration cap
+    with pytest.raises(ResourceCapError):
+        bose_chowla_set(2, 1001)
+
+
+def test_sidon_set_never_raises_for_small_orders():
+    for h in (1, 2, 3):
+        for size in range(1, 13):
+            elems, modulus = sidon_set(h, size)
+            assert len(elems) == size and is_sidon_set(elems, h, modulus)
+    assert sidon_set(2, 7) == bose_chowla_set(2, 7)
+
+
+def test_sidon_set_skips_a_search_that_cannot_finish(monkeypatch):
+    calls = []
+    real = simplex.is_sidon_set
+
+    def counted(elements, h, modulus):
+        calls.append(elements)
+        return real(elements, h, modulus)
+
+    monkeypatch.setattr(simplex, "is_sidon_set", counted)
+    # above the searched sizes of its order, only the final re-check runs
+    assert sidon_set.__wrapped__(2, 7) == bose_chowla_set(2, 7)
+    assert calls == [bose_chowla_set(2, 7)[0]]
+
+
+def test_sidon_set_falls_back_above_the_searched_orders(monkeypatch):
+    # an order outside the table is searched first ...
+    assert sidon_set.__wrapped__(7, 2) == ((0, 1), 8)
+    # ... and a search that uses up its budget gives way to the algebraic set
+    monkeypatch.setattr(simplex, "SIDON_BUDGET", 0)
+    assert sidon_set.__wrapped__(7, 2) == bose_chowla_set(7, 2)
 
 
 def test_sidon_suite_computes_each_distance_once(monkeypatch):

@@ -369,6 +369,13 @@ def test_reconstruct_round_trip_exhaustive():
             assert reconstruct_scan(code, pair) == c
 
 
+def test_construction_a_at_distance_three():
+    # d = 3 needs Sidon sets of order 2 above the searched sizes (cones of dimension 8-10)
+    code = construction_a(P22, 16, 3, 1)
+    assert len(code) == 188
+    assert is_utr_code_reduced(code).ok and is_utr_code_direct(code).ok
+
+
 def test_meet_decoder_agrees_with_scan():
     code = construction_a(P22, 10, 1, 1)
     rng = random.Random(5)
