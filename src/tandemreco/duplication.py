@@ -160,14 +160,14 @@ def tandem_duplicate(x: Word, i: int) -> Word:
     return Word._trusted(sym[: i + k] + sym[i:], x.params)
 
 
-def _layers(x: Word) -> Iterator[set[tuple[int, ...]]]:
+def _layers(x: Word, cap: int) -> Iterator[set[tuple[int, ...]]]:
     """The symbol sets of D_0(x), D_1(x), ..., each grown from the one before.
 
-    The node cap is read when D_1 is grown, and no layer may exceed it.  A word shorter than k has only empty layers after D_0.
+    No layer may exceed ``cap`` nodes; each public caller reads the node cap
+    once and passes it in.  A word shorter than k has only empty layers after D_0.
     """
     layer = {x.symbols}
     yield layer
-    cap = _effective_cap()
     k = x.params.k
     while True:
         out: set[tuple[int, ...]] = set()
@@ -180,16 +180,16 @@ def _layers(x: Word) -> Iterator[set[tuple[int, ...]]]:
         yield layer
 
 
-def _layer(x: Word, t: int) -> set[tuple[int, ...]]:
-    """The symbols of D_t(x)."""
-    return next(islice(_layers(x), t, None))
+def _layer(x: Word, t: int, cap: int) -> set[tuple[int, ...]]:
+    """The symbols of D_t(x), no layer above ``cap`` nodes."""
+    return next(islice(_layers(x, cap), t, None))
 
 
 def descendants(x: Word, t: int) -> set[Word]:
     """The exact set of words reachable from x by exactly t duplications."""
     if t < 0:
         raise DomainError("descendant depth must be nonnegative")
-    return {Word._trusted(sym, x.params) for sym in _layer(x, t)}
+    return {Word._trusted(sym, x.params) for sym in _layer(x, t, _effective_cap())}
 
 
 def phi(x: Word) -> PhiImage:

@@ -12,6 +12,7 @@ import math
 from .duplication import (
     Word,
     _cone,
+    _effective_cap,
     _grow,
     _layers,
     _same_params,
@@ -44,7 +45,8 @@ def duplication_distance_bfs(x: Word, y: Word, t_max: int) -> int | None:
     _same_params(x, y)
     if len(x) != len(y):
         raise WordLengthError(f"length mismatch: {len(x)} vs {len(y)}")
-    for t, lx, ly in zip(range(t_max + 1), _layers(x), _layers(y)):
+    cap = _effective_cap()
+    for t, lx, ly in zip(range(t_max + 1), _layers(x, cap), _layers(y, cap)):
         if lx & ly:
             return t
     return None

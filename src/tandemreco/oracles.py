@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import islice, product
 
-from .duplication import DupParams, Word, _layers
+from .duplication import DupParams, Word, _effective_cap, _layers
 from .metric import (
     cone_intersection_size,
     descendant_count,
@@ -76,10 +76,11 @@ def _all_roots(q: int, k: int, max_len: int) -> list[Word]:
 def suite_cone_count(max_root_len: int = 6, max_t: int = 3) -> OracleResult:
     """Descendant-layer sizes against the balls-in-bins closed form."""
     result = OracleResult("cone-count")
+    cap = _effective_cap()
     for q in QS:
         for k in KS:
             for x in _all_roots(q, k, max_root_len):
-                for t, layer in enumerate(islice(_layers(x), max_t + 1)):
+                for t, layer in enumerate(islice(_layers(x, cap), max_t + 1)):
                     got = len(layer)
                     want = descendant_count(x, t)
                     result.record(
@@ -94,12 +95,13 @@ def suite_cone_count(max_root_len: int = 6, max_t: int = 3) -> OracleResult:
 def suite_intersection(max_root_len: int = 6, max_t: int = 3) -> OracleResult:
     """Pairwise intersection sizes against the shifted-cone closed form."""
     result = OracleResult("intersection")
+    cap = _effective_cap()
     for q in QS:
         for k in KS:
             for x in _all_roots(q, k, max_root_len):
-                for layer in islice(_layers(x), MAX_S + 1):
+                for layer in islice(_layers(x, cap), MAX_S + 1):
                     members = [Word._trusted(sym, x.params) for sym in sorted(layer)]
-                    tables = [list(islice(_layers(w), max_t + 1)) for w in members]
+                    tables = [list(islice(_layers(w, cap), max_t + 1)) for w in members]
                     for i in range(len(members)):
                         for j in range(i + 1, len(members)):
                             y, y2 = members[i], members[j]
@@ -119,11 +121,12 @@ def suite_intersection(max_root_len: int = 6, max_t: int = 3) -> OracleResult:
 def suite_distance(max_root_len: int = 5) -> OracleResult:
     """Closed-form distance against layered search, plus cross-cone pairs."""
     result = OracleResult("distance")
+    cap = _effective_cap()
     for q in QS:
         for k in KS:
             roots = _all_roots(q, k, max_root_len)
             for x in roots:
-                for layer in islice(_layers(x), MAX_S + 1):
+                for layer in islice(_layers(x, cap), MAX_S + 1):
                     members = [Word._trusted(sym, x.params) for sym in sorted(layer)]
                     for i in range(len(members)):
                         for j in range(i, len(members)):

@@ -17,6 +17,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement, product
+from operator import sub
 
 from .entropy import binary_entropy, cal_H
 from .errors import (
@@ -34,7 +35,7 @@ DEFAULT_ENUM_CAP = 1_000_000
 EXACT_MAX_POINTS = 2000
 SIDON_BUDGET = 500_000
 # per order, the largest size whose Sidon search finishes within SIDON_BUDGET
-SIDON_SEARCH_SIZES = {2: 6, 3: 4, 4: 4, 5: 3, 6: 3}
+SIDON_SEARCH_SIZES = {2: 6, 3: 4, 4: 4, 5: 3, 6: 3, 7: 3, 8: 3}
 
 
 def binom(a: int, b: int) -> int:
@@ -78,7 +79,7 @@ def half_manhattan(u: SimplexPoint, v: SimplexPoint) -> int:
         raise DimensionMismatchError(f"lengths differ: {len(u)} vs {len(v)}")
     if sum(u) != sum(v):
         raise WeightMismatchError(f"coordinate sums differ: {sum(u)} vs {sum(v)}")
-    return sum(abs(a - b) for a, b in zip(u, v)) // 2
+    return sum(map(abs, map(sub, u, v))) // 2
 
 
 def required_distance(N: int, t: int, m: int) -> int:

@@ -159,7 +159,7 @@ def is_utr_code_direct(code: UtrCode) -> UtrCheck:
     owners: dict[tuple[int, ...], tuple[int, ...]] = {}
     found = UtrCheck(True)
     for i in range(len(words) - 1, -1, -1):
-        desc = _layer(words[i], code.t)
+        desc = _layer(words[i], code.t, cap)
         total += len(desc)
         if total > cap:
             raise ResourceCapError(f"descendant index exceeded cap of {cap} nodes")
@@ -184,9 +184,14 @@ def is_utr_code_reduced(code: UtrCode) -> UtrCheck:
     Words shorter than k never duplicate, and words with different roots
     never share descendants; within one root's cone the shared-descendant
     bound is equivalent to a minimum distance on the coordinate images.
-    Must agree with :func:`is_utr_code_direct`.
+    That distance depends only on the coordinates, so a cone whose set of
+    coordinates has already passed is not compared again: each distinct
+    coordinate set is checked once per code.  A violating set is never
+    remembered, so the first violation in ``cone_index`` order is the one
+    reported.  Must agree with :func:`is_utr_code_direct`.
     """
     needs: dict[int, int] = {}
+    passed: set[frozenset[tuple[int, ...]]] = set()
     for members in code.cone_index.values():
         m = len(members[0][1]) - 1
         if m not in needs:
@@ -195,11 +200,16 @@ def is_utr_code_reduced(code: UtrCode) -> UtrCheck:
         # psi is injective, so distinct cone mates are always at least 1 apart
         if need <= 1:
             continue
+        # the need is fixed by the coordinates' length, so a passed set passes again
+        coords = frozenset(sigma for _, sigma in members)
+        if coords in passed:
+            continue
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 dist = half_manhattan(members[i][1], members[j][1])
                 if dist < need:
                     return UtrCheck(False, (members[i][0], members[j][0]), dist)
+        passed.add(coords)
     return UtrCheck(True)
 
 
@@ -377,7 +387,8 @@ def max_utr_code_bruteforce(params: DupParams, n: int, N: int, t: int) -> UtrCod
     if total > BRUTEFORCE_MAX_WORDS:
         raise ResourceCapError(f"{total} words exceed the cap of {BRUTEFORCE_MAX_WORDS}")
     words = [Word(sym, params) for sym in product(range(q), repeat=n)]
-    desc = [_layer(w, t) for w in words]
+    cap = _effective_cap()
+    desc = [_layer(w, t, cap) for w in words]
     adjacency = [0] * total
     for i in range(total):
         for j in range(i + 1, total):
@@ -446,9 +457,10 @@ def reconstruct_scan(code: UtrCode, reads: Iterable[Word]) -> Word:
     read_list = _validated_reads(code, reads)
     extra = (len(read_list[0]) - code.n) // code.params.k
     read_syms = [r.symbols for r in read_list]
+    cap = _effective_cap()
     candidates = []
     for w in code.codewords:
-        pool = _layer(w, extra)
+        pool = _layer(w, extra, cap)
         if all(r in pool for r in read_syms):
             candidates.append(w)
     if not candidates:

@@ -136,7 +136,7 @@ def test_cone_count_suite_expands_each_root_once(monkeypatch):
 
     started = []
     layers = oracles._layers
-    monkeypatch.setattr(oracles, "_layers", lambda x: started.append(x) or layers(x))
+    monkeypatch.setattr(oracles, "_layers", lambda x, cap: started.append(x) or layers(x, cap))
     result = oracles.suite_cone_count(max_root_len=4, max_t=3)
     roots = [x for q in oracles.QS for k in oracles.KS for x in oracles._all_roots(q, k, 4)]
     assert result.ok and result.checks == 4 * len(roots)

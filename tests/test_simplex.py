@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tandemreco import simplex
 from tandemreco import (
+    DimensionMismatchError,
     DomainError,
     ResourceCapError,
     SimplexCode,
@@ -68,6 +69,19 @@ def test_half_manhattan_examples():
     assert half_manhattan((2, 1), (2, 1)) == 0
     assert half_manhattan((3, 0, 1), (0, 2, 2)) == 3
     with pytest.raises(WeightMismatchError):
+        half_manhattan((1, 0), (1, 1))
+
+
+def test_half_manhattan_matches_generator_form():
+    rng = random.Random(11)
+    for _ in range(500):
+        m, r = rng.randint(0, 6), rng.randint(0, 9)
+        pts = enumerate_simplex(m, r)
+        u, v = rng.choice(pts), rng.choice(pts)
+        assert half_manhattan(u, v) == sum(abs(a - b) for a, b in zip(u, v)) // 2
+    with pytest.raises(DimensionMismatchError, match=r"^lengths differ: 2 vs 3$"):
+        half_manhattan((1, 0), (1, 0, 0))
+    with pytest.raises(WeightMismatchError, match=r"^coordinate sums differ: 1 vs 2$"):
         half_manhattan((1, 0), (1, 1))
 
 
@@ -283,15 +297,23 @@ SEARCHED_SIDON_SETS = {
     (6, 1): ((0,), 1),
     (6, 2): ((0, 1), 7),
     (6, 3): ((0, 1, 11), 37),
+    (7, 1): ((0,), 1),
+    (7, 2): ((0, 1), 8),
+    (7, 3): ((0, 1, 19), 49),
+    (8, 1): ((0,), 1),
+    (8, 2): ((0, 1), 9),
+    (8, 3): ((0, 1, 14), 61),
 }
 
 
 def test_searched_sidon_sets_are_pinned():
     assert simplex.SIDON_SEARCH_SIZES == {
-        h: max(size for order, size in SEARCHED_SIDON_SETS if order == h) for h in range(2, 7)
+        h: max(size for order, size in SEARCHED_SIDON_SETS if order == h) for h in range(2, 9)
     }
     for (h, size), expected in SEARCHED_SIDON_SETS.items():
         assert sidon_set(h, size) == expected
+    # one past the table, the algebraic set comes without a search that cannot finish
+    assert sidon_set(7, 4) == bose_chowla_set(7, 4)
 
 
 @pytest.mark.parametrize("h", [2, 3])
@@ -342,10 +364,11 @@ def test_sidon_set_skips_a_search_that_cannot_finish(monkeypatch):
 
 def test_sidon_set_falls_back_above_the_searched_orders(monkeypatch):
     # an order outside the table is searched first ...
-    assert sidon_set.__wrapped__(7, 2) == ((0, 1), 8)
+    assert 9 not in simplex.SIDON_SEARCH_SIZES
+    assert sidon_set.__wrapped__(9, 2) == ((0, 1), 10)
     # ... and a search that uses up its budget gives way to the algebraic set
     monkeypatch.setattr(simplex, "SIDON_BUDGET", 0)
-    assert sidon_set.__wrapped__(7, 2) == bose_chowla_set(7, 2)
+    assert sidon_set.__wrapped__(9, 2) == bose_chowla_set(9, 2)
 
 
 def test_sidon_suite_computes_each_distance_once(monkeypatch):

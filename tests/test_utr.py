@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tandemreco import (
     AmbiguityError,
@@ -38,6 +40,8 @@ from tandemreco import (
     utr_size_formula,
     word,
 )
+from tandemreco.duplication import _cone, _grow
+from tandemreco.simplex import enumerate_simplex
 
 P21 = DupParams(2, 1)
 P22 = DupParams(2, 2)
@@ -134,6 +138,74 @@ def test_reduced_checker_computes_each_dimension_need_once(monkeypatch):
     dims = {len(members[0][1]) - 1 for members in code.cone_index.values()}
     assert sorted(calls) == sorted(dims)
     assert len(dims) < len(code.cone_index)
+
+
+def all_pairs_reduced_checker(code: UtrCode) -> UtrCheck:
+    """The cone reduction comparing every pair of every cone; the reference of verdict reuse."""
+    for members in code.cone_index.values():
+        need = required_distance(code.N, code.t, len(members[0][1]) - 1)
+        if need <= 1:
+            continue
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                dist = half_manhattan(members[i][1], members[j][1])
+                if dist < need:
+                    return UtrCheck(False, (members[i][0], members[j][0]), dist)
+    return UtrCheck(True)
+
+
+@st.composite
+def repeated_cone_codes(draw):
+    """Codes whose cones repeat one coordinate set, with a point moved in one cone at times.
+
+    The roots share a length and a cone dimension, so every cone holds the
+    same points of one simplex; a second shape, when drawn, adds cones of
+    another dimension.  Small enough that the literal checker runs on all.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    params = DupParams(rng.choice((2, 3)), rng.choice((1, 2)))
+    k = params.k
+    root_len = rng.randint(k, 5)
+    shapes: dict[int, list[Word]] = {}
+    for x in irreducible_words(params, root_len):
+        shapes.setdefault(len(_cone(x.symbols, k)[2]) - 1, []).append(x)
+    r = rng.randint(0, 3)
+    codewords: list[Word] = []
+    for m in rng.sample(sorted(shapes), min(len(shapes), rng.choice((1, 1, 2)))):
+        simplex_points = enumerate_simplex(m, r)
+        points = rng.sample(simplex_points, rng.randint(1, min(6, len(simplex_points))))
+        roots = rng.sample(shapes[m], rng.randint(1, min(4, len(shapes[m]))))
+        moved = rng.randrange(len(roots)) if draw(st.booleans()) else None
+        for i, x in enumerate(roots):
+            cone_points = list(points)
+            if i == moved:
+                cone_points[rng.randrange(len(cone_points))] = rng.choice(simplex_points)
+            ends = _cone(x.symbols, k)[2]
+            codewords += [Word(_grow(x.symbols, k, ends, p), params) for p in cone_points]
+    n = root_len + r * k
+    return UtrCode(params, n, rng.randint(0, 2), rng.randint(1, 3), tuple(codewords))
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_cone_codes())
+def test_reduced_checker_matches_all_pairs_loop(code):
+    want = all_pairs_reduced_checker(code)
+    assert is_utr_code_reduced(code) == want
+    assert is_utr_code_direct(code).ok == want.ok
+
+
+def test_reduced_checker_compares_each_coordinate_set_once(monkeypatch):
+    # 2 572 cones of (20, 2, 1) hold 5 distinct coordinate sets; every pair of every cone is 46 512
+    code = construction_a(P22, 20, 2, 1)
+    calls = []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return half_manhattan(u, v)
+
+    monkeypatch.setattr(utr, "half_manhattan", counted)
+    assert is_utr_code_reduced(code).ok
+    assert len(calls) == 113
 
 
 def test_checkers_agree_on_random_codes():
