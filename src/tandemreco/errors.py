@@ -33,10 +33,6 @@ class ResourceCapError(TandemError):
     """A combinatorial expansion exceeded its configured node cap."""
 
 
-class SearchBudgetError(ResourceCapError):
-    """A backtracking search ran out of its attempt budget."""
-
-
 class DomainError(TandemError, ValueError):
     """A numeric argument lies outside the operation's domain."""
 

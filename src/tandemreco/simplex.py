@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement, product
@@ -24,7 +23,6 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     ResourceCapError,
-    SearchBudgetError,
     TandemError,
     WeightMismatchError,
 )
@@ -33,9 +31,28 @@ SimplexPoint = tuple[int, ...]
 
 DEFAULT_ENUM_CAP = 1_000_000
 EXACT_MAX_POINTS = 2000
-SIDON_BUDGET = 500_000
-# per order, the largest size whose Sidon search finishes within SIDON_BUDGET
-SIDON_SEARCH_SIZES = {2: 6, 3: 4, 4: 4, 5: 3, 6: 3, 7: 3, 8: 3}
+# (order, size) -> (set, modulus): every set of size >= 3 that a search
+# scanning moduli upward from the counting bound finds within 500 000 attempts
+SIDON_TABLE = {
+    (2, 3): ((0, 1, 3), 7),
+    (2, 4): ((0, 1, 3, 9), 13),
+    (2, 5): ((0, 1, 4, 14, 16), 21),
+    (2, 6): ((0, 1, 3, 8, 12, 18), 31),
+    (3, 3): ((0, 1, 4), 13),
+    (3, 4): ((0, 1, 5, 19), 30),
+    (4, 3): ((0, 1, 8), 19),
+    (4, 4): ((0, 1, 5, 24), 59),
+    (5, 3): ((0, 1, 9), 30),
+    (6, 3): ((0, 1, 11), 37),
+    (7, 3): ((0, 1, 19), 49),
+    (8, 3): ((0, 1, 14), 61),
+    (9, 3): ((0, 1, 24), 79),
+    (10, 3): ((0, 1, 17), 91),
+    (11, 3): ((0, 1, 46), 109),
+    (12, 3): ((0, 1, 20), 127),
+    (13, 3): ((0, 1, 33), 151),
+    (14, 3): ((0, 1, 23), 169),
+}
 
 
 def binom(a: int, b: int) -> int:
@@ -365,49 +382,21 @@ def bose_chowla_set(h: int, size: int) -> tuple[tuple[int, ...], int]:
 def sidon_set(h: int, size: int) -> tuple[tuple[int, ...], int]:
     """``size`` residues whose h-multiset sums are pairwise distinct, and their modulus.
 
-    Order 1 is range(size).  Up to ``SIDON_SEARCH_SIZES[h]`` a search scans
-    moduli upward from the counting lower bound, growing the set greedily
-    with backtracking, within ``SIDON_BUDGET`` attempts in all; above it, and
-    wherever the search of an order outside that table uses up its budget,
-    the set is :func:`bose_chowla_set`.  Every result is re-checked and
-    remembered per (h, size).
+    Order 1 is range(size) mod size; size 1 is (0,) mod 1 and size 2 is
+    (0, 1) mod h + 1 at every order.  A larger set is ``SIDON_TABLE[h, size]``
+    where the table has it, and :func:`bose_chowla_set` elsewhere.  Every
+    result is re-checked and remembered per (h, size).
     """
     if h < 1 or size < 1:
         raise DomainError("order and size must be positive")
     if h == 1:
         return tuple(range(size)), size
-
-    checks = 0
-
-    def dfs(current: list[int], begin: int, modulus: int) -> tuple[int, ...] | None:
-        nonlocal checks
-        if len(current) == size:
-            return tuple(current)
-        for e in range(begin, modulus):
-            checks += 1
-            if checks > SIDON_BUDGET:
-                raise SearchBudgetError(f"Sidon search exceeded {SIDON_BUDGET} attempts")
-            current.append(e)
-            if is_sidon_set(tuple(current), h, modulus):
-                found = dfs(current, e + 1, modulus)
-                if found:
-                    return found
-            current.pop()
-        return None
-
-    def search() -> tuple[tuple[int, ...], int]:
-        modulus = max(size, binom(size + h - 1, h))
-        while True:
-            found = dfs([0], 1, modulus)
-            if found is not None:
-                return found, modulus
-            modulus += 1
-
-    searched = None
-    if size <= SIDON_SEARCH_SIZES.get(h, size):
-        with suppress(SearchBudgetError):
-            searched = search()
-    found, modulus = searched or bose_chowla_set(h, size)
+    if size == 1:
+        found, modulus = (0,), 1
+    elif size == 2:
+        found, modulus = (0, 1), h + 1
+    else:
+        found, modulus = SIDON_TABLE.get((h, size)) or bose_chowla_set(h, size)
     if not is_sidon_set(found, h, modulus):
         raise TandemError(f"{found} is not a Sidon set of order {h} mod {modulus}")
     return found, modulus

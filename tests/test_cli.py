@@ -151,6 +151,14 @@ def test_code_build_at_distance_three(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "VALID"
 
 
+def test_code_build_above_the_field_cap_exit_2(tmp_path, capsys):
+    # distance 10 in 6-dimensional cones needs a Sidon set of order 9 and size 7
+    build = ["code", "build", "--q", "2", "--k", "2", "--n", "12", "--t", "10", "--N", "1"]
+    assert main([*build, "--out", str(tmp_path / "d10.json")]) == 2
+    assert "GF(7^9) has 40353607 elements" in capsys.readouterr().err
+    assert not (tmp_path / "d10.json").exists()
+
+
 def test_code_simulate(tmp_path, capsys):
     path = write_fixture(tmp_path)
     assert main(

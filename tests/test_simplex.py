@@ -274,46 +274,55 @@ def test_sidon_set_is_remembered():
     assert sidon_set(2, 5) is sidon_set(2, 5)
 
 
-# every (order, size) the search solves within SIDON_BUDGET, with its result;
-# the search keeps them, so code files built from them stay as they were
-SEARCHED_SIDON_SETS = {
-    (2, 1): ((0,), 1),
-    (2, 2): ((0, 1), 3),
-    (2, 3): ((0, 1, 3), 7),
-    (2, 4): ((0, 1, 3, 9), 13),
-    (2, 5): ((0, 1, 4, 14, 16), 21),
-    (2, 6): ((0, 1, 3, 8, 12, 18), 31),
-    (3, 1): ((0,), 1),
-    (3, 2): ((0, 1), 4),
-    (3, 3): ((0, 1, 4), 13),
-    (3, 4): ((0, 1, 5, 19), 30),
-    (4, 1): ((0,), 1),
-    (4, 2): ((0, 1), 5),
-    (4, 3): ((0, 1, 8), 19),
-    (4, 4): ((0, 1, 5, 24), 59),
-    (5, 1): ((0,), 1),
-    (5, 2): ((0, 1), 6),
-    (5, 3): ((0, 1, 9), 30),
-    (6, 1): ((0,), 1),
-    (6, 2): ((0, 1), 7),
-    (6, 3): ((0, 1, 11), 37),
-    (7, 1): ((0,), 1),
-    (7, 2): ((0, 1), 8),
-    (7, 3): ((0, 1, 19), 49),
-    (8, 1): ((0,), 1),
-    (8, 2): ((0, 1), 9),
-    (8, 3): ((0, 1, 14), 61),
-}
+SIDON_BUDGET = 500_000
+
+
+def searched_sidon_set(h: int, size: int) -> tuple[tuple[int, ...], int]:
+    """The search ``simplex.SIDON_TABLE`` records, the twin that regenerates it.
+
+    Moduli are scanned upward from the counting lower bound, and the set is
+    grown greedily from 0 with backtracking, within ``SIDON_BUDGET`` attempts
+    in all; a search that uses them up raises ``ResourceCapError``.
+    """
+    checks = 0
+
+    def dfs(current: list[int], begin: int, modulus: int) -> tuple[int, ...] | None:
+        nonlocal checks
+        if len(current) == size:
+            return tuple(current)
+        for e in range(begin, modulus):
+            checks += 1
+            if checks > SIDON_BUDGET:
+                raise ResourceCapError(f"Sidon search exceeded {SIDON_BUDGET} attempts")
+            current.append(e)
+            if is_sidon_set(tuple(current), h, modulus):
+                found = dfs(current, e + 1, modulus)
+                if found:
+                    return found
+            current.pop()
+        return None
+
+    modulus = max(size, binom(size + h - 1, h))
+    while True:
+        found = dfs([0], 1, modulus)
+        if found is not None:
+            return found, modulus
+        modulus += 1
 
 
 def test_searched_sidon_sets_are_pinned():
-    assert simplex.SIDON_SEARCH_SIZES == {
-        h: max(size for order, size in SEARCHED_SIDON_SETS if order == h) for h in range(2, 9)
-    }
-    for (h, size), expected in SEARCHED_SIDON_SETS.items():
-        assert sidon_set(h, size) == expected
-    # one past the table, the algebraic set comes without a search that cannot finish
-    assert sidon_set(7, 4) == bose_chowla_set(7, 4)
+    # the search regenerates every table entry of order <= 9 (orders 10-14
+    # take about 26 s more: run this file as a script to regenerate them all)
+    for (h, size), entry in simplex.SIDON_TABLE.items():
+        elems, modulus = entry
+        assert size >= 3 and len(elems) == size and is_sidon_set(elems, h, modulus)
+        assert sidon_set(h, size) == entry
+        if h <= 9:
+            assert searched_sidon_set(h, size) == entry
+    # sizes 1 and 2 are closed forms: what the search returns at every order
+    for h in range(2, 21):
+        assert searched_sidon_set(h, 1) == sidon_set(h, 1) == ((0,), 1)
+        assert searched_sidon_set(h, 2) == sidon_set(h, 2) == ((0, 1), h + 1)
 
 
 @pytest.mark.parametrize("h", [2, 3])
@@ -357,18 +366,28 @@ def test_sidon_set_skips_a_search_that_cannot_finish(monkeypatch):
         return real(elements, h, modulus)
 
     monkeypatch.setattr(simplex, "is_sidon_set", counted)
-    # above the searched sizes of its order, only the final re-check runs
+    # above the table, only the final re-check runs
     assert sidon_set.__wrapped__(2, 7) == bose_chowla_set(2, 7)
     assert calls == [bose_chowla_set(2, 7)[0]]
+    # where the search used to run out of attempts, the field cap raises at once
+    calls.clear()
+    fields = {(9, 4): r"GF\(5\^9\) has 1953125 ", (15, 3): r"GF\(3\^15\) has 14348907 "}
+    for (h, size), field in fields.items():
+        with pytest.raises(ResourceCapError, match=field):
+            sidon_set.__wrapped__(h, size)
+    assert calls == []
 
 
-def test_sidon_set_falls_back_above_the_searched_orders(monkeypatch):
-    # an order outside the table is searched first ...
-    assert 9 not in simplex.SIDON_SEARCH_SIZES
-    assert sidon_set.__wrapped__(9, 2) == ((0, 1), 10)
-    # ... and a search that uses up its budget gives way to the algebraic set
-    monkeypatch.setattr(simplex, "SIDON_BUDGET", 0)
-    assert sidon_set.__wrapped__(9, 2) == bose_chowla_set(9, 2)
+def test_sidon_set_falls_back_above_the_searched_orders():
+    # each order's table sizes run on from the closed forms without a gap
+    orders = {h for h, _ in simplex.SIDON_TABLE}
+    assert orders == set(range(2, 15))
+    for h in orders:
+        sizes = sorted(size for order, size in simplex.SIDON_TABLE if order == h)
+        assert sizes == list(range(3, sizes[-1] + 1))
+    # one past the table, the algebraic set
+    assert sidon_set(7, 4) == bose_chowla_set(7, 4)
+    assert sidon_set(15, 2) == ((0, 1), 16)
 
 
 def test_sidon_suite_computes_each_distance_once(monkeypatch):
@@ -526,3 +545,9 @@ def test_greedy_covering_guard(monkeypatch):
     monkeypatch.setattr(simplex, "ball_size", lambda m, d: 0)
     with pytest.raises(TandemError, match="uncovered"):
         greedy_code(2, 3, 2)
+
+
+if __name__ == "__main__":
+    # regenerate the whole table with the search (about 30 s)
+    for h, size in simplex.SIDON_TABLE:
+        print(f"({h}, {size}): {searched_sidon_set(h, size)},", flush=True)
