@@ -182,7 +182,11 @@ def cmd_code_info(args) -> int:
 
 def cmd_code_decode(args) -> int:
     code = _load_code(args.code)
-    lines = [ln.strip() for ln in Path(args.reads).read_text().splitlines()]
+    try:
+        text = Path(args.reads).read_text()
+    except UnicodeDecodeError as err:
+        raise DomainError(f"{args.reads} is not text: {err}") from err
+    lines = [ln.strip() for ln in text.splitlines()]
     reads = [Word.parse(ln, code.params) for ln in lines if ln]
     print(reconstruct(code, reads).text())
     return EXIT_OK

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import ne
 
@@ -32,7 +32,15 @@ DEFAULT_NODE_CAP = 10**7
 
 def _effective_cap() -> int:
     env = os.environ.get("TANDEM_NODE_CAP")
-    return int(env) if env else DEFAULT_NODE_CAP
+    if not env:
+        return DEFAULT_NODE_CAP
+    try:
+        cap = int(env)
+        if cap >= 0:
+            return cap
+    except ValueError:
+        pass
+    raise DomainError(f"TANDEM_NODE_CAP must be a nonnegative integer, got {env!r}")
 
 
 @dataclass(frozen=True)
@@ -56,10 +64,15 @@ class Word:
     Text form: ASCII digits when q <= 10, comma-separated ASCII-digit
     integers otherwise.  Words shorter than k are legal values but are
     rejected by the transform/root operations below.
+
+    A word keeps its cone decomposition once a single-word or pairwise
+    function has computed it (see :func:`_decomposed`); the slot starts
+    empty and takes no part in equality, hashing or the text forms.
     """
 
     symbols: tuple[int, ...]
     params: DupParams
+    _decomposition: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", tuple(self.symbols))
@@ -75,6 +88,10 @@ class Word:
         object.__setattr__(w, "symbols", symbols)
         object.__setattr__(w, "params", params)
         return w
+
+    def __reduce__(self):
+        # the generated slot state would read the empty decomposition slot
+        return Word._trusted, (self.symbols, self.params)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -301,7 +318,10 @@ class RootDecomposition:
         )
 
 
-def _cone(sym: tuple[int, ...], k: int) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+Cone = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _cone(sym: tuple[int, ...], k: int) -> Cone:
     """Root symbols, cone coordinates and zero-run ends of a word, in one pass.
 
     The difference string is zero at j exactly when sym[j] == sym[j + k], so
@@ -312,8 +332,7 @@ def _cone(sym: tuple[int, ...], k: int) -> tuple[tuple[int, ...], tuple[int, ...
     """
     if len(sym) < k:
         raise WordLengthError(f"word of length {len(sym)} is shorter than k={k}")
-    ends = list(compress(range(len(sym) - k), map(ne, sym, sym[k:])))
-    ends.append(len(sym) - k)
+    ends = (*compress(range(len(sym) - k), map(ne, sym, sym[k:])), len(sym) - k)
     sigma = []
     kept = ()
     start = cut = 0
@@ -327,7 +346,24 @@ def _cone(sym: tuple[int, ...], k: int) -> tuple[tuple[int, ...], tuple[int, ...
     return (kept + sym[cut:] if cut else sym), tuple(sigma), ends
 
 
-def _grow(sym: tuple[int, ...], k: int, ends: list[int], v: tuple[int, ...]) -> tuple[int, ...]:
+def _decomposed(x: Word) -> Cone:
+    """``_cone`` of x, computed on the first read and kept on the word.
+
+    For callers that meet the same word many times (the pairwise metric).
+    Paths that decompose each word once per call use ``_cone`` directly and
+    leave the slot empty, so a stored code carries no decompositions.
+    """
+    try:
+        return x._decomposition
+    except AttributeError:
+        kept = _cone(x.symbols, x.params.k)
+        object.__setattr__(x, "_decomposition", kept)
+        return kept
+
+
+def _grow(
+    sym: tuple[int, ...], k: int, ends: tuple[int, ...], v: tuple[int, ...]
+) -> tuple[int, ...]:
     """Inverse of :func:`_cone` on an irreducible word: its cone member at coordinates v."""
     # run i grows by v[i] k-blocks: sym[e : e + k] is duplicated v[i] times
     out = ()
@@ -342,20 +378,20 @@ def _grow(sym: tuple[int, ...], k: int, ends: list[int], v: tuple[int, ...]) -> 
 def root_decomposition(x: Word) -> RootDecomposition:
     """Full decomposition of x: transform, then split the difference string."""
     k, q = x.params.k, x.params.q
-    r, sigma, _ = _cone(x.symbols, k)
+    r, sigma, _ = _decomposed(x)
     mu = Word._trusted(tuple((b - a) % q for a, b in zip(r, r[k:])), x.params)
     return RootDecomposition(Word._trusted(r[:k], x.params), mu, sigma)
 
 
 def root(x: Word) -> Word:
     """The unique duplication-free ancestor of x."""
-    r = _cone(x.symbols, x.params.k)[0]
+    r = _decomposed(x)[0]
     return x if r is x.symbols else Word._trusted(r, x.params)
 
 
 def is_irreducible(x: Word) -> bool:
     """True iff x is nobody's proper descendant (difference string has no k-zero run)."""
-    return not any(_cone(x.symbols, x.params.k)[1])
+    return not any(_decomposed(x)[1])
 
 
 def cone_dimension(x: Word) -> int:
@@ -364,7 +400,7 @@ def cone_dimension(x: Word) -> int:
     The descendant cone of x is coordinatized by vectors with this many
     coordinates plus one.
     """
-    sigma = _cone(x.symbols, x.params.k)[1]
+    sigma = _decomposed(x)[1]
     if any(sigma):
         raise NotIrreducibleError(f"{x!r} is not irreducible")
     return len(sigma) - 1
@@ -380,7 +416,7 @@ def psi(x_root: Word, y: Word) -> tuple[int, ...]:
     if not is_irreducible(x_root):
         raise NotIrreducibleError(f"{x_root!r} is not irreducible")
     _same_params(x_root, y)
-    r, sigma, _ = _cone(y.symbols, y.params.k)
+    r, sigma, _ = _decomposed(y)
     if r != x_root.symbols:
         raise ConeMismatchError(f"{y!r} is not in the descendant cone of {x_root!r}")
     return sigma
@@ -389,7 +425,7 @@ def psi(x_root: Word, y: Word) -> tuple[int, ...]:
 def psi_inv(x_root: Word, v: tuple[int, ...]) -> Word:
     """The unique cone member of x_root with the given coordinates."""
     sym, k = x_root.symbols, x_root.params.k
-    _, sigma, ends = _cone(sym, k)
+    _, sigma, ends = _decomposed(x_root)
     if any(sigma):
         raise NotIrreducibleError(f"{x_root!r} is not irreducible")
     if len(v) != len(ends):

@@ -2,7 +2,9 @@
 
 Within one root's cone the distance has a closed form (half the L1 gap of
 the cone coordinates); across cones it is infinite.  Every closed form here
-is paired with a literal breadth-first oracle.
+is paired with a literal breadth-first oracle.  A word's root and
+coordinates are computed once and kept on the word, since the pairwise
+functions meet the same word again and again.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 from .duplication import (
     Word,
     _cone,
+    _decomposed,
     _effective_cap,
     _grow,
     _layers,
@@ -25,11 +28,10 @@ from .simplex import binom, half_manhattan
 def _distance_in_cone(x: Word, y: Word) -> tuple[int | float, int]:
     """Closed-form distance and the cone dimension of the shared root (-1 across cones)."""
     _same_params(x, y)
-    if len(x) != len(y):
+    if len(x.symbols) != len(y.symbols):
         raise WordLengthError(f"length mismatch: {len(x)} vs {len(y)}")
-    k = x.params.k
-    rx, sx, _ = _cone(x.symbols, k)
-    ry, sy, _ = _cone(y.symbols, k)
+    rx, sx, _ = _decomposed(x)
+    ry, sy, _ = _decomposed(y)
     if rx != ry:
         return math.inf, -1
     return half_manhattan(sx, sy), len(sx) - 1
@@ -74,8 +76,8 @@ def join_meet(y: Word, y2: Word) -> tuple[Word, Word]:
     """Least common descendant and greatest common ancestor within one cone."""
     _same_params(y, y2)
     k = y.params.k
-    r, u, _ = _cone(y.symbols, k)
-    r2, v, _ = _cone(y2.symbols, k)
+    r, u, _ = _decomposed(y)
+    r2, v, _ = _decomposed(y2)
     if r2 != r:
         raise ConeMismatchError("words have different roots")
     ends = _cone(r, k)[2]

@@ -119,7 +119,8 @@ class UtrCode:
         for key, kind in _CODE_KEYS:
             if key not in data:
                 raise DomainError(f"code lacks the key {key!r}")
-            if not isinstance(data[key], kind):
+            # bool is an int subclass, but true is not a count
+            if not isinstance(data[key], kind) or isinstance(data[key], bool):
                 raise DomainError(
                     f"code key {key!r} must be {kind.__name__}, got {type(data[key]).__name__}"
                 )

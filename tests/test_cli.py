@@ -202,6 +202,35 @@ def test_code_file_not_json_exit(tmp_path, capsys):
         path.write_bytes(content)
         assert main(["code", "info", "--code", str(path)]) == 2
         assert "not JSON" in capsys.readouterr().err
+    # a reads file that is not UTF-8 is malformed input too
+    reads = tmp_path / "reads.txt"
+    reads.write_bytes(b"\xff\xfe binary")
+    code = write_fixture(tmp_path)
+    assert main(["code", "decode", "--code", str(code), "--reads", str(reads)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {reads} is not text") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["q", "k", "n", "N", "t"])
+def test_code_file_bool_for_integer_exit(tmp_path, capsys, key):
+    # JSON true is a bool, which Python counts as the integer 1
+    path = write_fixture(tmp_path, **{key: True})
+    assert main(["code", "info", "--code", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: code key {key!r} must be int, got bool\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+def test_malformed_node_cap_exit_2(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("TANDEM_NODE_CAP", value)
+    path = write_fixture(tmp_path)
+    assert main(["code", "verify", "--code", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: TANDEM_NODE_CAP must be a nonnegative integer, got {value!r}\n"
+    )
 
 
 def test_oracle_single_suite(capsys):

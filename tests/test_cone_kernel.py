@@ -4,9 +4,18 @@ root, psi, psi_inv, is_irreducible, cone_dimension, root_decomposition and
 the duplication distance are computed from one decomposition per word; the
 chain phi -> mu_sigma -> phi_inv (kept as written) is their reference.  A
 caller that grows many members of one cone decomposes its root once.
+
+Those single-word and pairwise functions keep the decomposition on the word,
+so a word met again is not decomposed again; the kept value is invisible to
+equality, hashing, repr, copying and pickling.  The bulk paths (the
+construction, the cone index, the decoder and the simulation) decompose
+each word once per call and leave the slot empty, so a code holds no
+decompositions.
 """
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +49,7 @@ from tandemreco import (
     simulate_reconstruction,
     word,
 )
-from tandemreco import duplication, metric, utr
+from tandemreco import duplication, metric, oracles, utr
 
 MAX_LEN = 30
 PROPERTY = settings(max_examples=300, deadline=None)
@@ -159,13 +168,13 @@ def test_alphabet_checked_at_the_boundary_only():
     assert set(derived) == {Word(w.symbols, p) for w in derived}
 
 
-def count_cone_calls(monkeypatch) -> list[int]:
-    """Count the calls of ``_cone`` as bound in every module that uses it."""
-    calls = [0]
+def count_cone_calls(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
+    """Record the arguments of every ``_cone`` call, as bound in every module that uses it."""
+    calls = []
     inner = duplication._cone
 
     def counting(sym, k):
-        calls[0] += 1
+        calls.append((sym, k))
         return inner(sym, k)
 
     for module in (duplication, utr, metric):
@@ -179,7 +188,7 @@ def test_construction_decomposes_each_root_once(monkeypatch):
     # one per pool root while growing, one per codeword in the self-check
     # (whose cone index the code keeps, so reading it costs nothing more)
     assert (len(code.cone_index), len(code)) == (120, 880)
-    assert calls[0] == 120 + 880
+    assert len(calls) == 120 + 880
 
 
 def test_join_meet_decomposes_the_shared_root_once(monkeypatch):
@@ -187,7 +196,7 @@ def test_join_meet_decomposes_the_shared_root_once(monkeypatch):
     y, y2 = psi_inv(r, (1, 0, 2)), psi_inv(r, (0, 1, 1))
     calls = count_cone_calls(monkeypatch)
     join, meet = join_meet(y, y2)
-    assert calls[0] == 3
+    assert len(calls) == 3
     assert (psi(r, join), psi(r, meet)) == ((1, 1, 2), (0, 0, 1))
 
 
@@ -198,4 +207,72 @@ def test_simulate_decomposes_each_drawn_codeword_once(monkeypatch):
     report = simulate_reconstruction(code, 300, seed=17)
     # per trial: the drawn codeword once (its cone dimension), then the N + 1 = 2 reads
     assert report.short_cone_trials == 0
-    assert calls[0] == 300 * (1 + 2)
+    assert len(calls) == 300 * (1 + 2)
+
+
+def kept(w: Word) -> bool:
+    """Whether w holds its decomposition."""
+    return hasattr(w, "_decomposition")
+
+
+@PROPERTY
+@given(words())
+def test_kept_decomposition_matches_the_kernel(x):
+    assert not kept(x)
+    root(x)
+    first = x._decomposition
+    assert first == duplication._cone(x.symbols, x.params.k)
+    assert duplication._decomposed(x) is first
+
+
+def test_kept_decomposition_is_invisible():
+    full, empty = word("0110101", 2, 2), word("0110101", 2, 2)
+    assert psi(root(full), full) == (0, 0, 1)
+    assert kept(full) and not kept(empty)
+    assert full == empty and empty == full
+    assert hash(full) == hash(empty) and repr(full) == repr(empty)
+
+
+@pytest.mark.parametrize("fill", [False, True])
+def test_copies_and_pickles_equal_the_word(fill):
+    w = word("0110101", 2, 2)
+    if fill:
+        root(w)
+    copies = [copy.copy(w), copy.deepcopy(w)]
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    copies += [pickle.loads(pickle.dumps(w, protocol)) for protocol in protocols]
+    for c in copies:
+        assert c == w and hash(c) == hash(w) and repr(c) == repr(w)
+        assert type(c.symbols) is tuple and c.params == w.params
+        assert root(c) == root(w)
+
+
+@pytest.mark.parametrize("q", oracles.QS)
+def test_pairwise_metric_decomposes_each_word_once(monkeypatch, q):
+    # one alphabet at a time: the recorded arguments (symbols, k) do not show q
+    monkeypatch.setattr(oracles, "QS", (q,))
+    calls = count_cone_calls(monkeypatch)
+    oracles.suite_intersection(max_root_len=4, max_t=2)
+    assert calls and len(set(calls)) == len(calls)
+    calls.clear()
+    result = oracles.suite_cone_count(max_root_len=4, max_t=3)
+    # one decomposition per root, whatever the number of layers checked
+    assert len(set(calls)) == len(calls) == result.checks // 4
+
+
+def test_bulk_paths_leave_the_slots_empty(monkeypatch):
+    code = construction_a(DupParams(2, 2), 12, 1, 1)
+    c = code.codewords[0]
+    reads = sorted(descendants(c, 1), key=lambda w: w.symbols)[:2]
+    assert utr.reconstruct(code, reads) == c
+    seen = []
+    inner = utr.reconstruct
+
+    def recording(code, reads):
+        seen.extend(reads)
+        return inner(code, reads)
+
+    monkeypatch.setattr(utr, "reconstruct", recording)
+    simulate_reconstruction(code, 50, seed=17)
+    assert seen
+    assert not any(map(kept, [*code.codewords, *reads, *seen]))
