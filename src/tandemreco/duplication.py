@@ -29,6 +29,10 @@ from .errors import (
 
 DEFAULT_NODE_CAP = 10**7
 
+# the text form of a word over at most 10 symbols is one ASCII digit per symbol
+_TO_DIGIT = bytes.maketrans(bytes(range(10)), b"0123456789")
+_FROM_DIGIT = bytes.maketrans(b"0123456789", bytes(range(10)))
+
 
 def _effective_cap() -> int:
     env = os.environ.get("TANDEM_NODE_CAP")
@@ -51,9 +55,10 @@ class DupParams:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.q, int) or self.q < 2:
+        # bool is an int subclass, but True is not a size
+        if not isinstance(self.q, int) or isinstance(self.q, bool) or self.q < 2:
             raise DomainError(f"alphabet size must be an integer >= 2, got {self.q}")
-        if not isinstance(self.k, int) or self.k < 1:
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise DomainError(f"duplication length must be an integer >= 1, got {self.k}")
 
 
@@ -78,7 +83,9 @@ class Word:
         object.__setattr__(self, "symbols", tuple(self.symbols))
         q = self.params.q
         for s in self.symbols:
-            if not isinstance(s, int) or not 0 <= s < q:
+            # a plain int passes the type test at once; True is an int but not a symbol
+            if (type(s) is not int and (isinstance(s, bool) or not isinstance(s, int))
+                    or not 0 <= s < q):
                 raise DomainError(f"symbol {s!r} outside alphabet of size {q}")
 
     @classmethod
@@ -110,20 +117,24 @@ class Word:
 
     def text(self) -> str:
         if self.params.q <= 10:
-            return "".join(str(s) for s in self.symbols)
-        return ",".join(str(s) for s in self.symbols)
+            return bytes(self.symbols).translate(_TO_DIGIT).decode("ascii")
+        return ",".join(map(str, self.symbols))
 
     @classmethod
     def parse(cls, text: str, params: DupParams) -> "Word":
         text = text.strip()
-        wide = params.q > 10
-        fields = (text.split(",") if wide else [text]) if text else []
-        # a symbol is ASCII digits with one spelling: a wide field has no leading zero
-        if not all(
-            f.isascii() and f.isdigit() and not (wide and f[0] == "0" and f != "0") for f in fields
-        ):
+        if params.q <= 10:
+            if text and not (text.isascii() and text.isdigit()):
+                raise DomainError(f"not a word over {params.q} symbols: {text!r}")
+            sym = tuple(text.encode("ascii").translate(_FROM_DIGIT))
+            if sym and max(sym) >= params.q:
+                return cls(sym, params)  # raises, naming the first symbol outside the alphabet
+            return cls._trusted(sym, params)
+        fields = text.split(",") if text else []
+        # a symbol is ASCII digits with one spelling: no leading zero
+        if not all(f.isascii() and f.isdigit() and not (f[0] == "0" and f != "0") for f in fields):
             raise DomainError(f"not a word over {params.q} symbols: {text!r}")
-        return cls(tuple(map(int, fields if wide else text)), params)
+        return cls(tuple(map(int, fields)), params)
 
     def hamming_weight(self) -> int:
         return sum(1 for s in self.symbols if s != 0)

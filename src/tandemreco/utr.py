@@ -18,6 +18,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .capacity import capacity_profile
@@ -54,6 +55,8 @@ from .simplex import (
 )
 
 
+_SYMBOLS = attrgetter("symbols")
+_PARAMS = attrgetter("params")
 _CODE_KEYS = (("q", int), ("k", int), ("n", int), ("N", int), ("t", int), ("codewords", list))
 IRREDUCIBLE_CAP = 10**6
 ROOT_ENUM_MAX_LEN = 20
@@ -75,7 +78,17 @@ class UtrCode:
             raise DomainError("codeword length must be positive")
         if self.N < 0 or self.t < 0:
             raise DomainError("uncertainty and duplication count must be nonnegative")
-        ordered = tuple(sorted(set(self.codewords), key=lambda w: w.symbols))
+        words = tuple(self.codewords)
+        syms = tuple(map(_SYMBOLS, words))
+        params = list(map(_PARAMS, words))
+        # list.count tests identity before equality, so one shared params object is quick
+        if params.count(self.params) == list(map(len, syms)).count(self.n) == len(words):
+            # equal params make equal symbols equal words; reversed, the first copy is kept
+            unique = dict(zip(reversed(syms), reversed(words)))
+            object.__setattr__(self, "codewords", tuple(sorted(unique.values(), key=_SYMBOLS)))
+            return
+        # the first offending word in symbol order is the one reported
+        ordered = tuple(sorted(set(words), key=_SYMBOLS))
         object.__setattr__(self, "codewords", ordered)
         for w in ordered:
             if w.params != self.params:

@@ -49,6 +49,25 @@ def test_params_validation():
         Word((0, 2), DupParams(2, 1))
 
 
+def test_params_reject_bool():
+    # bool is an int subclass, and DupParams(2, True) would equal DupParams(2, 1)
+    with pytest.raises(DomainError, match="duplication length must be an integer >= 1, got True"):
+        DupParams(2, True)
+    with pytest.raises(DomainError, match="alphabet size must be an integer >= 2, got True"):
+        DupParams(True, 2)
+
+
+def test_word_rejects_bool_symbols():
+    with pytest.raises(DomainError, match="symbol True outside alphabet of size 2"):
+        Word((1, True, 0), DupParams(2, 2))
+
+    class Symbol(int):
+        pass
+
+    # other int subclasses stay symbols
+    assert Word((Symbol(1), 0), DupParams(2, 2)).text() == "10"
+
+
 def test_word_text_roundtrip():
     w = word("0121", 3, 2)
     assert w.text() == "0121"
