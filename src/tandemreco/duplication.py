@@ -13,6 +13,8 @@ from __future__ import annotations
 import os
 import random
 from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import ne
@@ -145,11 +147,11 @@ def word(text: str, q: int, k: int) -> Word:
     return Word.parse(text, DupParams(q, k))
 
 
-def _same_params(*words: Word) -> DupParams:
-    params = words[0].params
-    for w in words[1:]:
-        if w.params != params:
-            raise ParamsMismatchError(f"mixed parameters: {params} vs {w.params}")
+def _same_params(x: Word, y: Word) -> DupParams:
+    params = x.params
+    # words of one code share one params object, so the identity test settles most calls
+    if y.params is not params and y.params != params:
+        raise ParamsMismatchError(f"mixed parameters: {params} vs {y.params}")
     return params
 
 
@@ -188,20 +190,65 @@ def tandem_duplicate(x: Word, i: int) -> Word:
     return Word._trusted(sym[: i + k] + sym[i:], x.params)
 
 
+# k -> {symbols: children}, shared by every layered walk inside one _shared_expansion block
+_EXPANSION: ContextVar[dict[int, dict] | None] = ContextVar("_EXPANSION", default=None)
+
+
+@contextmanager
+def _shared_expansion() -> Iterator[None]:
+    """Within the block, every ``_layers`` walk expands each word once.
+
+    The children of each expanded word are kept until the block ends, so a
+    caller that walks many words of one cone (the intersection and distance
+    oracles) keeps at most one cone's children.
+    """
+    token = _EXPANSION.set({})
+    try:
+        yield
+    finally:
+        _EXPANSION.reset(token)
+
+
+def _children(sym: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    """The distinct one-step duplications of sym, in order of their first offset.
+
+    Duplicating at i and at i + 1 gives the same word exactly when
+    sym[i] == sym[i + k], so each run of equal children is taken once, at its
+    end: at each i with sym[i] != sym[i + k], and at len(sym) - k, the run
+    ends of :func:`_cone`.  A word shorter than k has no children.
+    """
+    last = len(sym) - k
+    if last < 0:
+        return []
+    # a filtered range beats compress on the short words the checkers expand
+    kids = [sym[: i + k] + sym[i:] for i in range(last) if sym[i] != sym[i + k]]
+    kids.append(sym + sym[last:])
+    return kids
+
+
 def _layers(x: Word, cap: int) -> Iterator[set[tuple[int, ...]]]:
     """The symbol sets of D_0(x), D_1(x), ..., each grown from the one before.
 
     No layer may exceed ``cap`` nodes; each public caller reads the node cap
     once and passes it in.  A word shorter than k has only empty layers after D_0.
+    Inside a :func:`_shared_expansion` block a word's children are looked up
+    before they are built.
     """
     layer = {x.symbols}
     yield layer
     k = x.params.k
+    scope = _EXPANSION.get()
+    memo = None if scope is None else scope.setdefault(k, {})
     while True:
         out: set[tuple[int, ...]] = set()
         for sym in layer:
-            for i in range(len(sym) - k + 1):
-                out.add(sym[: i + k] + sym[i:])
+            if memo is None:
+                out.update(_children(sym, k))
+            else:
+                kids = memo.get(sym)
+                if kids is None:
+                    kids = memo[sym] = _children(sym, k)
+                out.update(kids)
             if len(out) > cap:
                 raise ResourceCapError(f"descendant expansion exceeded cap of {cap} nodes")
         layer = out

@@ -21,7 +21,7 @@ from .duplication import (
     _same_params,
     cone_dimension,
 )
-from .errors import ConeMismatchError, WordLengthError
+from .errors import ConeMismatchError, DomainError, WordLengthError
 from .simplex import binom, half_manhattan
 
 
@@ -47,6 +47,8 @@ def duplication_distance_bfs(x: Word, y: Word, t_max: int) -> int | None:
     _same_params(x, y)
     if len(x) != len(y):
         raise WordLengthError(f"length mismatch: {len(x)} vs {len(y)}")
+    if t_max < 0:
+        raise DomainError("search depth must be nonnegative")
     cap = _effective_cap()
     for t, lx, ly in zip(range(t_max + 1), _layers(x, cap), _layers(y, cap)):
         if lx & ly:

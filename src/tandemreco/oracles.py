@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import islice, product
 
-from .duplication import DupParams, Word, _effective_cap, _layers
+from .duplication import DupParams, Word, _effective_cap, _layers, _shared_expansion
 from .metric import (
     cone_intersection_size,
     descendant_count,
@@ -99,22 +99,24 @@ def suite_intersection(max_root_len: int = 6, max_t: int = 3) -> OracleResult:
     for q in QS:
         for k in KS:
             for x in _all_roots(q, k, max_root_len):
-                for layer in islice(_layers(x, cap), MAX_S + 1):
-                    members = [Word._trusted(sym, x.params) for sym in sorted(layer)]
-                    tables = [list(islice(_layers(w, cap), max_t + 1)) for w in members]
-                    for i in range(len(members)):
-                        for j in range(i + 1, len(members)):
-                            y, y2 = members[i], members[j]
-                            for t in range(max_t + 1):
-                                got = len(tables[i][t] & tables[j][t])
-                                want = cone_intersection_size(y, y2, t)
-                                result.record(
-                                    got == want,
-                                    lambda y=y, y2=y2, t=t, got=got, want=want: (
-                                        f"|D^{t}({y!r}) & D^{t}({y2!r})| = {got},"
-                                        f" formula says {want}"
-                                    ),
-                                )
+                # the members' cones overlap, so they share one child memo per root
+                with _shared_expansion():
+                    for layer in islice(_layers(x, cap), MAX_S + 1):
+                        members = [Word._trusted(sym, x.params) for sym in sorted(layer)]
+                        tables = [list(islice(_layers(w, cap), max_t + 1)) for w in members]
+                        for i in range(len(members)):
+                            for j in range(i + 1, len(members)):
+                                y, y2 = members[i], members[j]
+                                for t in range(max_t + 1):
+                                    got = len(tables[i][t] & tables[j][t])
+                                    want = cone_intersection_size(y, y2, t)
+                                    result.record(
+                                        got == want,
+                                        lambda y=y, y2=y2, t=t, got=got, want=want: (
+                                            f"|D^{t}({y!r}) & D^{t}({y2!r})| = {got},"
+                                            f" formula says {want}"
+                                        ),
+                                    )
     return result
 
 
@@ -126,19 +128,21 @@ def suite_distance(max_root_len: int = 5) -> OracleResult:
         for k in KS:
             roots = _all_roots(q, k, max_root_len)
             for x in roots:
-                for layer in islice(_layers(x, cap), MAX_S + 1):
-                    members = [Word._trusted(sym, x.params) for sym in sorted(layer)]
-                    for i in range(len(members)):
-                        for j in range(i, len(members)):
-                            y, y2 = members[i], members[j]
-                            want = duplication_distance(y, y2)
-                            got = duplication_distance_bfs(y, y2, t_max=MAX_S * k + 2)
-                            result.record(
-                                got == want,
-                                lambda y=y, y2=y2, got=got, want=want: (
-                                    f"distance({y!r}, {y2!r}): bfs {got} vs formula {want}"
-                                ),
-                            )
+                # every pair's search walks the same cone, so the pairs share one child memo
+                with _shared_expansion():
+                    for layer in islice(_layers(x, cap), MAX_S + 1):
+                        members = [Word._trusted(sym, x.params) for sym in sorted(layer)]
+                        for i in range(len(members)):
+                            for j in range(i, len(members)):
+                                y, y2 = members[i], members[j]
+                                want = duplication_distance(y, y2)
+                                got = duplication_distance_bfs(y, y2, t_max=MAX_S * k + 2)
+                                result.record(
+                                    got == want,
+                                    lambda y=y, y2=y2, got=got, want=want: (
+                                        f"distance({y!r}, {y2!r}): bfs {got} vs formula {want}"
+                                    ),
+                                )
             # a few cross-root pairs of equal length must be unreachable
             by_len: dict[int, list[Word]] = {}
             for x in roots:

@@ -1,8 +1,11 @@
 """Duplication calculus: examples and exhaustive small-range invariants."""
 
+import contextlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tandemreco import (
     ConeMismatchError,
@@ -29,6 +32,7 @@ from tandemreco import (
     tandem_duplicate,
     word,
 )
+from tandemreco.duplication import _EXPANSION, _children, _layers, _shared_expansion
 
 SMALL_PARAMS = [(q, k) for q in (2, 3) for k in (1, 2)]
 
@@ -117,6 +121,106 @@ def test_node_cap_env_override(monkeypatch):
         descendants(word("0101", 2, 1), 4)
     monkeypatch.delenv("TANDEM_NODE_CAP")
     assert len(descendants(word("0101", 2, 1), 2)) > 5
+
+
+def literal_layers(x: Word, depth: int) -> list[set[tuple[int, ...]]]:
+    """D_0(x), ..., D_depth(x) by duplicating at every offset of every word, in order."""
+    layers = [{x.symbols}]
+    for _ in range(depth):
+        out = set()
+        for sym in layers[-1]:
+            w = Word(sym, x.params)
+            for i in range(len(sym) - x.params.k + 1):
+                out.add(tandem_duplicate(w, i).symbols)
+        layers.append(out)
+    return layers
+
+
+def walk(x: Word, depth: int) -> list[list[tuple[int, ...]]]:
+    """The first depth + 1 layers of ``_layers``, each in its iteration order."""
+    return [list(layer) for layer in itertools.islice(_layers(x, 10**7), depth + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=st.sampled_from((2, 3, 4)),
+    k=st.sampled_from((1, 2, 3)),
+    depth=st.integers(0, 3),
+    data=st.data(),
+)
+def test_layers_match_the_literal_walk(q, k, depth, data):
+    sym = data.draw(st.lists(st.integers(0, q - 1), max_size=14))
+    x = Word(tuple(sym), DupParams(q, k))
+    # each distinct child once, in the order of its first offset
+    kids = [tandem_duplicate(x, i).symbols for i in range(len(sym) - k + 1)]
+    assert _children(x.symbols, k) == list(dict.fromkeys(kids))
+    # equal sets built by the same first insertions also iterate in the same order
+    want = [list(layer) for layer in literal_layers(x, depth)]
+    assert walk(x, depth) == want
+    with _shared_expansion():
+        assert walk(x, depth) == want
+        assert walk(x, depth) == want  # now every child comes from the memo
+
+
+def test_shared_expansion_scope_ends_with_its_block():
+    x = word("0110", 2, 1)
+    assert _EXPANSION.get() is None
+    with _shared_expansion():
+        walk(x, 2)
+        outer = _EXPANSION.get()
+        assert x.symbols in outer[1]
+        with _shared_expansion():
+            # a nested scope starts empty and leaves the outer one untouched
+            assert _EXPANSION.get() == {}
+            walk(word("1001", 2, 1), 2)
+        assert _EXPANSION.get() is outer and (1, 0, 0, 1) not in outer[1]
+    assert _EXPANSION.get() is None
+    with contextlib.suppress(KeyError), _shared_expansion():
+        walk(x, 2)
+        raise KeyError
+    assert _EXPANSION.get() is None
+
+
+def test_shared_expansion_keeps_duplication_lengths_apart():
+    symbols = (0, 1, 1, 0, 1, 0)
+    xs = [Word(symbols, DupParams(2, k)) for k in (1, 2, 3)]
+    with _shared_expansion():
+        for x in xs + xs:
+            assert walk(x, 3) == [list(layer) for layer in literal_layers(x, 3)]
+
+
+def test_node_cap_holds_inside_a_shared_expansion(monkeypatch):
+    x = word("0101", 2, 1)
+    size = len(descendants(x, 2))
+    with _shared_expansion():
+        # the second walk takes every child from the memo and still meets the cap
+        for _ in range(2):
+            monkeypatch.setenv("TANDEM_NODE_CAP", str(size - 1))
+            with pytest.raises(
+                ResourceCapError, match=f"descendant expansion exceeded cap of {size - 1} nodes"
+            ):
+                descendants(x, 2)
+            monkeypatch.delenv("TANDEM_NODE_CAP")
+            assert len(descendants(x, 2)) == size
+
+
+def test_node_cap_inside_a_shared_expansion_survives_optimize(run_optimized):
+    size = len(descendants(word("0101", 2, 1), 2))
+    script = (
+        "import os, sys\n"
+        "from tandemreco import ResourceCapError, descendants, word\n"
+        "from tandemreco.duplication import _shared_expansion\n"
+        "x = word('0101', 2, 1)\n"
+        "with _shared_expansion():\n"
+        "    descendants(x, 2)\n"
+        f"    os.environ['TANDEM_NODE_CAP'] = '{size - 1}'\n"
+        "    try:\n"
+        "        descendants(x, 2)\n"
+        "    except ResourceCapError as err:\n"
+        "        print(sys.flags.optimize, err)\n"
+    )
+    want = f"1 descendant expansion exceeded cap of {size - 1} nodes"
+    assert run_optimized(script).strip() == want
 
 
 def test_phi_examples():

@@ -1,5 +1,6 @@
 """Distance closed forms against their breadth-first oracles."""
 
+import contextlib
 import itertools
 import math
 
@@ -7,6 +8,7 @@ import pytest
 
 from tandemreco import (
     ConeMismatchError,
+    DomainError,
     DupParams,
     NotIrreducibleError,
     ResourceCapError,
@@ -141,6 +143,51 @@ def test_cone_count_suite_expands_each_root_once(monkeypatch):
     roots = [x for q in oracles.QS for k in oracles.KS for x in oracles._all_roots(q, k, 4)]
     assert result.ok and result.checks == 4 * len(roots)
     assert started == roots
+
+
+@pytest.mark.parametrize(
+    ("suite", "kwargs", "checks"),
+    [("intersection", {"max_root_len": 5}, 57_872), ("distance", {}, 19_892)],
+)
+def test_pairwise_suites_expand_each_word_once_per_root(monkeypatch, suite, kwargs, checks):
+    from tandemreco import duplication, oracles
+
+    scopes = []  # the (symbols, k) expanded inside each scope the suite opens
+    inside = [False]
+    shared = oracles._shared_expansion
+
+    @contextlib.contextmanager
+    def marked():
+        scopes.append([])
+        inside[0] = True
+        try:
+            with shared():
+                yield
+        finally:
+            inside[0] = False
+
+    children = duplication._children
+
+    def counting(sym, k):
+        if inside[0]:
+            scopes[-1].append((sym, k))
+        return children(sym, k)
+
+    monkeypatch.setattr(oracles, "_shared_expansion", marked)
+    monkeypatch.setattr(duplication, "_children", counting)
+    result = oracles.ALL_SUITES[suite](**kwargs)
+    assert result.ok and result.checks == checks
+    roots = [x for q in oracles.QS for k in oracles.KS for x in oracles._all_roots(q, k, 5)]
+    assert len(scopes) == len(roots)
+    for expanded in scopes:
+        assert expanded and len(set(expanded)) == len(expanded)
+
+
+def test_distance_bfs_rejects_a_negative_horizon():
+    w = word("0110", 2, 2)
+    assert duplication_distance_bfs(w, w, 0) == duplication_distance(w, w) == 0
+    with pytest.raises(DomainError, match="search depth must be nonnegative"):
+        duplication_distance_bfs(w, w, -1)
 
 
 def test_descendant_count_matches_bruteforce():
