@@ -4,8 +4,8 @@ Verbs: ``capacity`` (profile as JSON), ``rate-curve`` (CSV and optional
 SVG), ``code`` (build/verify/info/decode/simulate on JSON code files) and
 ``oracle`` (brute-force cross-check suites).
 
-Exit codes: 0 success, 1 oracle failure, 2 usage or domain error,
-3 verification failure.  The environment variable TANDEM_NODE_CAP caps
+Exit codes: 0 success, 1 oracle failure, 2 usage, domain or out-of-memory
+error, 3 verification failure.  The environment variable TANDEM_NODE_CAP caps
 descendant expansion globally.
 """
 
@@ -299,6 +299,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except TandemError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)

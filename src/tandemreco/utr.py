@@ -17,7 +17,7 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -82,19 +82,16 @@ class UtrCode:
         syms = tuple(map(_SYMBOLS, words))
         params = list(map(_PARAMS, words))
         # list.count tests identity before equality, so one shared params object is quick
-        if params.count(self.params) == list(map(len, syms)).count(self.n) == len(words):
-            # equal params make equal symbols equal words; reversed, the first copy is kept
-            unique = dict(zip(reversed(syms), reversed(words)))
-            object.__setattr__(self, "codewords", tuple(sorted(unique.values(), key=_SYMBOLS)))
-            return
-        # the first offending word in symbol order is the one reported
-        ordered = tuple(sorted(set(words), key=_SYMBOLS))
-        object.__setattr__(self, "codewords", ordered)
-        for w in ordered:
-            if w.params != self.params:
-                raise ParamsMismatchError(f"codeword {w!r} carries {w.params}")
-            if len(w) != self.n:
-                raise WordLengthError(f"codeword {w!r} does not have length {self.n}")
+        if not params.count(self.params) == list(map(len, syms)).count(self.n) == len(words):
+            # the first offending word in symbol order is the one reported
+            for w in sorted(set(words), key=_SYMBOLS):
+                if w.params != self.params:
+                    raise ParamsMismatchError(f"codeword {w!r} carries {w.params}")
+                if len(w) != self.n:
+                    raise WordLengthError(f"codeword {w!r} does not have length {self.n}")
+        # equal params make equal symbols equal words; reversed, the first copy is kept
+        unique = dict(zip(reversed(syms), reversed(words)))
+        object.__setattr__(self, "codewords", tuple(sorted(unique.values(), key=_SYMBOLS)))
 
     def __len__(self) -> int:
         return len(self.codewords)
@@ -292,47 +289,30 @@ def utr_size_formula(
 def irreducible_words(params: DupParams, length: int, min_weight: int = 0) -> list[Word]:
     """All irreducible words of one length (weight filter optional), lex by transform.
 
-    Enumerates prefixes against zero-run-limited difference strings; returns
-    [] for lengths below k, where irreducibility is not defined.
+    A layer-by-layer walk appends sym[-k] + d (mod q), d = 0 only while the
+    zero run stays below k and min_weight in reach, so no layer outgrows the
+    result; each is built to at most ``IRREDUCIBLE_CAP`` + 1 entries, and a
+    full one raises.  Returns [] for lengths below k.
     """
-    if length < params.k:
-        return []
     q, k = params.q, params.k
-    l = length - params.k
-
-    diffs: list[tuple[int, ...]] = []
-
-    def rec(acc: list[int], run: int, weight: int):
-        if len(acc) == l:
-            if weight >= min_weight:
-                diffs.append(tuple(acc))
-                if len(diffs) > IRREDUCIBLE_CAP:
-                    raise ResourceCapError(f"irreducible enumeration above cap {IRREDUCIBLE_CAP}")
-            return
-        remaining = l - len(acc)
-        if weight + remaining < min_weight:
-            return
-        if run + 1 < k:
-            acc.append(0)
-            rec(acc, run + 1, weight)
-            acc.pop()
-        for s in range(1, q):
-            acc.append(s)
-            rec(acc, 0, weight + 1)
-            acc.pop()
-
-    rec([], 0, 0)
-
-    out: list[Word] = []
-    for prefix in product(range(q), repeat=k):
-        for diff in diffs:
-            sym = list(prefix)
-            for j, d in enumerate(diff):
-                sym.append((sym[j] + d) % q)
-            out.append(Word._trusted(tuple(sym), params))
-            if len(out) > IRREDUCIBLE_CAP:
-                raise ResourceCapError(f"irreducible enumeration above cap {IRREDUCIBLE_CAP}")
-    return out
+    left = length - k
+    if left < 0 or left < min_weight:
+        return []
+    # (symbols, trailing zero run of the difference string, its weight)
+    layer = ((prefix, 0, 0) for prefix in product(range(q), repeat=k))
+    while True:
+        layer = list(islice(layer, IRREDUCIBLE_CAP + 1))
+        if len(layer) > IRREDUCIBLE_CAP:
+            raise ResourceCapError(f"irreducible enumeration above cap {IRREDUCIBLE_CAP}")
+        if not left:
+            return [Word._trusted(sym, params) for sym, _, _ in layer]
+        left -= 1
+        layer = (
+            (sym + ((sym[-k] + d) % q,), 0 if d else run + 1, weight + (d > 0))
+            for sym, run, weight in layer
+            for d in range(q)
+            if d or (run + 1 < k and weight + left >= min_weight)
+        )
 
 
 def construction_a(

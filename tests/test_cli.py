@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tandemreco import oracles
+from tandemreco import cli, oracles
 from tandemreco.cli import build_parser, main
 
 FIXTURE = {
@@ -259,6 +259,18 @@ def test_oracle_failure_exit(monkeypatch, capsys):
     assert main(["oracle", "--suite", "cone-count", "--max-root-len", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "counterexample" in out
+
+
+def test_memory_error_exit(monkeypatch, tmp_path, capsys):
+    # running out of memory is one error line and exit 2, never a traceback
+    def exhausted(path):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_load_code", exhausted)
+    assert main(["code", "info", "--code", str(tmp_path / "code.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
 
 
 def test_usage_error_exit():

@@ -1,0 +1,124 @@
+"""Oracle failure output: every suite's counterexamples, pinned as printed.
+
+Each case forces one suite's closed form wrong by replacing the name that
+``tandemreco.oracles`` binds, runs the suite over a small range and compares
+the whole ``summary()`` text.  A suite counts every comparison but keeps only
+its first ``MAX_REPORTED`` counterexamples.
+"""
+
+from types import SimpleNamespace
+
+import pytest
+
+from tandemreco import oracles
+from tandemreco.metric import duplication_distance
+from tandemreco.oracles import MAX_REPORTED, OracleResult
+from tandemreco.utr import UtrCheck
+
+# case -> (suite, name in oracles, replacement, suite arguments)
+FORCED = {
+    "cone-count": ("cone-count", "descendant_count", lambda x, t: -1,
+                   {"max_root_len": 2, "max_t": 1}),
+    "intersection": ("intersection", "cone_intersection_size", lambda y, y2, t: -1,
+                     {"max_root_len": 2, "max_t": 1}),
+    "distance": ("distance", "duplication_distance", lambda y, y2: -1, {"max_root_len": 2}),
+    # finite distances stay right, so only the cross-cone pairs fail
+    "distance-cross": ("distance", "duplication_distance",
+                       lambda y, y2: min(duplication_distance(y, y2), 7), {"max_root_len": 2}),
+    "checker": ("checker", "is_utr_code_reduced", lambda code: UtrCheck(False), {"samples": 1}),
+    "ball": ("ball", "ball_size", lambda m, d: -1, {}),
+    "bounds": ("bounds", "required_distance", lambda N, t, m: 10**9, {"samples": 3}),
+    "sidon": ("sidon", "sidon_code", lambda m, r, d: SimpleNamespace(min_half_distance=d - 1), {}),
+}
+
+SUMMARIES = {
+    "cone-count": (
+        "cone-count: 52 checks, FAIL\n"
+        "  counterexample: |descendants(Word('0', q=2, k=1), 0)| = 1, formula says -1\n"
+        "  counterexample: |descendants(Word('0', q=2, k=1), 1)| = 1, formula says -1\n"
+        "  counterexample: |descendants(Word('1', q=2, k=1), 0)| = 1, formula says -1\n"
+        "  counterexample: |descendants(Word('1', q=2, k=1), 1)| = 1, formula says -1\n"
+        "  counterexample: |descendants(Word('01', q=2, k=1), 0)| = 1, formula says -1"
+    ),
+    "intersection": (
+        "intersection: 64 checks, FAIL\n"
+        "  counterexample: |D^0(Word('001', q=2, k=1)) & D^0(Word('011', q=2, k=1))| = 0, formula says -1\n"
+        "  counterexample: |D^1(Word('001', q=2, k=1)) & D^1(Word('011', q=2, k=1))| = 1, formula says -1\n"
+        "  counterexample: |D^0(Word('0001', q=2, k=1)) & D^0(Word('0011', q=2, k=1))| = 0, formula says -1\n"
+        "  counterexample: |D^1(Word('0001', q=2, k=1)) & D^1(Word('0011', q=2, k=1))| = 1, formula says -1\n"
+        "  counterexample: |D^0(Word('0001', q=2, k=1)) & D^0(Word('0111', q=2, k=1))| = 0, formula says -1"
+    ),
+    "distance": (
+        "distance: 154 checks, FAIL\n"
+        "  counterexample: distance(Word('0', q=2, k=1), Word('0', q=2, k=1)): bfs 0 vs formula -1\n"
+        "  counterexample: distance(Word('00', q=2, k=1), Word('00', q=2, k=1)): bfs 0 vs formula -1\n"
+        "  counterexample: distance(Word('000', q=2, k=1), Word('000', q=2, k=1)): bfs 0 vs formula -1\n"
+        "  counterexample: distance(Word('1', q=2, k=1), Word('1', q=2, k=1)): bfs 0 vs formula -1\n"
+        "  counterexample: distance(Word('11', q=2, k=1), Word('11', q=2, k=1)): bfs 0 vs formula -1"
+    ),
+    "distance-cross": (
+        "distance: 154 checks, FAIL\n"
+        "  counterexample: cross-cone pair Word('0', q=2, k=1), Word('1', q=2, k=1): bfs None, formula 7\n"
+        "  counterexample: cross-cone pair Word('01', q=2, k=1), Word('10', q=2, k=1): bfs None, formula 7\n"
+        "  counterexample: cross-cone pair Word('00', q=2, k=2), Word('01', q=2, k=2): bfs None, formula 7\n"
+        "  counterexample: cross-cone pair Word('01', q=2, k=2), Word('10', q=2, k=2): bfs None, formula 7\n"
+        "  counterexample: cross-cone pair Word('10', q=2, k=2), Word('11', q=2, k=2): bfs None, formula 7"
+    ),
+    "checker": (
+        "checker: 192 checks, FAIL\n"
+        "  counterexample: checkers disagree on {'q': 2, 'k': 1, 'n': 1, 'N': 0, 't': 1, 'codewords': ['0', '1']}: direct=True reduced=False\n"
+        "  counterexample: checkers disagree on {'q': 2, 'k': 1, 'n': 1, 'N': 1, 't': 1, 'codewords': ['0']}: direct=True reduced=False\n"
+        "  counterexample: checkers disagree on {'q': 2, 'k': 1, 'n': 1, 'N': 2, 't': 1, 'codewords': ['0']}: direct=True reduced=False\n"
+        "  counterexample: checkers disagree on {'q': 2, 'k': 1, 'n': 1, 'N': 3, 't': 1, 'codewords': ['0', '1']}: direct=True reduced=False\n"
+        "  counterexample: checkers disagree on {'q': 2, 'k': 1, 'n': 1, 'N': 0, 't': 2, 'codewords': ['1']}: direct=True reduced=False"
+    ),
+    "ball": (
+        "ball: 136 checks, FAIL\n"
+        "  counterexample: ball(m=1, d=0, center=(0, 2)): brute 1 vs formula -1\n"
+        "  counterexample: ball(m=1, d=0, center=(1, 1)): brute 1 vs formula -1\n"
+        "  counterexample: ball(m=1, d=0, center=(2, 0)): brute 1 vs formula -1\n"
+        "  counterexample: ball(m=1, d=1, center=(1, 3)): brute 3 vs formula -1\n"
+        "  counterexample: ball(m=1, d=1, center=(2, 2)): brute 3 vs formula -1"
+    ),
+    "bounds": (
+        "bounds: 1003 checks, FAIL\n"
+        "  counterexample: (N=338481, t=1, m=6): exact 1000000000, entropy 0, log 1\n"
+        "  counterexample: (N=126210, t=1, m=23): exact 1000000000, entropy 0, log 1\n"
+        "  counterexample: (N=645630, t=5, m=7): exact 1000000000, entropy 0, log 1\n"
+        "  counterexample: (N=14 <= m=23, t=36): exact 1000000000, expected 36\n"
+        "  counterexample: (N=4 <= m=10, t=9): exact 1000000000, expected 9"
+    ),
+    "sidon": (
+        "sidon: 135 checks, FAIL\n"
+        "  counterexample: sidon_code(1,0,1) has distance 0\n"
+        "  counterexample: sidon_code(1,0,2) has distance 1\n"
+        "  counterexample: sidon_code(1,0,3) has distance 2\n"
+        "  counterexample: sidon_code(1,1,1) has distance 0\n"
+        "  counterexample: sidon_code(1,1,2) has distance 1"
+    ),
+}
+
+
+def run_forced(monkeypatch, case: str) -> OracleResult:
+    suite, name, fake, kwargs = FORCED[case]
+    monkeypatch.setattr(oracles, name, fake)
+    return oracles.ALL_SUITES[suite](**kwargs)
+
+
+@pytest.mark.parametrize("case", list(FORCED))
+def test_forced_failure_summary(monkeypatch, case):
+    assert run_forced(monkeypatch, case).summary() == SUMMARIES[case]
+
+
+def test_forced_failures_cover_every_suite():
+    assert {suite for suite, *_ in FORCED.values()} == set(oracles.ALL_SUITES)
+
+
+def test_fail_keeps_first_messages():
+    result = OracleResult("demo")
+    for i in range(MAX_REPORTED + 3):
+        result.checks += 1
+        result.fail(f"case {i}")
+    assert result.checks == MAX_REPORTED + 3
+    assert result.failures == [f"case {i}" for i in range(MAX_REPORTED)]
+    assert not result.ok

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -325,6 +326,67 @@ def test_irreducible_enumeration_matches_count():
             assert len(set(words)) == len(words)
             assert all(is_irreducible(x) and len(x) == n for x in words)
     assert irreducible_words(P22, 1) == []
+
+
+def test_irreducible_words_match_filtered_product():
+    # every irreducible word with enough nonzero differences, sorted by (prefix, differences)
+    for q in (2, 3):
+        for k in (1, 2, 3):
+            params = DupParams(q, k)
+            assert all(irreducible_words(params, length) == [] for length in range(k))
+            for length in range(k, 9):
+                pool = []
+                for sym in itertools.product(range(q), repeat=length):
+                    if is_irreducible(Word(sym, params)):
+                        diff = tuple((sym[i + k] - sym[i]) % q for i in range(length - k))
+                        pool.append((sym[:k], diff, sym))
+                pool.sort()
+                for min_weight in range(length + 1):
+                    want = [sym for _, diff, sym in pool if sum(map(bool, diff)) >= min_weight]
+                    got = irreducible_words(params, length, min_weight)
+                    assert [w.symbols for w in got] == want, (q, k, length, min_weight)
+                    assert all(w.params == params for w in got)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 5, 12, 40])
+def test_irreducible_words_cap(monkeypatch, cap):
+    # the cap applies to the result's size, whatever the walk's layers hold on the way
+    monkeypatch.setattr(utr, "IRREDUCIBLE_CAP", cap)
+    for q in (2, 3):
+        for k in (1, 2, 3):
+            params = DupParams(q, k)
+            for length in range(k, 8):
+                l = length - k
+                for min_weight in range(l + 2):
+                    weights = range(min_weight, l + 1)
+                    size = q**k * sum(count_rll_weight(l, m, params) for m in weights)
+                    if size > cap:
+                        with pytest.raises(ResourceCapError) as excinfo:
+                            irreducible_words(params, length, min_weight)
+                        assert str(excinfo.value) == f"irreducible enumeration above cap {cap}"
+                    else:
+                        assert len(irreducible_words(params, length, min_weight)) == size
+
+
+@pytest.mark.parametrize("k, length", [(3, 5), (2, 3)])
+def test_irreducible_words_cap_bounds_memory(monkeypatch, k, length):
+    # q = 50 makes the first layer (k = 3) or the second (k = 2) some 125 000
+    # entries; a walk that stops each layer at the cap holds a few thousand
+    monkeypatch.setattr(utr, "IRREDUCIBLE_CAP", 2500)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="above cap 2500"):
+            irreducible_words(DupParams(50, k), length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_irreducible_words_long_root():
+    # the walk keeps no call stack, so a root far longer than the recursion limit is fine
+    words = irreducible_words(DupParams(2, 1), 1100)
+    assert [w.text() for w in words] == ["01" * 550, "10" * 550]
 
 
 def test_size_formula_degenerate_plugin():
