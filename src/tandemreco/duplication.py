@@ -142,6 +142,30 @@ class Word:
         return sum(1 for s in self.symbols if s != 0)
 
 
+def _texts(block: tuple[tuple[int, ...], ...], q: int, n: int) -> list[str]:
+    """``Word.text`` of each word of length n in block, with one translation when q <= 10."""
+    if q > 10:
+        return [",".join(map(str, sym)) for sym in block]
+    digits = b"".join(map(bytes, block)).translate(_TO_DIGIT).decode("ascii")
+    return [digits[i : i + n] for i in range(0, len(digits), n)]
+
+
+def _digit_block(texts: list[str], q: int, n: int) -> tuple[tuple[int, ...], ...] | None:
+    """The symbols of texts when each is n ASCII digits below q <= 10, else None.
+
+    The list is checked and translated as a whole; on None the caller parses
+    word by word, which strips blanks, reads commas and names a bad word.
+    """
+    joined = "".join(texts)
+    if q > 10 or not joined.isascii() or list(map(len, texts)).count(n) != len(texts):
+        return None
+    raw = joined.encode("ascii")
+    # deleting the alphabet's digits leaves nothing
+    if raw.translate(None, b"0123456789"[:q]):
+        return None
+    return tuple(zip(*[iter(raw.translate(_FROM_DIGIT))] * n))
+
+
 def word(text: str, q: int, k: int) -> Word:
     """Parse a word from its text form."""
     return Word.parse(text, DupParams(q, k))
@@ -227,16 +251,20 @@ def _children(sym: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
 
 
 def _layers(x: Word, cap: int) -> Iterator[set[tuple[int, ...]]]:
-    """The symbol sets of D_0(x), D_1(x), ..., each grown from the one before.
+    """The symbol sets of D_0(x), D_1(x), ..., each grown from the one before."""
+    return _walk(x.symbols, x.params.k, cap)
+
+
+def _walk(sym: tuple[int, ...], k: int, cap: int) -> Iterator[set[tuple[int, ...]]]:
+    """The layers of :func:`_layers` from a word's symbols and duplication length.
 
     No layer may exceed ``cap`` nodes; each public caller reads the node cap
     once and passes it in.  A word shorter than k has only empty layers after D_0.
     Inside a :func:`_shared_expansion` block a word's children are looked up
     before they are built.
     """
-    layer = {x.symbols}
+    layer = {sym}
     yield layer
-    k = x.params.k
     scope = _EXPANSION.get()
     memo = None if scope is None else scope.setdefault(k, {})
     while True:
@@ -255,16 +283,17 @@ def _layers(x: Word, cap: int) -> Iterator[set[tuple[int, ...]]]:
         yield layer
 
 
-def _layer(x: Word, t: int, cap: int) -> set[tuple[int, ...]]:
-    """The symbols of D_t(x), no layer above ``cap`` nodes."""
-    return next(islice(_layers(x, cap), t, None))
+def _layer(sym: tuple[int, ...], k: int, t: int, cap: int) -> set[tuple[int, ...]]:
+    """The symbols of D_t of the word sym, no layer above ``cap`` nodes."""
+    return next(islice(_walk(sym, k, cap), t, None))
 
 
 def descendants(x: Word, t: int) -> set[Word]:
     """The exact set of words reachable from x by exactly t duplications."""
     if t < 0:
         raise DomainError("descendant depth must be nonnegative")
-    return {Word._trusted(sym, x.params) for sym in _layer(x, t, _effective_cap())}
+    layer = _layer(x.symbols, x.params.k, t, _effective_cap())
+    return {Word._trusted(sym, x.params) for sym in layer}
 
 
 def phi(x: Word) -> PhiImage:

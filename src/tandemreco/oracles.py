@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from itertools import islice, product
 
 from .duplication import DupParams, Word, _effective_cap, _layers, _shared_expansion
+from .errors import ResourceCapError
 from .metric import (
     cone_intersection_size,
     descendant_count,
@@ -30,7 +31,14 @@ from .simplex import (
     required_distance_upper_log,
     sidon_code,
 )
-from .utr import UtrCode, irreducible_words, is_utr_code_direct, is_utr_code_reduced
+from .utr import (
+    IRREDUCIBLE_CAP,
+    UtrCode,
+    irreducible_count,
+    irreducible_words,
+    is_utr_code_direct,
+    is_utr_code_reduced,
+)
 
 MAX_REPORTED = 5
 QS = (2, 3)
@@ -66,6 +74,22 @@ class OracleResult:
         return line
 
 
+def _price_roots(max_len: int) -> None:
+    """Refuse a root range that holds more than ``IRREDUCIBLE_CAP`` roots, before any walk.
+
+    Lengths are counted in increasing order over every alphabet and duplication
+    length of the suites, and the count stops once the running total passes the cap.
+    """
+    total = 0
+    for length in range(1, max_len + 1):
+        total += sum(irreducible_count(DupParams(q, k), length) for q in QS for k in KS)
+        if total > IRREDUCIBLE_CAP:
+            raise ResourceCapError(
+                f"oracle range holds {total} roots up to length {length},"
+                f" above cap {IRREDUCIBLE_CAP}"
+            )
+
+
 def _all_roots(q: int, k: int, max_len: int) -> list[Word]:
     params = DupParams(q, k)
     return [x for length in range(k, max_len + 1) for x in irreducible_words(params, length)]
@@ -73,6 +97,7 @@ def _all_roots(q: int, k: int, max_len: int) -> list[Word]:
 
 def suite_cone_count(max_root_len: int = 6, max_t: int = 3) -> OracleResult:
     """Descendant-layer sizes against the balls-in-bins closed form."""
+    _price_roots(max_root_len)
     result = OracleResult("cone-count")
     cap = _effective_cap()
     for q in QS:
@@ -89,6 +114,7 @@ def suite_cone_count(max_root_len: int = 6, max_t: int = 3) -> OracleResult:
 
 def suite_intersection(max_root_len: int = 6, max_t: int = 3) -> OracleResult:
     """Pairwise intersection sizes against the shifted-cone closed form."""
+    _price_roots(max_root_len)
     result = OracleResult("intersection")
     cap = _effective_cap()
     for q in QS:
@@ -116,6 +142,7 @@ def suite_intersection(max_root_len: int = 6, max_t: int = 3) -> OracleResult:
 
 def suite_distance(max_root_len: int = 5) -> OracleResult:
     """Closed-form distance against layered search, plus cross-cone pairs."""
+    _price_roots(max_root_len)
     result = OracleResult("distance")
     cap = _effective_cap()
     for q in QS:

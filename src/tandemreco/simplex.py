@@ -341,6 +341,44 @@ def _least_prime_at_least(n: int) -> int:
     return p
 
 
+def _prime_factors(n: int) -> list[int]:
+    found, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            found.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return found + [n] if n > 1 else found
+
+
+def _gf_mul(a: tuple[int, ...], b: tuple[int, ...], low: list[int], p: int) -> tuple[int, ...]:
+    """a * b in GF(p)[x] modulo x^h - sum of low[j] x^j; coefficients lowest degree first."""
+    h = len(low)
+    out = [0] * (2 * h - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    # x^d = x^(d - h) * x^h, from the top degree down
+    for d in range(2 * h - 2, h - 1, -1):
+        top = out[d] % p
+        if top:
+            for j in range(h):
+                out[d - h + j] += top * low[j]
+    return tuple(c % p for c in out[:h])
+
+
+def _gf_pow(a: tuple[int, ...], e: int, low: list[int], p: int) -> tuple[int, ...]:
+    out = (1,) + (0,) * (len(low) - 1)
+    while e:
+        if e & 1:
+            out = _gf_mul(out, a, low, p)
+        a = _gf_mul(a, a, low, p)
+        e >>= 1
+    return out
+
+
 def bose_chowla_set(h: int, size: int) -> tuple[tuple[int, ...], int]:
     """A B_h set of ``size`` residues mod p^h - 1, p the least prime >= size.
 
@@ -352,6 +390,11 @@ def bose_chowla_set(h: int, size: int) -> tuple[tuple[int, ...], int]:
     the first monic primitive polynomial x^h + a_1 x^(h-1) + ... + a_h in
     lexicographic order of (a_1, ..., a_h), and theta is x.  The ``size``
     smallest logarithms, translated so the first is 0, keep the property.
+
+    A polynomial is primitive exactly when x has order p^h - 1 modulo it,
+    which fast exponentiation tests over the prime factors of p^h - 1.  The
+    logarithms come by baby-step giant-step (Shanks 1971), with one table of
+    baby steps shared by all p of them.
     """
     if h < 2 or size < 1:
         raise DomainError("order must be at least 2 and size positive")
@@ -360,22 +403,33 @@ def bose_chowla_set(h: int, size: int) -> tuple[tuple[int, ...], int]:
     if order > DEFAULT_ENUM_CAP:
         raise ResourceCapError(f"GF({p}^{h}) has {order + 1} elements, above {DEFAULT_ENUM_CAP}")
     one = (1,) + (0,) * (h - 1)
+    x = (0, 1) + (0,) * (h - 2)
+    cofactors = [order // r for r in _prime_factors(order)]
     for coeffs in product(range(p), repeat=h):
         # x^h = sum of low[j] x^j; elements are coefficient tuples, lowest degree first
         low = [-a % p for a in reversed(coeffs)]
-        if not low[0]:
-            continue  # x divides the polynomial, so x is no unit
-        elem, logs = one, []
-        for i in range(1, order + 1):
-            top = elem[-1]
-            elem = tuple(((elem[j - 1] if j else 0) + top * low[j]) % p for j in range(h))
-            if elem == one:
-                break
-            if elem[1] == 1 and not any(elem[2:]):
-                logs.append(i)  # x^i = x + elem[0]
-        if i == order and elem == one:
-            return tuple(e - logs[0] for e in logs[:size]), order
-    raise TandemError(f"no primitive polynomial of degree {h} over GF({p})")
+        # a zero low[0] means x divides the polynomial, so x is no unit
+        if low[0] and _gf_pow(x, order, low, p) == one and all(
+            _gf_pow(x, e, low, p) != one for e in cofactors
+        ):
+            break
+    else:
+        raise TandemError(f"no primitive polynomial of degree {h} over GF({p})")
+    # baby steps x^j for j < m, sized to balance the p walks of giant steps x^-m
+    m = min(order, math.isqrt(p * order) + 1)
+    baby, elem = {}, one
+    for j in range(m):
+        baby[elem] = j
+        elem = _gf_mul(elem, x, low, p)
+    giant = _gf_pow(x, order - m, low, p)
+    logs = []
+    for c in range(p):
+        elem, i = (c,) + x[1:], 0
+        while elem not in baby:
+            elem, i = _gf_mul(elem, giant, low, p), i + m
+        logs.append(i + baby[elem])
+    logs.sort()
+    return tuple(e - logs[0] for e in logs[:size]), order
 
 
 @cache

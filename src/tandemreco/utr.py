@@ -18,7 +18,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, product
-from operator import attrgetter
+from operator import attrgetter, lt
 from typing import Callable, Iterable, NamedTuple
 
 from .capacity import capacity_profile
@@ -26,9 +26,11 @@ from .duplication import (
     DupParams,
     Word,
     _cone,
+    _digit_block,
     _effective_cap,
     _grow,
     _layer,
+    _texts,
     channel_sample,
     descendants,
 )
@@ -63,53 +65,84 @@ ROOT_ENUM_MAX_LEN = 20
 BRUTEFORCE_MAX_WORDS = 4096
 
 
-@dataclass(frozen=True)
+Symbols = tuple[int, ...]
+ConeIndex = dict[Symbols, list[tuple[Symbols, Symbols]]]
+
+
+@dataclass(frozen=True, init=False)
 class UtrCode:
-    """An (N, t) reconstruction code: equal-length codewords plus its budget."""
+    """An (N, t) reconstruction code: equal-length codewords plus its budget.
+
+    The codewords are kept as one sorted tuple of distinct symbol tuples;
+    ``codewords`` wraps them in ``Word``s on first read.  Equality and hash
+    read the symbols.
+    """
 
     params: DupParams
     n: int
     N: int
     t: int
-    codewords: tuple[Word, ...]
+    symbols: tuple[Symbols, ...]
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("codeword length must be positive")
-        if self.N < 0 or self.t < 0:
-            raise DomainError("uncertainty and duplication count must be nonnegative")
-        words = tuple(self.codewords)
+    def __init__(self, params: DupParams, n: int, N: int, t: int, codewords: Iterable[Word]):
+        _check_budget(n, N, t)
+        words = tuple(codewords)
         syms = tuple(map(_SYMBOLS, words))
-        params = list(map(_PARAMS, words))
+        kinds = list(map(_PARAMS, words))
         # list.count tests identity before equality, so one shared params object is quick
-        if not params.count(self.params) == list(map(len, syms)).count(self.n) == len(words):
+        if not kinds.count(params) == list(map(len, syms)).count(n) == len(words):
             # the first offending word in symbol order is the one reported
             for w in sorted(set(words), key=_SYMBOLS):
-                if w.params != self.params:
+                if w.params != params:
                     raise ParamsMismatchError(f"codeword {w!r} carries {w.params}")
-                if len(w) != self.n:
-                    raise WordLengthError(f"codeword {w!r} does not have length {self.n}")
+                if len(w) != n:
+                    raise WordLengthError(f"codeword {w!r} does not have length {n}")
         # equal params make equal symbols equal words; reversed, the first copy is kept
         unique = dict(zip(reversed(syms), reversed(words)))
-        object.__setattr__(self, "codewords", tuple(sorted(unique.values(), key=_SYMBOLS)))
+        order = tuple(sorted(unique))
+        # fields are set around the frozen __setattr__, as _of sets them
+        vars(self).update(params=params, n=n, N=N, t=t, symbols=order)
+        vars(self)["codewords"] = tuple(map(unique.__getitem__, order))
+
+    @classmethod
+    def _of(
+        cls, params: DupParams, n: int, N: int, t: int, symbols: tuple[Symbols, ...],
+        index: ConeIndex | None,
+    ) -> "UtrCode":
+        """A code from sorted distinct symbol tuples of length n over params' alphabet.
+
+        ``index``, when not None, is the code's cone index as its maker grew it.
+        """
+        _check_budget(n, N, t)
+        code = object.__new__(cls)
+        vars(code).update(params=params, n=n, N=N, t=t, symbols=symbols)
+        if index is not None:
+            vars(code)["cone_index"] = index
+        return code
 
     def __len__(self) -> int:
-        return len(self.codewords)
-
-    def rate(self) -> float:
-        if not self.codewords:
-            return float("-inf")
-        return math.log(len(self.codewords), self.params.q) / self.n
+        return len(self.symbols)
 
     @cached_property
-    def cone_index(self) -> dict[tuple[int, ...], list[tuple[Word, tuple[int, ...]]]]:
-        """Codewords grouped by their root's symbols, each with its cone coordinates."""
-        index: dict[tuple[int, ...], list[tuple[Word, tuple[int, ...]]]] = defaultdict(list)
+    def codewords(self) -> tuple[Word, ...]:
+        """The codewords as ``Word``s, made on first read and then kept."""
+        params = self.params
+        return tuple([Word._trusted(sym, params) for sym in self.symbols])
+
+    def rate(self) -> float:
+        if not self.symbols:
+            return float("-inf")
+        return math.log(len(self.symbols), self.params.q) / self.n
+
+    @cached_property
+    def cone_index(self) -> ConeIndex:
+        """Codewords' symbols grouped by their root's symbols, each with its cone coordinates."""
+        index: ConeIndex = defaultdict(list)
         k = self.params.k
-        for w in self.codewords:
-            if len(w) >= k:
-                r, sigma, _ = _cone(w.symbols, k)
-                index[r].append((w, sigma))
+        if self.n >= k:
+            for sym in self.symbols:
+                r, sigma, _ = _cone(sym, k)
+                index[r].append((sym, sigma))
         return dict(index)
 
     def to_json(self) -> dict:
@@ -119,7 +152,7 @@ class UtrCode:
             "n": self.n,
             "N": self.N,
             "t": self.t,
-            "codewords": [w.text() for w in self.codewords],
+            "codewords": _texts(self.symbols, self.params.q, self.n),
         }
 
     @classmethod
@@ -134,11 +167,19 @@ class UtrCode:
                 raise DomainError(
                     f"code key {key!r} must be {kind.__name__}, got {type(data[key]).__name__}"
                 )
-        if not all(isinstance(s, str) for s in data["codewords"]):
+        texts = data["codewords"]
+        if not all(isinstance(s, str) for s in texts):
             raise DomainError("code key 'codewords' must hold strings")
         params = DupParams(data["q"], data["k"])
-        words = tuple(Word.parse(s, params) for s in data["codewords"])
-        return cls(params, data["n"], data["N"], data["t"], words)
+        n, N, t = data["n"], data["N"], data["t"]
+        symbols = _digit_block(texts, params.q, n)
+        if symbols is None:
+            # word by word: the same code, or the error the first bad word raises
+            return cls(params, n, N, t, [Word.parse(s, params) for s in texts])
+        # a written file is sorted and free of repeats already
+        if not all(map(lt, symbols, symbols[1:])):
+            symbols = tuple(sorted(set(symbols)))
+        return cls._of(params, n, N, t, symbols, None)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
@@ -146,6 +187,13 @@ class UtrCode:
     @classmethod
     def loads(cls, text: str) -> "UtrCode":
         return cls.from_json(json.loads(text))
+
+
+def _check_budget(n: int, N: int, t: int) -> None:
+    if n < 1:
+        raise DomainError("codeword length must be positive")
+    if N < 0 or t < 0:
+        raise DomainError("uncertainty and duplication count must be nonnegative")
 
 
 class UtrCheck(NamedTuple):
@@ -156,21 +204,27 @@ class UtrCheck(NamedTuple):
     detail: int | None = None
 
 
+def _pair(code: UtrCode, a: Symbols, b: Symbols) -> tuple[Word, Word]:
+    """A violating pair of codewords, from their symbols."""
+    return Word._trusted(a, code.params), Word._trusted(b, code.params)
+
+
 def is_utr_code_direct(code: UtrCode) -> UtrCheck:
     """Definition checked literally: count every pair's shared descendants.
 
     An index maps each expanded t-descendant to the codewords that own it.
     Words enter it from last to first, so word i counts what it shares with
     every later word j, and the last violation seen is the smallest (i, j).
-    The descendants together may hold at most the node cap.
+    The descendants together may hold at most the node cap.  Only a
+    violating pair is wrapped in ``Word``s.
     """
-    words = code.codewords
+    words, k = code.symbols, code.params.k
     cap = _effective_cap()
     total = 0
     owners: dict[tuple[int, ...], tuple[int, ...]] = {}
     found = UtrCheck(True)
     for i in range(len(words) - 1, -1, -1):
-        desc = _layer(words[i], code.t, cap)
+        desc = _layer(words[i], k, code.t, cap)
         total += len(desc)
         if total > cap:
             raise ResourceCapError(f"descendant index exceeded cap of {cap} nodes")
@@ -185,7 +239,7 @@ def is_utr_code_direct(code: UtrCode) -> UtrCheck:
             bad = [j for j, count in shared.items() if count > code.N]
             if bad:
                 j = min(bad)
-                found = UtrCheck(False, (words[i], words[j]), shared[j])
+                found = UtrCheck(False, _pair(code, words[i], words[j]), shared[j])
     return found
 
 
@@ -219,7 +273,7 @@ def is_utr_code_reduced(code: UtrCode) -> UtrCheck:
             for j in range(i + 1, len(members)):
                 dist = half_manhattan(members[i][1], members[j][1])
                 if dist < need:
-                    return UtrCheck(False, (members[i][0], members[j][0]), dist)
+                    return UtrCheck(False, _pair(code, members[i][0], members[j][0]), dist)
         passed.add(coords)
     return UtrCheck(True)
 
@@ -351,17 +405,20 @@ def construction_a(
             f"no roots of length {root_len} with weight >= {m_n}"
         )
 
-    # every root of one cone dimension gets the same simplex code
+    # every root of one cone dimension gets the same simplex code; the code keeps
+    # the cones as grown, members in symbol order like the index a listed code builds
     points: dict[int, tuple] = {}
-    codewords: list[Word] = []
+    index: ConeIndex = {}
     for x in pool:
-        ends = _cone(x.symbols, k)[2]
+        sym = x.symbols
+        ends = _cone(sym, k)[2]
         m = len(ends) - 1
         if m not in points:
             points[m] = sidon_code(m, r_n, required_distance(N, t, m)).points
-        codewords.extend(Word._trusted(_grow(x.symbols, k, ends, p), params) for p in points[m])
+        index[sym] = sorted([(_grow(sym, k, ends, p), p) for p in points[m]])
+    symbols = sorted([grown for members in index.values() for grown, _ in members])
 
-    out = UtrCode(params, n, N, t, tuple(codewords))
+    out = UtrCode._of(params, n, N, t, tuple(symbols), index)
     check = is_utr_code_reduced(out)
     if not check.ok:
         raise TandemError(f"construction produced an invalid code: {check}")
@@ -382,7 +439,7 @@ def max_utr_code_bruteforce(params: DupParams, n: int, N: int, t: int) -> UtrCod
         raise ResourceCapError(f"{total} words exceed the cap of {BRUTEFORCE_MAX_WORDS}")
     words = [Word(sym, params) for sym in product(range(q), repeat=n)]
     cap = _effective_cap()
-    desc = [_layer(w, t, cap) for w in words]
+    desc = [_layer(w.symbols, params.k, t, cap) for w in words]
     adjacency = [0] * total
     for i in range(total):
         for j in range(i + 1, total):
@@ -425,7 +482,7 @@ def reconstruct(code: UtrCode, reads: Iterable[Word]) -> Word:
     k = code.params.k
     if len(read_list[0]) < k:
         # too short to carry a duplication: a read must be the codeword itself
-        if len(read_list) == 1 and read_list[0] in code.codewords:
+        if len(read_list) == 1 and read_list[0].symbols in code.symbols:
             return read_list[0]
         raise NoCandidateError("reads below the duplication length match no codeword")
     cones = [_cone(r.symbols, k)[:2] for r in read_list]
@@ -435,15 +492,15 @@ def reconstruct(code: UtrCode, reads: Iterable[Word]) -> Word:
     (shared_root,) = roots
     meet = tuple(min(col) for col in zip(*(sigma for _, sigma in cones)))
     candidates = [
-        w
-        for w, coords in code.cone_index.get(shared_root, [])
+        sym
+        for sym, coords in code.cone_index.get(shared_root, [])
         if all(a <= b for a, b in zip(coords, meet))
     ]
     if not candidates:
         raise NoCandidateError("no codeword is an ancestor of all reads")
     if len(candidates) > 1:
         raise AmbiguityError(f"{len(candidates)} codewords fit the reads")
-    return candidates[0]
+    return Word._trusted(candidates[0], code.params)
 
 
 def reconstruct_scan(code: UtrCode, reads: Iterable[Word]) -> Word:
@@ -453,15 +510,15 @@ def reconstruct_scan(code: UtrCode, reads: Iterable[Word]) -> Word:
     read_syms = [r.symbols for r in read_list]
     cap = _effective_cap()
     candidates = []
-    for w in code.codewords:
-        pool = _layer(w, extra, cap)
+    for sym in code.symbols:
+        pool = _layer(sym, code.params.k, extra, cap)
         if all(r in pool for r in read_syms):
-            candidates.append(w)
+            candidates.append(sym)
     if not candidates:
         raise NoCandidateError("no codeword is an ancestor of all reads")
     if len(candidates) > 1:
         raise AmbiguityError(f"{len(candidates)} codewords fit the reads")
-    return candidates[0]
+    return Word._trusted(candidates[0], code.params)
 
 
 @dataclass(frozen=True)
@@ -500,7 +557,7 @@ def simulate_reconstruction(code: UtrCode, trials: int, seed: int) -> Simulation
     """
     if trials < 0:
         raise DomainError("trials must be nonnegative")
-    if not code.codewords:
+    if not code.symbols:
         raise DomainError("cannot simulate an empty code")
     if code.n < code.params.k:
         raise DomainError("codewords below the duplication length never mutate")

@@ -261,6 +261,21 @@ def test_oracle_failure_exit(monkeypatch, capsys):
     assert "FAIL" in out and "counterexample" in out
 
 
+def test_oracle_range_above_the_root_cap_exit_2(monkeypatch, capsys):
+    # the range is priced before any root is enumerated
+    def refuse(*args):
+        raise AssertionError("enumerated roots of a refused range")
+
+    monkeypatch.setattr(oracles, "irreducible_words", refuse)
+    argv = ["oracle", "--suite", "cone-count", "--max-root-len", "1200", "--max-t", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: oracle range holds 2697911 roots up to length 14, above cap 1000000\n"
+    )
+
+
 def test_memory_error_exit(monkeypatch, tmp_path, capsys):
     # running out of memory is one error line and exit 2, never a traceback
     def exhausted(path):

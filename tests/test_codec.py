@@ -4,15 +4,17 @@
 translation, and ``UtrCode`` dedupes, sorts and checks its codewords with C
 built-ins when every word carries its params and length.  The per-symbol
 versions they replaced are kept here as written, and the two must agree: the
-same word, or the same exception type and message.  Two code files are
-pinned by hash, so a codec change that alters a stored file fails here.
+same word, or the same exception type and message.  ``UtrCode.from_json``
+reads a whole codeword list at once, and the per-word path is its twin.  The
+benchmark's code files are pinned by hash, so a codec change that alters a
+stored file fails here.
 """
 
 import hashlib
 import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tandemreco import (
@@ -32,6 +34,10 @@ PROPERTY = settings(max_examples=300, deadline=None)
 PINNED_FILES = {
     (12, 1, 1): "f09c46488ebf3cd0a3f2da8e9632586f6c1bf044ddcc5351d571c1914d05f994",
     (16, 3, 11): "fb86b7e8f210be6294a7a7c02410d116f426ddd23e5b2abbc2b22f4438f08c24",
+    (20, 2, 1): "d322187c086bf8b5f84770538a5e67cd566fa02b30b873a58b7314a3afce4f8c",
+    (16, 1, 1): "04fed0c3a67509ebff8ffdb37a7096920943aa33b724d9f793246ee1bf4b8bde",
+    (16, 3, 1): "bd5662a3920464e3b7a153de88d3429f514a60e592ca61c0e9f690304c9e4033",
+    (14, 1, 1): "61e3e4b63a377246b87ae1c16f1844d59fc76709a3be77423a31527a62680d41",
 }
 
 
@@ -146,6 +152,76 @@ def test_code_normalisation_accepts_a_generator():
     params = DupParams(2, 2)
     words = (Word(s, params) for s in [(1, 0, 1), (0, 1, 1), (1, 0, 1)])
     assert [w.text() for w in UtrCode(params, 3, 1, 1, words).codewords] == ["011", "101"]
+
+
+def parse_each(data: dict) -> UtrCode:
+    """The per-word loader: every codeword through ``Word.parse``, then the public constructor."""
+    params = DupParams(data["q"], data["k"])
+    words = [Word.parse(s, params) for s in data["codewords"]]
+    return UtrCode(params, data["n"], data["N"], data["t"], words)
+
+
+@st.composite
+def code_files(draw):
+    """Code file objects whose codewords are mostly fine, with up to two odd ones mixed in.
+
+    An odd word has another length, blanks around it, a non-ASCII digit, a
+    symbol outside the alphabet or a comma where none belongs; repeats are
+    common, and q > 10 writes its words in the comma form.
+    """
+    q = draw(st.sampled_from((2, 3, 10, 11, 12)))
+    n = draw(st.integers(0, 5))
+    sep = "," if q > 10 else ""
+
+    def text(sym):
+        return sep.join(map(str, sym))
+
+    def fields(w):
+        return w.split(",") if q > 10 else list(w)
+
+    symbols = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    pool = [text(sym) for sym in draw(st.lists(symbols, min_size=1, max_size=4))]
+    odd = {
+        "length": st.integers(0, 7).flatmap(
+            lambda m: st.lists(st.integers(0, q - 1), min_size=m, max_size=m).map(text)
+        ),
+        "blanks": st.sampled_from(pool).map(lambda w: f" {w}\t"),
+        "non-ASCII digit": st.sampled_from(pool).map(lambda w: "\u0661" + w[1:]),
+        "wide digit": st.sampled_from(pool).map(lambda w: w[:-1] + "\uff11"),
+        "symbol": st.tuples(st.sampled_from(pool), st.integers(q, max(q, 9))).map(
+            lambda case: sep.join([str(case[1]), *fields(case[0])[1:]])
+        ),
+        "comma": st.sampled_from(pool).map(lambda w: w[:1] + "," + w[1:]),
+        "fixed": st.sampled_from(["", " ", "0,0", "00,1"]),
+    }
+    words = draw(st.lists(st.sampled_from(pool), max_size=12))
+    kinds = st.lists(st.sampled_from(sorted(odd)), max_size=draw(st.sampled_from((1, 2))))
+    for kind in draw(kinds):
+        words.insert(draw(st.integers(0, len(words))), draw(odd[kind]))
+    N, t = draw(st.sampled_from([(1, 1), (0, 2), (-1, 1), (1, -1)]))
+    return {"q": q, "k": draw(st.integers(1, 2)), "n": n, "N": N, "t": t, "codewords": words}
+
+
+def code_file(q: int, n: int, *codewords: str) -> dict:
+    return {"q": q, "k": 2, "n": n, "N": 1, "t": 1, "codewords": list(codewords)}
+
+
+@PROPERTY
+@given(code_files())
+@example(code_file(2, 4, "0110", "0120"))  # a symbol outside the alphabet
+@example(code_file(2, 4, "000", "00000"))  # lengths that only add up
+@example(code_file(2, 4, " 0101 ", "0110"))  # blanks around a word
+@example(code_file(10, 3, "01\u0661", "019"))  # a non-ASCII digit
+@example(code_file(3, 2, "21", "02", "21", "10"))  # repeats, out of order
+@example(code_file(3, 2, "02", "10", "21"))  # a list as written
+@example(code_file(11, 2, "1,10", "0,3", "1,10"))  # the comma form
+@example(code_file(11, 2, "03,4"))  # a leading zero
+def test_loader_matches_per_word_path(data):
+    got, want = outcome(UtrCode.from_json, data), outcome(parse_each, data)
+    assert got == want
+    if isinstance(want, UtrCode):
+        assert got.codewords == want.codewords and got.dumps() == want.dumps()
+        assert all(type(s) is int for sym in got.symbols for s in sym)
 
 
 @pytest.mark.parametrize("n, t, N", PINNED_FILES)

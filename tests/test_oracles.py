@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from tandemreco import oracles
+from tandemreco import ResourceCapError, oracles
 from tandemreco.metric import duplication_distance
 from tandemreco.oracles import MAX_REPORTED, OracleResult
 from tandemreco.utr import UtrCheck
@@ -122,3 +122,29 @@ def test_fail_keeps_first_messages():
     assert result.checks == MAX_REPORTED + 3
     assert result.failures == [f"case {i}" for i in range(MAX_REPORTED)]
     assert not result.ok
+
+
+# 5 and 26 roots lie within lengths 1 and 2, so those caps are met exactly
+@pytest.mark.parametrize("cap", [0, 3, 5, 26, 500, 5000])
+@pytest.mark.parametrize("suite", ["cone-count", "intersection", "distance"])
+def test_root_range_priced_before_any_walk(monkeypatch, suite, cap):
+    # the range is refused exactly when its roots, counted length by length, pass the cap
+    monkeypatch.setattr(oracles, "IRREDUCIBLE_CAP", cap)
+    max_len = 4
+    walked = []
+    monkeypatch.setattr(oracles, "_all_roots", lambda q, k, n: walked.append(q) or [])
+    total = 0
+    for length in range(1, max_len + 1):
+        total += sum(
+            len(oracles.irreducible_words(oracles.DupParams(q, k), length))
+            for q in oracles.QS
+            for k in oracles.KS
+        )
+        if total > cap:
+            with pytest.raises(ResourceCapError) as excinfo:
+                oracles.ALL_SUITES[suite](max_root_len=max_len)
+            want = f"oracle range holds {total} roots up to length {length}, above cap {cap}"
+            assert str(excinfo.value) == want and walked == []
+            return
+    assert oracles.ALL_SUITES[suite](max_root_len=max_len).checks == 0
+    assert walked

@@ -1,5 +1,6 @@
 """Simplex codes: enumeration, distance requirements, constructions, balls."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -347,6 +348,108 @@ def test_bose_chowla_set_examples_and_limits():
     # GF(1009^2) has more elements than the enumeration cap
     with pytest.raises(ResourceCapError):
         bose_chowla_set(2, 1001)
+
+
+def walked_bose_chowla_set(h: int, size: int) -> tuple[tuple[int, ...], int]:
+    """The Bose-Chowla set by walking every power of x: the reference of the fast path."""
+    p = simplex._least_prime_at_least(size)
+    order = p**h - 1
+    one = (1,) + (0,) * (h - 1)
+    for coeffs in itertools.product(range(p), repeat=h):
+        # x^h = sum of low[j] x^j; elements are coefficient tuples, lowest degree first
+        low = [-a % p for a in reversed(coeffs)]
+        if not low[0]:
+            continue  # x divides the polynomial, so x is no unit
+        elem, logs = one, []
+        for i in range(1, order + 1):
+            top = elem[-1]
+            elem = tuple(((elem[j - 1] if j else 0) + top * low[j]) % p for j in range(h))
+            if elem == one:
+                break
+            if elem[1] == 1 and not any(elem[2:]):
+                logs.append(i)  # x^i = x + elem[0]
+        if i == order and elem == one:
+            return tuple(e - logs[0] for e in logs[:size]), order
+    raise AssertionError("no primitive polynomial")
+
+
+def field_cells(low: int, high: int) -> list[tuple[int, int]]:
+    """Every (h, p), p prime, with low < p^h <= high and p^h - 1 under the enumeration cap."""
+    cells = []
+    for h in range(2, 21):
+        p = 2
+        while p**h - 1 <= simplex.DEFAULT_ENUM_CAP:
+            if low < p**h <= high:
+                cells.append((h, p))
+            p = simplex._least_prime_at_least(p + 1)
+    return cells
+
+
+def test_bose_chowla_set_matches_the_walk():
+    # a size between primes takes a prefix of the next prime's set, so each field is one cell
+    cells = field_cells(0, 10**4)
+    assert len(cells) == 51
+    for h, p in cells:
+        assert bose_chowla_set(h, p) == walked_bose_chowla_set(h, p), (h, p)
+
+
+# first 16 hex digits of the SHA-256 of repr(bose_chowla_set(h, p)) as the walk gave it, (h, p) ->
+# digest: every field above 10^4 elements up to the enumeration cap, but at h = 2 only three
+BOSE_CHOWLA_PINS = {
+    (2, 101): "d861513b6d133486",
+    (2, 317): "ed9a54fb55e2cc62",
+    (2, 997): "d7c82608aa9ab52a",
+    (3, 23): "913d8e0a2a33fd0f",
+    (3, 29): "e4f065d33691ff9e",
+    (3, 31): "01e47eed73b1dad7",
+    (3, 37): "f43c10694ba25196",
+    (3, 41): "47cb864055fcc5f0",
+    (3, 43): "0973a277042bfa55",
+    (3, 47): "6619f6bfdec0aac3",
+    (3, 53): "9d6a24c09f87b353",
+    (3, 59): "3fe89f9b60587934",
+    (3, 61): "f8193c4575c90171",
+    (3, 67): "77b438e96b81e792",
+    (3, 71): "8f111b836a5d7b2f",
+    (3, 73): "c711d3e0809854ee",
+    (3, 79): "57b023b19f583197",
+    (3, 83): "d2956d943b60787c",
+    (3, 89): "98e4636bf5aa2ccd",
+    (3, 97): "0e46ddd34e6312dc",
+    (4, 11): "4ba34904a01bf7dd",
+    (4, 13): "184d909cd5d2f34a",
+    (4, 17): "78b139122f3642ce",
+    (4, 19): "d93c05f321e2da38",
+    (4, 23): "67ab2f13e602e198",
+    (4, 29): "a54c7cc4384afcb6",
+    (4, 31): "d7d7a3d629f7b1ff",
+    (5, 7): "c6026f53099e6842",
+    (5, 11): "c3b1b5123ae448b0",
+    (5, 13): "d5a9a21ec2993def",
+    (6, 5): "ee0b0bde53a8c5f3",
+    (6, 7): "0adb76fe49ae2c39",
+    (7, 5): "96e7656e9e9da597",
+    (7, 7): "329ad28a283db2fa",
+    (8, 5): "3e188796bb64ac2c",
+    (9, 3): "2e457a19c4c9bd6f",
+    (10, 3): "6adcc562875beeee",
+    (11, 3): "a2e056a65e0bb3fe",
+    (12, 3): "93685f7a6c93c937",
+    (14, 2): "82af0858a13f65a6",
+    (15, 2): "8f6b77cf222f4281",
+    (16, 2): "03162f2240a26f21",
+    (17, 2): "306d783c8c691f93",
+    (18, 2): "d20acc50e3bfbe31",
+    (19, 2): "87948f327d866b6b",
+}
+
+
+def test_bose_chowla_set_is_pinned_above_the_walk():
+    cells = field_cells(10**4, 10**7)
+    assert set(BOSE_CHOWLA_PINS) == {(h, p) for h, p in cells if h > 2 or p in (101, 317, 997)}
+    for (h, p), digest in BOSE_CHOWLA_PINS.items():
+        got = hashlib.sha256(repr(bose_chowla_set(h, p)).encode()).hexdigest()[:16]
+        assert got == digest, (h, p)
 
 
 def test_sidon_set_never_raises_for_small_orders():

@@ -15,6 +15,7 @@ from tandemreco import (
     NoCandidateError,
     ParamsMismatchError,
     ResourceCapError,
+    TandemError,
     UtrCheck,
     UtrCode,
     Word,
@@ -92,6 +93,41 @@ def test_cone_index_keyed_by_root_symbols():
     assert set(code.cone_index) == {root(w).symbols for w in code.codewords}
 
 
+# (q, largest n, largest n checked literally too): every code construction_a builds there
+INDEX_TWIN_RANGE = [(2, 16, 12), (3, 9, 8)]
+
+
+def test_construction_index_matches_listed_code():
+    built = 0
+    for q, top, literal in INDEX_TWIN_RANGE:
+        for n, t, N in itertools.product(range(1, top + 1), (1, 2, 3), (0, 1, 11)):
+            try:
+                code = construction_a(DupParams(q, 2), n, t, N)
+            except TandemError:
+                continue
+            built += 1
+            # the listed code has no index yet, so it derives one codeword by codeword
+            listed = UtrCode(code.params, n, N, t, code.codewords)
+            assert listed == code and "cone_index" not in vars(listed)
+            assert listed.cone_index == code.cone_index, (q, n, t, N)
+            verdict = is_utr_code_reduced(code)
+            assert is_utr_code_reduced(listed) == verdict
+            if n <= literal:
+                assert is_utr_code_direct(listed).ok == verdict.ok
+    assert built == 124
+
+
+def test_code_keeps_symbols_and_builds_words_on_first_read():
+    code = construction_a(P22, 12, 1, 1)
+    assert "codewords" not in vars(code)
+    assert code.symbols == tuple(sorted(set(code.symbols)))
+    words = code.codewords
+    assert words is code.codewords and [w.symbols for w in words] == list(code.symbols)
+    assert all(w.params is code.params for w in words)
+    loaded = UtrCode.loads(code.dumps())
+    assert loaded == code and hash(loaded) == hash(code) and "codewords" not in vars(loaded)
+
+
 def test_reduced_checker_reads_dimension_from_coordinates(monkeypatch):
     ok, broken = fixture_code(N=1), fixture_code(N=0)
 
@@ -151,7 +187,8 @@ def all_pairs_reduced_checker(code: UtrCode) -> UtrCheck:
             for j in range(i + 1, len(members)):
                 dist = half_manhattan(members[i][1], members[j][1])
                 if dist < need:
-                    return UtrCheck(False, (members[i][0], members[j][0]), dist)
+                    pair = (Word(members[i][0], code.params), Word(members[j][0], code.params))
+                    return UtrCheck(False, pair, dist)
     return UtrCheck(True)
 
 
