@@ -10,9 +10,10 @@ cone inherits from its root.
 
 from __future__ import annotations
 
+import math
 import os
 import random
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -30,6 +31,8 @@ from .errors import (
 )
 
 DEFAULT_NODE_CAP = 10**7
+# symbols a priced walk's last layer may hold: its sets then stay near 1 GB
+WALK_SYMBOL_BUDGET = 10**8
 
 # the text form of a word over at most 10 symbols is one ASCII digit per symbol
 _TO_DIGIT = bytes.maketrans(bytes(range(10)), b"0123456789")
@@ -148,6 +151,32 @@ def _texts(block: tuple[tuple[int, ...], ...], q: int, n: int) -> list[str]:
         return [",".join(map(str, sym)) for sym in block]
     digits = b"".join(map(bytes, block)).translate(_TO_DIGIT).decode("ascii")
     return [digits[i : i + n] for i in range(0, len(digits), n)]
+
+
+def _grown_texts(
+    cones: Iterable[tuple[tuple[int, ...], tuple[int, ...]]], points: dict, k: int
+) -> list[str]:
+    """The sorted digit texts of the cone members of irreducible words over at most 10 symbols.
+
+    ``cones`` holds each word's symbols and run ends, and ``points`` maps a cone
+    dimension to the coordinates taken in every cone of that dimension.  Each
+    text is grown from its root's text by the rule of :func:`_grow`.
+    """
+    # a point's nonzero coordinates, the only runs that grow
+    steps = {m: [[(i, s) for i, s in enumerate(v) if s] for v in vs] for m, vs in points.items()}
+    texts: list[str] = []
+    for sym, ends in cones:
+        digits = bytes(sym).translate(_TO_DIGIT).decode("ascii")
+        for grows in steps[len(ends) - 1]:
+            out, cut = "", 0
+            for i, s in grows:
+                e = ends[i]
+                out += digits[cut : e + k] + digits[e : e + k] * s
+                cut = e + k
+            texts.append(out + digits[cut:])
+    # equal-length digit texts sort as their symbols do
+    texts.sort()
+    return texts
 
 
 def _digit_block(texts: list[str], q: int, n: int) -> tuple[tuple[int, ...], ...] | None:
@@ -289,10 +318,27 @@ def _layer(sym: tuple[int, ...], k: int, t: int, cap: int) -> set[tuple[int, ...
 
 
 def descendants(x: Word, t: int) -> set[Word]:
-    """The exact set of words reachable from x by exactly t duplications."""
+    """The exact set of words reachable from x by exactly t duplications.
+
+    The walk is priced before it starts: D_t(x) holds C(t + m, m) words of
+    length len(x) + t k, where m + 1 is the number of x's cone coordinates,
+    and the walk raises at once when they exceed the node cap or
+    ``WALK_SYMBOL_BUDGET`` symbols.
+    """
     if t < 0:
         raise DomainError("descendant depth must be nonnegative")
-    layer = _layer(x.symbols, x.params.k, t, _effective_cap())
+    cap, k = _effective_cap(), x.params.k
+    if t and len(x) >= k:
+        m = len(_cone(x.symbols, k)[1]) - 1
+        nodes, length = math.comb(t + m, m), len(x) + t * k
+        if nodes > cap:
+            raise ResourceCapError(f"descendant expansion exceeded cap of {cap} nodes")
+        if nodes * length > WALK_SYMBOL_BUDGET:
+            raise ResourceCapError(
+                f"{nodes} descendants of length {length} exceed the budget of "
+                f"{WALK_SYMBOL_BUDGET} symbols"
+            )
+    layer = _layer(x.symbols, k, t, cap)
     return {Word._trusted(sym, x.params) for sym in layer}
 
 

@@ -509,6 +509,8 @@ def sidon_code_size(m: int, r: int, d: int) -> int:
     """Size of :func:`sidon_code` output, computed by counting instead of listing."""
     if d < 1:
         raise DomainError("distance must be >= 1")
+    if m < 0 or r < 0:
+        raise DomainError("dimension and weight must be nonnegative")
     if d == 1:
         return simplex_size(m, r)
     weights, modulus = sidon_set(d - 1, m + 1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, product
 from operator import attrgetter, lt
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .capacity import capacity_profile
 from .duplication import (
@@ -29,6 +29,7 @@ from .duplication import (
     _digit_block,
     _effective_cap,
     _grow,
+    _grown_texts,
     _layer,
     _texts,
     channel_sample,
@@ -73,9 +74,11 @@ ConeIndex = dict[Symbols, list[tuple[Symbols, Symbols]]]
 class UtrCode:
     """An (N, t) reconstruction code: equal-length codewords plus its budget.
 
-    The codewords are kept as one sorted tuple of distinct symbol tuples;
-    ``codewords`` wraps them in ``Word``s on first read.  Equality and hash
-    read the symbols.
+    A listed code keeps its codewords as one sorted tuple of distinct symbol
+    tuples.  A described code, as :func:`construction_a` builds it, keeps its
+    roots and one point list per cone dimension instead, and grows
+    ``symbols`` and ``cone_index`` on first read.  ``codewords`` wraps the
+    symbols in ``Word``s on first read.  Equality and hash read the symbols.
     """
 
     params: DupParams
@@ -104,24 +107,37 @@ class UtrCode:
         vars(self).update(params=params, n=n, N=N, t=t, symbols=order)
         vars(self)["codewords"] = tuple(map(unique.__getitem__, order))
 
-    @classmethod
-    def _of(
-        cls, params: DupParams, n: int, N: int, t: int, symbols: tuple[Symbols, ...],
-        index: ConeIndex | None,
-    ) -> "UtrCode":
-        """A code from sorted distinct symbol tuples of length n over params' alphabet.
+    # (cones, points) on a described code: each root's symbols with its run ends, in
+    # pool order, and each cone dimension's points; not a field, so equality skips it
+    _description = None
 
-        ``index``, when not None, is the code's cone index as its maker grew it.
+    @classmethod
+    def _of(cls, params: DupParams, n: int, N: int, t: int, **held) -> "UtrCode":
+        """A code from checked parts of length n over params' alphabet.
+
+        ``held`` gives either ``symbols``, sorted and distinct, or
+        ``_description``, whose roots are distinct and of one length.
         """
         _check_budget(n, N, t)
         code = object.__new__(cls)
-        vars(code).update(params=params, n=n, N=N, t=t, symbols=symbols)
-        if index is not None:
-            vars(code)["cone_index"] = index
+        vars(code).update(params=params, n=n, N=N, t=t, **held)
         return code
 
+    # the symbols field's class default: a listed code holds its symbols, so only a
+    # described code reaches this and grows them
+    @cached_property
+    def symbols(self) -> tuple[Symbols, ...]:
+        cones, points = self._description
+        k = self.params.k
+        grown = [_grow(sym, k, ends, v) for sym, ends in cones for v in points[len(ends) - 1]]
+        return tuple(sorted(grown))
+
     def __len__(self) -> int:
-        return len(self.symbols)
+        if self._description is None:
+            return len(self.symbols)
+        cones, points = self._description
+        # distinct roots or coordinates give distinct words
+        return sum(len(points[len(ends) - 1]) for _, ends in cones)
 
     @cached_property
     def codewords(self) -> tuple[Word, ...]:
@@ -130,15 +146,23 @@ class UtrCode:
         return tuple([Word._trusted(sym, params) for sym in self.symbols])
 
     def rate(self) -> float:
-        if not self.symbols:
+        size = len(self)
+        if not size:
             return float("-inf")
-        return math.log(len(self.symbols), self.params.q) / self.n
+        return math.log(size, self.params.q) / self.n
 
     @cached_property
     def cone_index(self) -> ConeIndex:
-        """Codewords' symbols grouped by their root's symbols, each with its cone coordinates."""
-        index: ConeIndex = defaultdict(list)
+        """Codewords' symbols grouped by their root's symbols, each with its cone coordinates.
+
+        Each root's members are in symbol order.  A described code grows them
+        root by root; a listed code decomposes each codeword.
+        """
         k = self.params.k
+        if self._description is not None:
+            cones, points = self._description
+            return {sym: _members(sym, k, ends, points[len(ends) - 1]) for sym, ends in cones}
+        index: ConeIndex = defaultdict(list)
         if self.n >= k:
             for sym in self.symbols:
                 r, sigma, _ = _cone(sym, k)
@@ -146,14 +170,13 @@ class UtrCode:
         return dict(index)
 
     def to_json(self) -> dict:
-        return {
-            "q": self.params.q,
-            "k": self.params.k,
-            "n": self.n,
-            "N": self.N,
-            "t": self.t,
-            "codewords": _texts(self.symbols, self.params.q, self.n),
-        }
+        q, k = self.params.q, self.params.k
+        if self._description is not None and q <= 10:
+            # grown as digit texts from the roots' texts, so the symbols stay unlisted
+            texts = _grown_texts(*self._description, k)
+        else:
+            texts = _texts(self.symbols, q, self.n)
+        return {"q": q, "k": k, "n": self.n, "N": self.N, "t": self.t, "codewords": texts}
 
     @classmethod
     def from_json(cls, data: dict) -> "UtrCode":
@@ -179,7 +202,7 @@ class UtrCode:
         # a written file is sorted and free of repeats already
         if not all(map(lt, symbols, symbols[1:])):
             symbols = tuple(sorted(set(symbols)))
-        return cls._of(params, n, N, t, symbols, None)
+        return cls._of(params, n, N, t, symbols=symbols)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
@@ -187,6 +210,13 @@ class UtrCode:
     @classmethod
     def loads(cls, text: str) -> "UtrCode":
         return cls.from_json(json.loads(text))
+
+
+def _members(
+    sym: Symbols, k: int, ends: Symbols, points: Iterable[Symbols]
+) -> list[tuple[Symbols, Symbols]]:
+    """An irreducible word's cone members at points, each with its point, in symbol order."""
+    return sorted([(_grow(sym, k, ends, v), v) for v in points])
 
 
 def _check_budget(n: int, N: int, t: int) -> None:
@@ -251,10 +281,13 @@ def is_utr_code_reduced(code: UtrCode) -> UtrCheck:
     bound is equivalent to a minimum distance on the coordinate images.
     That distance depends only on the coordinates, so a cone whose set of
     coordinates has already passed is not compared again: each distinct
-    coordinate set is checked once per code.  A violating set is never
-    remembered, so the first violation in ``cone_index`` order is the one
+    coordinate set is checked once per code, and a described code's once
+    per cone dimension.  A violating set is never remembered, so the first
+    violation in ``cone_index`` order of the listed code is the one
     reported.  Must agree with :func:`is_utr_code_direct`.
     """
+    if code._description is not None:
+        return _reduced_described(code)
     needs: dict[int, int] = {}
     passed: set[frozenset[tuple[int, ...]]] = set()
     for members in code.cone_index.values():
@@ -276,6 +309,42 @@ def is_utr_code_reduced(code: UtrCode) -> UtrCheck:
                     return UtrCheck(False, _pair(code, members[i][0], members[j][0]), dist)
         passed.add(coords)
     return UtrCheck(True)
+
+
+def _close_pair(coords: Sequence[Symbols], need: int) -> tuple[int, int, int] | None:
+    """The first pair i < j of coords closer than need, with its distance, or None.
+
+    :func:`is_utr_code_reduced` keeps its own copy of this loop for listed
+    codes, so that many tiny codes pay no extra call.
+    """
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
+            dist = half_manhattan(coords[i], coords[j])
+            if dist < need:
+                return i, j, dist
+    return None
+
+
+def _reduced_described(code: UtrCode) -> UtrCheck:
+    """:func:`is_utr_code_reduced` on a described code: each dimension's points compared once."""
+    cones, points = code._description
+    failing = {}
+    for m, coords in points.items():
+        need = required_distance(code.N, code.t, m)
+        # psi is injective, so distinct cone mates are always at least 1 apart
+        if need > 1 and _close_pair(coords, need):
+            failing[m] = need
+    if not failing:
+        return UtrCheck(True)
+    # the listed code orders its cones by their least member and reports the first failing one
+    k = code.params.k
+    members = min(
+        _members(sym, k, ends, points[len(ends) - 1])
+        for sym, ends in cones
+        if len(ends) - 1 in failing
+    )
+    i, j, dist = _close_pair([v for _, v in members], failing[len(members[0][1]) - 1])
+    return UtrCheck(False, _pair(code, members[i][0], members[j][0]), dist)
 
 
 def count_rll_weight(l: int, m: int, params: DupParams) -> int:
@@ -405,20 +474,18 @@ def construction_a(
             f"no roots of length {root_len} with weight >= {m_n}"
         )
 
-    # every root of one cone dimension gets the same simplex code; the code keeps
-    # the cones as grown, members in symbol order like the index a listed code builds
-    points: dict[int, tuple] = {}
-    index: ConeIndex = {}
+    # every root of one cone dimension gets the same simplex code, so the code is
+    # described by its roots' run ends and one point list per dimension
+    points: dict[int, tuple[Symbols, ...]] = {}
+    cones = []
     for x in pool:
-        sym = x.symbols
-        ends = _cone(sym, k)[2]
+        ends = _cone(x.symbols, k)[2]
         m = len(ends) - 1
         if m not in points:
             points[m] = sidon_code(m, r_n, required_distance(N, t, m)).points
-        index[sym] = sorted([(_grow(sym, k, ends, p), p) for p in points[m]])
-    symbols = sorted([grown for members in index.values() for grown, _ in members])
+        cones.append((x.symbols, ends))
 
-    out = UtrCode._of(params, n, N, t, tuple(symbols), index)
+    out = UtrCode._of(params, n, N, t, _description=(tuple(cones), points))
     check = is_utr_code_reduced(out)
     if not check.ok:
         raise TandemError(f"construction produced an invalid code: {check}")

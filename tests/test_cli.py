@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -149,6 +150,26 @@ def test_code_build_at_distance_three(tmp_path, capsys):
     assert capsys.readouterr().out.startswith(f"wrote 188 codewords to {out}")
     assert main(["code", "verify", "--code", str(out)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "VALID"
+
+
+# SHA-256 of the (24, 2, 1) code file as written when codes were still listed while built
+LARGE_BUILD_DIGEST = "7ba52827c671d805641dbeba7f7c2c8bac5e6f9e0534105a4559a51322e97976"
+
+
+def test_large_code_build_stays_small(tmp_path, run_optimized):
+    # a fresh process, so the peak is the build's own; 116 MB when built codes were listed
+    out = tmp_path / "large.json"
+    build = ["code", "build", "--q", "2", "--k", "2", "--n", "24", "--t", "2", "--N", "1"]
+    script = (
+        "import resource\n"
+        "from tandemreco.cli import main\n"
+        f"status = main({[*build, '--out', str(out)]!r})\n"
+        "print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    status, peak_kb = run_optimized(script).split()[-2:]
+    assert status == "0"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_BUILD_DIGEST
+    assert int(peak_kb) / 1024 < 85
 
 
 def test_code_build_above_the_field_cap_exit_2(tmp_path, capsys):

@@ -32,6 +32,7 @@ from tandemreco import (
     tandem_duplicate,
     word,
 )
+from tandemreco import duplication
 from tandemreco.duplication import _EXPANSION, _children, _layers, _shared_expansion
 
 SMALL_PARAMS = [(q, k) for q in (2, 3) for k in (1, 2)]
@@ -121,6 +122,25 @@ def test_node_cap_env_override(monkeypatch):
         descendants(word("0101", 2, 1), 4)
     monkeypatch.delenv("TANDEM_NODE_CAP")
     assert len(descendants(word("0101", 2, 1), 2)) > 5
+
+
+def test_descendants_are_priced_before_the_walk(monkeypatch):
+    x = word("0101", 2, 1)
+    size = len(descendants(x, 3))
+
+    def refuse(*args):
+        raise AssertionError("walked an expansion priced above its budget")
+
+    monkeypatch.setattr(duplication, "_layer", refuse)
+    monkeypatch.setenv("TANDEM_NODE_CAP", str(size - 1))
+    message = f"^descendant expansion exceeded cap of {size - 1} nodes$"
+    with pytest.raises(ResourceCapError, match=message):
+        descendants(x, 3)
+    monkeypatch.delenv("TANDEM_NODE_CAP")
+    # |D_30| = C(30 + 6, 6) is below the node cap, but its words hold 1.3e8 symbols
+    big = root(word("0110100110", 2, 2))
+    with pytest.raises(ResourceCapError, match="1947792 descendants of length 68 exceed the budget"):
+        descendants(big, 30)
 
 
 def literal_layers(x: Word, depth: int) -> list[set[tuple[int, ...]]]:

@@ -528,6 +528,17 @@ def test_sidon_code_size_matches_enumeration():
                 assert sidon_code_size(m, r, d) == len(sidon_code(m, r, d))
 
 
+def test_sidon_code_size_raises_as_its_twin_on_negative_inputs():
+    for m, r, d in itertools.product((-2, -1, 0, 2), (-2, -1, 0, 3), (0, 1, 2, 3)):
+        if m >= 0 and r >= 0:
+            continue
+        with pytest.raises(DomainError) as listed:
+            sidon_code(m, r, d)
+        with pytest.raises(DomainError) as counted:
+            sidon_code_size(m, r, d)
+        assert str(counted.value) == str(listed.value), (m, r, d)
+
+
 def test_congruence_class_sizes_total():
     sizes = congruence_class_sizes(2, 4, (0, 1, 2), 3)
     assert sum(sizes) == simplex_size(2, 4)

@@ -36,6 +36,7 @@ from tandemreco import (
     reconstruct_scan,
     required_distance,
     root,
+    sidon_code,
     sidon_size,
     simulate_reconstruction,
     utr,
@@ -115,6 +116,69 @@ def test_construction_index_matches_listed_code():
             if n <= literal:
                 assert is_utr_code_direct(listed).ok == verdict.ok
     assert built == 124
+
+
+def described_code(params: DupParams, root_len: int, r: int, N: int, t: int) -> UtrCode:
+    """Construction A's description from every root of one length, at weight r."""
+    k = params.k
+    cones, points = [], {}
+    for x in irreducible_words(params, root_len):
+        ends = _cone(x.symbols, k)[2]
+        m = len(ends) - 1
+        if m not in points:
+            points[m] = sidon_code(m, r, max(required_distance(N, t, m), 1)).points
+        cones.append((x.symbols, ends))
+    return UtrCode._of(params, root_len + r * k, N, t, _description=(tuple(cones), points))
+
+
+def listed_twin(code: UtrCode) -> UtrCode:
+    """The same codewords as a listed code, which derives everything from them."""
+    listed = UtrCode(code.params, code.n, code.N, code.t, code.codewords)
+    assert code._description is not None and listed._description is None
+    return listed
+
+
+def described_view(code: UtrCode) -> tuple:
+    return (
+        code.dumps(), len(code), code.rate(), is_utr_code_reduced(code), code.cone_index,
+        code.symbols,
+    )
+
+
+def test_described_code_matches_its_listed_twin():
+    built = 0
+    for q, top, _ in INDEX_TWIN_RANGE:
+        for n, t, N in itertools.product(range(1, top + 1), (1, 2, 3), (0, 1, 11)):
+            try:
+                code = construction_a(DupParams(q, 2), n, t, N)
+            except TandemError:
+                continue
+            built += 1
+            # the described side first, before it lists its symbols for the twin
+            got = described_view(code)
+            assert got == described_view(listed_twin(code)), (q, n, t, N)
+    assert built == 124
+    # construction_a reaches no length at q = 11, so the comma form is described here
+    wide = described_code(DupParams(11, 2), 3, 2, 1, 1)
+    got = described_view(wide)
+    assert got == described_view(listed_twin(wide))
+    # 121 roots of one cone coordinate take 1 point, 1 210 of two take 3
+    assert '"10,10,10,10,10,10,10"' in got[0] and got[1] == 121 + 1210 * 3
+
+
+def test_described_checker_names_the_listed_witness():
+    code = construction_a(P22, 20, 2, 1)
+    cones, points = code._description
+    # two dimensions each gain a pair at distance 1, below the required 2
+    broken = dict(points)
+    for m in (11, 13):
+        near = enumerate_simplex(m, sum(points[m][0]))[:2]
+        broken[m] = tuple(sorted({*points[m], *near}))
+    # the roots reversed, so the first failing cone in their order is not the listed code's first
+    bad = UtrCode._of(code.params, code.n, code.N, code.t, _description=(cones[::-1], broken))
+    failed = is_utr_code_reduced(bad)
+    assert not failed.ok and failed.detail == 1
+    assert failed == is_utr_code_reduced(listed_twin(bad))
 
 
 def test_code_keeps_symbols_and_builds_words_on_first_read():
