@@ -163,7 +163,7 @@ def cmd_code_verify(args) -> int:
 
 def cmd_code_info(args) -> int:
     code = _load_code(args.code)
-    cones = code.cone_index
+    cones = code.cone_sizes()
     _print_json(
         {
             "q": code.params.q,
@@ -174,7 +174,7 @@ def cmd_code_info(args) -> int:
             "size": len(code),
             "rate": code.rate(),
             "roots": len(cones),
-            "largest_cone": max((len(v) for v in cones.values()), default=0),
+            "largest_cone": max(cones, default=0),
         }
     )
     return EXIT_OK

@@ -153,32 +153,6 @@ def _texts(block: tuple[tuple[int, ...], ...], q: int, n: int) -> list[str]:
     return [digits[i : i + n] for i in range(0, len(digits), n)]
 
 
-def _grown_texts(
-    cones: Iterable[tuple[tuple[int, ...], tuple[int, ...]]], points: dict, k: int
-) -> list[str]:
-    """The sorted digit texts of the cone members of irreducible words over at most 10 symbols.
-
-    ``cones`` holds each word's symbols and run ends, and ``points`` maps a cone
-    dimension to the coordinates taken in every cone of that dimension.  Each
-    text is grown from its root's text by the rule of :func:`_grow`.
-    """
-    # a point's nonzero coordinates, the only runs that grow
-    steps = {m: [[(i, s) for i, s in enumerate(v) if s] for v in vs] for m, vs in points.items()}
-    texts: list[str] = []
-    for sym, ends in cones:
-        digits = bytes(sym).translate(_TO_DIGIT).decode("ascii")
-        for grows in steps[len(ends) - 1]:
-            out, cut = "", 0
-            for i, s in grows:
-                e = ends[i]
-                out += digits[cut : e + k] + digits[e : e + k] * s
-                cut = e + k
-            texts.append(out + digits[cut:])
-    # equal-length digit texts sort as their symbols do
-    texts.sort()
-    return texts
-
-
 def _digit_block(texts: list[str], q: int, n: int) -> tuple[tuple[int, ...], ...] | None:
     """The symbols of texts when each is n ASCII digits below q <= 10, else None.
 
@@ -495,14 +469,18 @@ def _decomposed(x: Word) -> Cone:
 
 
 def _grow(
-    sym: tuple[int, ...], k: int, ends: tuple[int, ...], v: tuple[int, ...]
+    sym: tuple[int, ...], k: int, ends: tuple[int, ...], steps: Iterable[tuple[int, int]]
 ) -> tuple[int, ...]:
-    """Inverse of :func:`_cone` on an irreducible word: its cone member at coordinates v."""
+    """Inverse of :func:`_cone` on an irreducible word: its cone member at coordinates v.
+
+    ``steps`` gives v as (i, v[i]) pairs in order of i; zero entries may be left out.
+    """
     # run i grows by v[i] k-blocks: sym[e : e + k] is duplicated v[i] times
     out = ()
     cut = 0
-    for e, s in zip(ends, v):
+    for i, s in steps:
         if s:
+            e = ends[i]
             out += sym[cut : e + k] + sym[e : e + k] * s
             cut = e + k
     return out + sym[cut:]
@@ -565,7 +543,7 @@ def psi_inv(x_root: Word, v: tuple[int, ...]) -> Word:
         raise DimensionMismatchError(f"expected {len(ends)} coordinates, got {len(v)}")
     if any(s < 0 for s in v):
         raise DomainError("sigma entries must be nonnegative")
-    return Word._trusted(_grow(sym, k, ends, v), x_root.params)
+    return Word._trusted(_grow(sym, k, ends, enumerate(v)), x_root.params)
 
 
 def channel_sample(x: Word, t: int, seed: int) -> Word:

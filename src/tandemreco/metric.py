@@ -83,6 +83,6 @@ def join_meet(y: Word, y2: Word) -> tuple[Word, Word]:
     if r2 != r:
         raise ConeMismatchError("words have different roots")
     ends = _cone(r, k)[2]
-    join = _grow(r, k, ends, tuple(map(max, u, v)))
-    meet = _grow(r, k, ends, tuple(map(min, u, v)))
+    join = _grow(r, k, ends, enumerate(map(max, u, v)))
+    meet = _grow(r, k, ends, enumerate(map(min, u, v)))
     return Word._trusted(join, y.params), Word._trusted(meet, y.params)

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement, product
-from operator import sub
+from operator import mul, sub
 
 from .entropy import binary_entropy, cal_H
 from .errors import (
@@ -481,26 +481,39 @@ def congruence_class_sizes(m: int, r: int, weights: tuple[int, ...], modulus: in
     return dp[r]
 
 
-def sidon_code(m: int, r: int, d: int) -> SimplexCode:
-    """Largest congruence class of a Sidon weighting; distance re-verified.
+def sidon_class(m: int, r: int, d: int) -> tuple[tuple[int, ...], int, int]:
+    """The congruence class :func:`sidon_code` takes: its weights, modulus and residue.
 
     Weights come from a Sidon set of order d-1: two points closer than d
-    would force two distinct small multisets of weights to share a sum.
-    Order 0 (d = 1) degenerates to the whole simplex.
+    would force two distinct small multisets of weights to share a sum.  The
+    residue is the least one of a largest class, counted without listing.
+    Order 0 (d = 1) takes the whole simplex: all-zero weights, modulus 1.
     """
     if d < 1:
         raise DomainError("distance must be >= 1")
-    pts = enumerate_simplex(m, r)
+    if m < 0 or r < 0:
+        raise DomainError("dimension and weight must be nonnegative")
     if d == 1:
-        return SimplexCode(m, r, pts)
+        return (0,) * (m + 1), 1, 0
     weights, modulus = sidon_set(d - 1, m + 1)
-    buckets: dict[int, list[SimplexPoint]] = {}
-    for p in pts:
-        residue = sum(w * c for w, c in zip(weights, p)) % modulus
-        buckets.setdefault(residue, []).append(p)
-    best_residue = min(buckets, key=lambda a: (-len(buckets[a]), a))
-    code = SimplexCode(m, r, buckets[best_residue])
-    if code.min_half_distance is not None and code.min_half_distance < d:
+    sizes = congruence_class_sizes(m, r, weights, modulus)
+    return weights, modulus, sizes.index(max(sizes))
+
+
+def in_class(
+    points: Iterable[SimplexPoint], weights: tuple[int, ...], modulus: int, residue: int
+) -> list[SimplexPoint]:
+    """The points whose weighted coordinate sum is residue mod modulus, in their order."""
+    return [p for p in points if sum(map(mul, weights, p)) % modulus == residue]
+
+
+def sidon_code(m: int, r: int, d: int) -> SimplexCode:
+    """The points of :func:`sidon_class`, a largest congruence class; distance re-verified."""
+    if d < 1:
+        raise DomainError("distance must be >= 1")
+    code = SimplexCode(m, r, in_class(enumerate_simplex(m, r), *sidon_class(m, r, d)))
+    # distinct points are always at least 1 apart
+    if d > 1 and code.min_half_distance is not None and code.min_half_distance < d:
         raise TandemError(f"congruence code has distance {code.min_half_distance} < {d}")
     return code
 

@@ -29,7 +29,6 @@ from .duplication import (
     _digit_block,
     _effective_cap,
     _grow,
-    _grown_texts,
     _layer,
     _texts,
     channel_sample,
@@ -48,11 +47,14 @@ from .errors import (
 )
 from .simplex import (
     binom,
+    enumerate_simplex,
     exact_max_code,
     greedy_code,
     half_manhattan,
+    in_class,
     max_clique_bitset,
     required_distance,
+    sidon_class,
     sidon_code,
     sidon_code_size,
 )
@@ -60,7 +62,9 @@ from .simplex import (
 
 _SYMBOLS = attrgetter("symbols")
 _PARAMS = attrgetter("params")
-_CODE_KEYS = (("q", int), ("k", int), ("n", int), ("N", int), ("t", int), ("codewords", list))
+_CODE_KEYS = (("q", int), ("k", int), ("n", int), ("N", int), ("t", int))
+_CONSTRUCTION_KEYS = (("m_n", int), ("r_n", int), ("dimensions", list))
+_DIMENSION_KEYS = (("m", int), ("modulus", int), ("residue", int), ("weights", list))
 IRREDUCIBLE_CAP = 10**6
 ROOT_ENUM_MAX_LEN = 20
 BRUTEFORCE_MAX_WORDS = 4096
@@ -70,15 +74,32 @@ Symbols = tuple[int, ...]
 ConeIndex = dict[Symbols, list[tuple[Symbols, Symbols]]]
 
 
+class _Description(NamedTuple):
+    """A Construction-A code: roots of weight at least m_n, and cones of weight r_n.
+
+    ``cones`` holds each root's symbols with its run ends, in the order of
+    :func:`irreducible_words`; ``classes`` maps each cone dimension m that
+    occurs to its congruence class (m + 1 weights, modulus, residue), and
+    ``points`` to the class's points in the (m, r_n)-simplex, in lex order.
+    """
+
+    m_n: int
+    r_n: int
+    cones: list[tuple[Symbols, Symbols]]
+    classes: dict[int, tuple[Symbols, int, int]]
+    points: dict[int, Sequence[Symbols]]
+
+
 @dataclass(frozen=True, init=False)
 class UtrCode:
     """An (N, t) reconstruction code: equal-length codewords plus its budget.
 
     A listed code keeps its codewords as one sorted tuple of distinct symbol
     tuples.  A described code, as :func:`construction_a` builds it, keeps its
-    roots and one point list per cone dimension instead, and grows
-    ``symbols`` and ``cone_index`` on first read.  ``codewords`` wraps the
-    symbols in ``Word``s on first read.  Equality and hash read the symbols.
+    roots and one congruence class per cone dimension instead, grows
+    ``symbols`` and ``cone_index`` on first read, and writes only that
+    description to its file.  ``codewords`` wraps the symbols in ``Word``s on
+    first read.  Equality and hash read the symbols.
     """
 
     params: DupParams
@@ -107,8 +128,7 @@ class UtrCode:
         vars(self).update(params=params, n=n, N=N, t=t, symbols=order)
         vars(self)["codewords"] = tuple(map(unique.__getitem__, order))
 
-    # (cones, points) on a described code: each root's symbols with its run ends, in
-    # pool order, and each cone dimension's points; not a field, so equality skips it
+    # a described code's _Description; not a field, so equality skips it
     _description = None
 
     @classmethod
@@ -116,7 +136,7 @@ class UtrCode:
         """A code from checked parts of length n over params' alphabet.
 
         ``held`` gives either ``symbols``, sorted and distinct, or
-        ``_description``, whose roots are distinct and of one length.
+        ``_description``, a :class:`_Description` of roots of one length.
         """
         _check_budget(n, N, t)
         code = object.__new__(cls)
@@ -124,20 +144,35 @@ class UtrCode:
         return code
 
     # the symbols field's class default: a listed code holds its symbols, so only a
-    # described code reaches this and grows them
+    # described code reaches this and grows them, or takes them from its grown index
     @cached_property
     def symbols(self) -> tuple[Symbols, ...]:
-        cones, points = self._description
+        index = vars(self).get("cone_index")
+        if index is not None:
+            return tuple(sorted([sym for members in index.values() for sym, _ in members]))
         k = self.params.k
-        grown = [_grow(sym, k, ends, v) for sym, ends in cones for v in points[len(ends) - 1]]
+        steps = _steps(self._description.points)
+        grown = [
+            _grow(sym, k, ends, g)
+            for sym, ends in self._description.cones
+            for _, g in steps[len(ends) - 1]
+        ]
         return tuple(sorted(grown))
 
     def __len__(self) -> int:
+        # a listed code holds its symbols, and a described one may have grown them
+        return len(self.symbols) if "symbols" in vars(self) else sum(self.cone_sizes())
+
+    def cone_sizes(self) -> list[int]:
+        """The number of codewords in each cone of ``cone_index``, in its order.
+
+        A described code counts them without growing its index.
+        """
         if self._description is None:
-            return len(self.symbols)
-        cones, points = self._description
-        # distinct roots or coordinates give distinct words
-        return sum(len(points[len(ends) - 1]) for _, ends in cones)
+            return list(map(len, self.cone_index.values()))
+        points = self._description.points
+        # a root whose class is empty owns no codeword, so it is no cone of the index
+        return [size for _, ends in self._description.cones if (size := len(points[len(ends) - 1]))]
 
     @cached_property
     def codewords(self) -> tuple[Word, ...]:
@@ -160,8 +195,12 @@ class UtrCode:
         """
         k = self.params.k
         if self._description is not None:
-            cones, points = self._description
-            return {sym: _members(sym, k, ends, points[len(ends) - 1]) for sym, ends in cones}
+            steps = _steps(self._description.points)
+            return {
+                sym: _members(sym, k, ends, members)
+                for sym, ends in self._description.cones
+                if (members := steps[len(ends) - 1])
+            }
         index: ConeIndex = defaultdict(list)
         if self.n >= k:
             for sym in self.symbols:
@@ -171,30 +210,31 @@ class UtrCode:
 
     def to_json(self) -> dict:
         q, k = self.params.q, self.params.k
-        if self._description is not None and q <= 10:
-            # grown as digit texts from the roots' texts, so the symbols stay unlisted
-            texts = _grown_texts(*self._description, k)
-        else:
-            texts = _texts(self.symbols, q, self.n)
-        return {"q": q, "k": k, "n": self.n, "N": self.N, "t": self.t, "codewords": texts}
+        head = {"q": q, "k": k, "n": self.n, "N": self.N, "t": self.t}
+        if self._description is None:
+            return {**head, "codewords": _texts(self.symbols, q, self.n)}
+        m_n, r_n, _, classes, _ = self._description
+        dimensions = [
+            {"m": m, "weights": list(weights), "modulus": modulus, "residue": residue}
+            for m, (weights, modulus, residue) in sorted(classes.items())
+        ]
+        return {**head, "construction": {"m_n": m_n, "r_n": r_n, "dimensions": dimensions}}
 
     @classmethod
     def from_json(cls, data: dict) -> "UtrCode":
-        if not isinstance(data, dict):
-            raise DomainError(f"code must be a JSON object, got {type(data).__name__}")
-        for key, kind in _CODE_KEYS:
-            if key not in data:
-                raise DomainError(f"code lacks the key {key!r}")
-            # bool is an int subclass, but true is not a count
-            if not isinstance(data[key], kind) or isinstance(data[key], bool):
-                raise DomainError(
-                    f"code key {key!r} must be {kind.__name__}, got {type(data[key]).__name__}"
-                )
-        texts = data["codewords"]
+        q, k, n, N, t = _read(data, "code", _CODE_KEYS)
+        if "construction" in data:
+            if "codewords" in data:
+                raise DomainError("code holds both 'codewords' and 'construction'")
+            params = DupParams(q, k)
+            # before the walk, whose root length n sets
+            _check_budget(n, N, t)
+            description = _read_description(params, n, data["construction"])
+            return cls._of(params, n, N, t, _description=description)
+        (texts,) = _read(data, "code", (("codewords", list),))
         if not all(isinstance(s, str) for s in texts):
             raise DomainError("code key 'codewords' must hold strings")
-        params = DupParams(data["q"], data["k"])
-        n, N, t = data["n"], data["N"], data["t"]
+        params = DupParams(q, k)
         symbols = _digit_block(texts, params.q, n)
         if symbols is None:
             # word by word: the same code, or the error the first bad word raises
@@ -212,11 +252,64 @@ class UtrCode:
         return cls.from_json(json.loads(text))
 
 
+def _steps(points: dict[int, Sequence[Symbols]]) -> dict[int, list[tuple[Symbols, list]]]:
+    """Each dimension's points, each with its nonzero coordinates (i, v[i]): the runs that grow."""
+    return {
+        m: [(v, [(i, s) for i, s in enumerate(v) if s]) for v in vs] for m, vs in points.items()
+    }
+
+
 def _members(
-    sym: Symbols, k: int, ends: Symbols, points: Iterable[Symbols]
+    sym: Symbols, k: int, ends: Symbols, steps: Iterable[tuple[Symbols, list]]
 ) -> list[tuple[Symbols, Symbols]]:
-    """An irreducible word's cone members at points, each with its point, in symbol order."""
-    return sorted([(_grow(sym, k, ends, v), v) for v in points])
+    """An irreducible word's cone members at the points of steps, with their points, in order."""
+    return sorted([(_grow(sym, k, ends, g), v) for v, g in steps])
+
+
+def _read(data, where: str, keys: tuple[tuple[str, type], ...]) -> list:
+    """The values of a JSON object at keys, each checked to be of its key's kind."""
+    if not isinstance(data, dict):
+        raise DomainError(f"{where} must be a JSON object, got {type(data).__name__}")
+    for key, kind in keys:
+        if key not in data:
+            raise DomainError(f"{where} lacks the key {key!r}")
+        # bool is an int subclass, but true is not a count
+        if not isinstance(data[key], kind) or isinstance(data[key], bool):
+            raise DomainError(
+                f"{where} key {key!r} must be {kind.__name__}, got {type(data[key]).__name__}"
+            )
+    return [data[key] for key, _ in keys]
+
+
+def _read_description(params: DupParams, n: int, data) -> _Description:
+    """The description in a code file's ``construction``, its points drawn from each class.
+
+    The listed dimensions must be exactly those of the roots, whose walk and
+    simplices keep their caps; no codeword is grown or checked here.
+    """
+    m_n, r_n, dimensions = _read(data, "construction", _CONSTRUCTION_KEYS)
+    if m_n < 0 or r_n < 0:
+        raise DomainError(f"construction needs m_n >= 0 and r_n >= 0, got {m_n} and {r_n}")
+    classes = {}
+    for entry in dimensions:
+        m, modulus, residue, weights = _read(entry, "construction dimension", _DIMENSION_KEYS)
+        if m in classes:
+            raise DomainError(f"construction lists dimension {m} twice")
+        if len(weights) != m + 1 or not all(type(w) is int for w in weights):
+            raise DomainError(f"dimension {m} weights must be {m + 1} ints")
+        if not 0 <= residue < modulus:
+            raise DomainError(
+                f"dimension {m} needs 0 <= residue < modulus, got {residue} mod {modulus}"
+            )
+        classes[m] = (tuple(weights), modulus, residue)
+    cones = _pool(params, n - r_n * params.k, m_n)
+    dims = {len(ends) - 1 for _, ends in cones}
+    if dims != classes.keys():
+        raise DomainError(
+            f"construction lists dimensions {sorted(classes)}, its roots have {sorted(dims)}"
+        )
+    points = {m: in_class(enumerate_simplex(m, r_n), *c) for m, c in classes.items()}
+    return _Description(m_n, r_n, cones, classes, points)
 
 
 def _check_budget(n: int, N: int, t: int) -> None:
@@ -327,7 +420,7 @@ def _close_pair(coords: Sequence[Symbols], need: int) -> tuple[int, int, int] | 
 
 def _reduced_described(code: UtrCode) -> UtrCheck:
     """:func:`is_utr_code_reduced` on a described code: each dimension's points compared once."""
-    cones, points = code._description
+    _, _, cones, _, points = code._description
     failing = {}
     for m, coords in points.items():
         need = required_distance(code.N, code.t, m)
@@ -338,8 +431,9 @@ def _reduced_described(code: UtrCode) -> UtrCheck:
         return UtrCheck(True)
     # the listed code orders its cones by their least member and reports the first failing one
     k = code.params.k
+    steps = _steps(points)
     members = min(
-        _members(sym, k, ends, points[len(ends) - 1])
+        _members(sym, k, ends, steps[len(ends) - 1])
         for sym, ends in cones
         if len(ends) - 1 in failing
     )
@@ -410,32 +504,46 @@ def utr_size_formula(
 
 
 def irreducible_words(params: DupParams, length: int, min_weight: int = 0) -> list[Word]:
-    """All irreducible words of one length (weight filter optional), lex by transform.
+    """All irreducible words of one length (weight filter optional), lex by transform."""
+    return [Word._trusted(sym, params) for sym, _ in _roots(params, length, min_weight)]
+
+
+def _roots(params: DupParams, length: int, min_weight: int) -> list[tuple[Symbols, Symbols]]:
+    """:func:`irreducible_words` as symbols, each with its zero-run ends (``_cone``'s third part).
 
     A layer-by-layer walk appends sym[-k] + d (mod q), d = 0 only while the
     zero run stays below k and min_weight in reach, so no layer outgrows the
     result; each is built to at most ``IRREDUCIBLE_CAP`` + 1 entries, and a
-    full one raises.  Returns [] for lengths below k.
+    full one raises.  A nonzero d at difference position j makes j a run end,
+    and the last run ends at length - k.  Returns [] for lengths below k.
     """
     q, k = params.q, params.k
     left = length - k
     if left < 0 or left < min_weight:
         return []
-    # (symbols, trailing zero run of the difference string, its weight)
-    layer = ((prefix, 0, 0) for prefix in product(range(q), repeat=k))
+    # (symbols, trailing zero run of the difference string, run ends so far)
+    layer = ((prefix, 0, ()) for prefix in product(range(q), repeat=k))
     while True:
         layer = list(islice(layer, IRREDUCIBLE_CAP + 1))
         if len(layer) > IRREDUCIBLE_CAP:
             raise ResourceCapError(f"irreducible enumeration above cap {IRREDUCIBLE_CAP}")
         if not left:
-            return [Word._trusted(sym, params) for sym, _, _ in layer]
+            return [(sym, (*ends, length - k)) for sym, _, ends in layer]
         left -= 1
+        j = length - k - 1 - left  # the difference position this step appends
         layer = (
-            (sym + ((sym[-k] + d) % q,), 0 if d else run + 1, weight + (d > 0))
-            for sym, run, weight in layer
+            (sym + ((sym[-k] + d) % q,), 0, (*ends, j)) if d else (sym + (sym[-k],), run + 1, ends)
+            for sym, run, ends in layer
             for d in range(q)
-            if d or (run + 1 < k and weight + left >= min_weight)
+            if d or (run + 1 < k and len(ends) + left >= min_weight)
         )
+
+
+def _pool(params: DupParams, root_len: int, m_n: int) -> list[tuple[Symbols, Symbols]]:
+    """Construction A's roots, of length root_len and weight at least m_n, with their run ends."""
+    if root_len > ROOT_ENUM_MAX_LEN:
+        raise ResourceCapError(f"root length {root_len} above enumeration limit")
+    return _roots(params, root_len, m_n)
 
 
 def construction_a(
@@ -466,26 +574,21 @@ def construction_a(
         raise InfeasibleGeometryError(f"derived root length {root_len} is below k={k}")
     m_n = math.ceil(profile.theta * profile.gamma0 * n)
 
-    if root_len > ROOT_ENUM_MAX_LEN:
-        raise ResourceCapError(f"root length {root_len} above enumeration limit")
-    pool = irreducible_words(params, root_len, min_weight=m_n)
-    if not pool:
+    cones = _pool(params, root_len, m_n)
+    if not cones:
         raise InfeasibleGeometryError(
             f"no roots of length {root_len} with weight >= {m_n}"
         )
 
     # every root of one cone dimension gets the same simplex code, so the code is
-    # described by its roots' run ends and one point list per dimension
-    points: dict[int, tuple[Symbols, ...]] = {}
-    cones = []
-    for x in pool:
-        ends = _cone(x.symbols, k)[2]
-        m = len(ends) - 1
-        if m not in points:
-            points[m] = sidon_code(m, r_n, required_distance(N, t, m)).points
-        cones.append((x.symbols, ends))
-
-    out = UtrCode._of(params, n, N, t, _description=(tuple(cones), points))
+    # described by its roots' run ends and one congruence class per dimension
+    classes, points = {}, {}
+    for m in dict.fromkeys(len(ends) - 1 for _, ends in cones):
+        d = required_distance(N, t, m)
+        points[m] = sidon_code(m, r_n, d).points
+        classes[m] = sidon_class(m, r_n, d)
+    description = _Description(m_n, r_n, cones, classes, points)
+    out = UtrCode._of(params, n, N, t, _description=description)
     check = is_utr_code_reduced(out)
     if not check.ok:
         raise TandemError(f"construction produced an invalid code: {check}")

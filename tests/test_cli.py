@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from tandemreco import cli, oracles
+from tandemreco import DupParams, UtrCode, cli, construction_a, descendants, oracles
 from tandemreco.cli import build_parser, main
 
 FIXTURE = {
@@ -152,8 +152,10 @@ def test_code_build_at_distance_three(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "VALID"
 
 
-# SHA-256 of the (24, 2, 1) code file as written when codes were still listed while built
+# SHA-256 of the (24, 2, 1) code's listed file, as written when codes were still listed while built
 LARGE_BUILD_DIGEST = "7ba52827c671d805641dbeba7f7c2c8bac5e6f9e0534105a4559a51322e97976"
+# SHA-256 of the (24, 2, 1) code file that code build writes, its compact description
+LARGE_COMPACT_DIGEST = "8c160a97ba57fe9c504ab638ee9da43c75f7d05d6d8bb435fa287b35948992d8"
 
 
 def test_large_code_build_stays_small(tmp_path, run_optimized):
@@ -168,7 +170,10 @@ def test_large_code_build_stays_small(tmp_path, run_optimized):
     )
     status, peak_kb = run_optimized(script).split()[-2:]
     assert status == "0"
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_BUILD_DIGEST
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_COMPACT_DIGEST
+    code = UtrCode.loads(out.read_text())
+    listed = UtrCode(code.params, code.n, code.N, code.t, code.codewords).dumps()
+    assert hashlib.sha256(listed.encode()).hexdigest() == LARGE_BUILD_DIGEST
     assert int(peak_kb) / 1024 < 85
 
 
@@ -240,6 +245,144 @@ def test_code_file_bool_for_integer_exit(tmp_path, capsys, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: code key {key!r} must be int, got bool\n"
+
+
+# the compact file of construction_a(DupParams(2, 2), 12, 2, 1): roots of length 10 and
+# weight >= 6 in cones of weight 1, whose dimensions 6, 7 and 8 take Sidon classes
+COMPACT = {
+    "q": 2, "k": 2, "n": 12, "N": 1, "t": 2,
+    "construction": {
+        "m_n": 6,
+        "r_n": 1,
+        "dimensions": [
+            {"m": m, "weights": list(range(m + 1)), "modulus": m + 1, "residue": 0}
+            for m in (6, 7, 8)
+        ],
+    },
+}
+DIMENSIONS = COMPACT["construction"]["dimensions"]
+
+
+def compact(dimension=None, **changes):
+    """COMPACT with changes to its keys, its construction's, and dimension m's as (m, {...})."""
+    data = json.loads(json.dumps(COMPACT))
+    for key, value in changes.items():
+        (data if key in data else data["construction"])[key] = value
+    if dimension:
+        m, entry = dimension
+        data["construction"]["dimensions"][m - 6].update(entry)
+    return data
+
+
+# a code file and the one-line error it exits 2 with
+COMPACT_FAULTS = {
+    "missing dimension": (
+        compact(dimensions=DIMENSIONS[:2]),
+        "construction lists dimensions [6, 7], its roots have [6, 7, 8]",
+    ),
+    "extra dimension": (
+        compact(dimensions=[*DIMENSIONS, dict(DIMENSIONS[0], m=9, weights=[0] * 10)]),
+        "construction lists dimensions [6, 7, 8, 9], its roots have [6, 7, 8]",
+    ),
+    "repeated dimension": (
+        compact(dimensions=DIMENSIONS * 2), "construction lists dimension 6 twice"
+    ),
+    "short weights": (compact((6, {"weights": [0] * 6})), "dimension 6 weights must be 7 ints"),
+    "long weights": (compact((7, {"weights": [0] * 9})), "dimension 7 weights must be 8 ints"),
+    "residue above": (
+        compact((7, {"residue": 8})), "dimension 7 needs 0 <= residue < modulus, got 8 mod 8"
+    ),
+    "negative residue": (
+        compact((7, {"residue": -1})), "dimension 7 needs 0 <= residue < modulus, got -1 mod 8"
+    ),
+    "zero modulus": (
+        compact((6, {"modulus": 0})), "dimension 6 needs 0 <= residue < modulus, got 0 mod 0"
+    ),
+    "bool weight": (
+        compact((6, {"weights": [0, 1, 2, 3, 4, 5, True]})), "dimension 6 weights must be 7 ints"
+    ),
+    "text weight": (
+        compact((6, {"weights": [0, 1, 2, 3, 4, 5, "6"]})), "dimension 6 weights must be 7 ints"
+    ),
+    "bool residue": (
+        compact((6, {"residue": False})),
+        "construction dimension key 'residue' must be int, got bool",
+    ),
+    "bool modulus": (
+        compact((6, {"modulus": True})),
+        "construction dimension key 'modulus' must be int, got bool",
+    ),
+    "bool dimension": (
+        compact((6, {"m": True})), "construction dimension key 'm' must be int, got bool"
+    ),
+    "bool m_n": (compact(m_n=True), "construction key 'm_n' must be int, got bool"),
+    "bool r_n": (compact(r_n=False), "construction key 'r_n' must be int, got bool"),
+    "negative r_n": (compact(r_n=-1), "construction needs m_n >= 0 and r_n >= 0, got 6 and -1"),
+    "missing key": (
+        compact(construction={"m_n": 6, "dimensions": DIMENSIONS}),
+        "construction lacks the key 'r_n'",
+    ),
+    "dimensions not a list": (
+        compact(dimensions={}), "construction key 'dimensions' must be list, got dict"
+    ),
+    "dimension not an object": (
+        compact(dimensions=[6]), "construction dimension must be a JSON object, got int"
+    ),
+    "construction not an object": (
+        compact(construction=[]), "construction must be a JSON object, got list"
+    ),
+    "both forms": (
+        dict(COMPACT, codewords=["001011010110"]), "code holds both 'codewords' and 'construction'"
+    ),
+    # ResourceCapError: roots longer than the walk's limit, a simplex above its cap
+    "root above its limit": (compact(n=30, r_n=0), "root length 30 above enumeration limit"),
+    "simplex above its cap": (
+        compact(n=36, m_n=18, r_n=8, dimensions=[
+            {"m": 18, "weights": [0] * 19, "modulus": 1, "residue": 0}
+        ]),
+        "simplex has 1562275 points, above cap 1000000",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", COMPACT_FAULTS)
+def test_compact_code_file_faults_exit_2(tmp_path, capsys, fault):
+    data, message = COMPACT_FAULTS[fault]
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(data))
+    assert main(["code", "info", "--code", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_compact_file_matches_its_listed_twin(tmp_path, capsys):
+    path = tmp_path / "compact.json"
+    path.write_text(json.dumps(COMPACT))
+    code = UtrCode.loads(path.read_text())
+    assert code.dumps() == construction_a(DupParams(2, 2), 12, 2, 1).dumps()
+    listed = tmp_path / "listed.json"
+    listed.write_text(UtrCode(code.params, 12, 1, 2, code.codewords).dumps())
+    # two distinct reads of one codeword, as N = 1 asks
+    reads = tmp_path / "reads.txt"
+    reads.write_text("\n".join(sorted(w.text() for w in descendants(code.codewords[40], 2))[:2]))
+    # dimension 7 takes its whole simplex, so two of its points are 1 apart
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(compact((7, {"weights": [0] * 8, "modulus": 1}))))
+    broken_listed = tmp_path / "broken_listed.json"
+    wrong = UtrCode.loads(broken.read_text())
+    broken_listed.write_text(UtrCode(wrong.params, 12, 1, 2, wrong.codewords).dumps())
+    verbs = [
+        ["verify"], ["info"], ["decode", "--reads", str(reads)],
+        ["simulate", "--trials", "30", "--seed", "3"],
+    ]
+    cases = [((path, listed), verb) for verb in verbs] + [((broken, broken_listed), ["verify"])]
+    for files, verb in cases:
+        outputs = []
+        for f in files:
+            status = main(["code", verb[0], "--code", str(f), *verb[1:]])
+            outputs.append((status, capsys.readouterr()))
+        assert outputs[0] == outputs[1], verb
+    assert outputs[0][0] == 3 and "INVALID" in outputs[0][1].out
 
 
 @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])

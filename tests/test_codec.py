@@ -6,8 +6,9 @@ built-ins when every word carries its params and length.  The per-symbol
 versions they replaced are kept here as written, and the two must agree: the
 same word, or the same exception type and message.  ``UtrCode.from_json``
 reads a whole codeword list at once, and the per-word path is its twin.  The
-benchmark's code files are pinned by hash, so a codec change that alters a
-stored file fails here.
+benchmark's codes are pinned by hash in both file forms, the compact
+description that ``dumps`` writes for a built code and the listing of its
+codewords, so a codec change that alters a stored file fails here.
 """
 
 import hashlib
@@ -30,7 +31,8 @@ from tandemreco import (
 
 PROPERTY = settings(max_examples=300, deadline=None)
 
-# SHA-256 of construction_a(DupParams(2, 2), n, t, N).dumps(), (n, t, N) -> digest
+# SHA-256 of the listed file UtrCode(params, n, N, t, <the codewords>).dumps() of
+# construction_a(DupParams(2, 2), n, t, N), (n, t, N) -> digest
 PINNED_FILES = {
     (12, 1, 1): "f09c46488ebf3cd0a3f2da8e9632586f6c1bf044ddcc5351d571c1914d05f994",
     (16, 3, 11): "fb86b7e8f210be6294a7a7c02410d116f426ddd23e5b2abbc2b22f4438f08c24",
@@ -38,6 +40,15 @@ PINNED_FILES = {
     (16, 1, 1): "04fed0c3a67509ebff8ffdb37a7096920943aa33b724d9f793246ee1bf4b8bde",
     (16, 3, 1): "bd5662a3920464e3b7a153de88d3429f514a60e592ca61c0e9f690304c9e4033",
     (14, 1, 1): "61e3e4b63a377246b87ae1c16f1844d59fc76709a3be77423a31527a62680d41",
+}
+# SHA-256 of construction_a(DupParams(2, 2), n, t, N).dumps(), the compact file
+PINNED_COMPACT_FILES = {
+    (12, 1, 1): "bf6a2a483559dbdb683fa90b40c7a2042419303dca4b7629fcfed5bb8b28592f",
+    (16, 3, 11): "4d416bcbb6c4338cf1e782a8ecd11f42a0ffa539f665da2890ad5b2aad535b9f",
+    (20, 2, 1): "5a9f8fa98728258c919f77067f02c996f9acff8f2acb1b4ed15de95ccce92290",
+    (16, 1, 1): "bf1feb794fa04fb94432c583fb1845813c425592746d0babf34f061c254603bc",
+    (16, 3, 1): "3d04686bd2023cb2dedf3a155dfb982b934d1c28c0da34205b824f63c9a397a5",
+    (14, 1, 1): "8b78b9b2dde3b8a0558912f07bd3597359e5c8e7f87b62391c9d4d3cbc9bdbd4",
 }
 
 
@@ -224,8 +235,16 @@ def test_loader_matches_per_word_path(data):
         assert all(type(s) is int for sym in got.symbols for s in sym)
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("n, t, N", PINNED_FILES)
 def test_code_file_bytes_are_pinned(n, t, N):
-    text = construction_a(DupParams(2, 2), n, t, N).dumps()
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_FILES[n, t, N]
+    compact = construction_a(DupParams(2, 2), n, t, N).dumps()
+    code = UtrCode.loads(compact)
+    text = UtrCode(code.params, n, N, t, code.codewords).dumps()
+    assert sha256(text) == PINNED_FILES[n, t, N]
     assert UtrCode.loads(text).dumps() == text
+    assert sha256(compact) == PINNED_COMPACT_FILES[n, t, N]
+    assert code.dumps() == compact

@@ -28,11 +28,13 @@ from tandemreco import (
     exact_max_code,
     greedy_code,
     half_manhattan,
+    in_class,
     is_sidon_set,
     min_half_distance,
     required_distance,
     required_distance_upper_entropy,
     required_distance_upper_log,
+    sidon_class,
     sidon_code,
     sidon_code_size,
     sidon_set,
@@ -526,6 +528,29 @@ def test_sidon_code_size_matches_enumeration():
         for r in (0, 2, 5):
             for d in (1, 2, 3):
                 assert sidon_code_size(m, r, d) == len(sidon_code(m, r, d))
+
+
+def bucket_twin(m: int, r: int, d: int) -> tuple[int, list]:
+    """The residue and points of a largest class, by bucketing every simplex point."""
+    if d == 1:
+        return 0, enumerate_simplex(m, r)
+    weights, modulus = sidon_set(d - 1, m + 1)
+    buckets: dict[int, list] = {}
+    for p in enumerate_simplex(m, r):
+        buckets.setdefault(sum(w * c for w, c in zip(weights, p)) % modulus, []).append(p)
+    residue = min(buckets, key=lambda a: (-len(buckets[a]), a))
+    return residue, buckets[residue]
+
+
+def test_sidon_class_is_the_class_sidon_code_takes():
+    for m, r, d in itertools.product((0, 1, 2, 3, 5), (0, 1, 2, 5), (1, 2, 3)):
+        weights, modulus, residue = sidon_class(m, r, d)
+        want_residue, want_points = bucket_twin(m, r, d)
+        assert residue == want_residue, (m, r, d)
+        assert list(sidon_code(m, r, d).points) == want_points
+        assert in_class(enumerate_simplex(m, r), weights, modulus, residue) == want_points
+        if d == 1:
+            assert (weights, modulus) == ((0,) * (m + 1), 1)
 
 
 def test_sidon_code_size_raises_as_its_twin_on_negative_inputs():

@@ -1,6 +1,7 @@
 """Reconstruction codes: checkers, size accounting, construction, decoding."""
 
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -36,7 +37,7 @@ from tandemreco import (
     reconstruct_scan,
     required_distance,
     root,
-    sidon_code,
+    sidon_class,
     sidon_size,
     simulate_reconstruction,
     utr,
@@ -119,16 +120,17 @@ def test_construction_index_matches_listed_code():
 
 
 def described_code(params: DupParams, root_len: int, r: int, N: int, t: int) -> UtrCode:
-    """Construction A's description from every root of one length, at weight r."""
-    k = params.k
-    cones, points = [], {}
-    for x in irreducible_words(params, root_len):
-        ends = _cone(x.symbols, k)[2]
-        m = len(ends) - 1
-        if m not in points:
-            points[m] = sidon_code(m, r, max(required_distance(N, t, m), 1)).points
-        cones.append((x.symbols, ends))
-    return UtrCode._of(params, root_len + r * k, N, t, _description=(tuple(cones), points))
+    """Construction A's description of every root of one length at weight r, read from its file."""
+    roots = irreducible_words(params, root_len)
+    dimensions = []
+    for m in sorted({len(_cone(x.symbols, params.k)[2]) - 1 for x in roots}):
+        weights, modulus, residue = sidon_class(m, r, max(required_distance(N, t, m), 1))
+        dimensions.append(dict(m=m, weights=list(weights), modulus=modulus, residue=residue))
+    construction = {"m_n": 0, "r_n": r, "dimensions": dimensions}
+    n = root_len + r * params.k
+    return UtrCode.from_json(
+        {"q": params.q, "k": params.k, "n": n, "N": N, "t": t, "construction": construction}
+    )
 
 
 def listed_twin(code: UtrCode) -> UtrCode:
@@ -139,10 +141,17 @@ def listed_twin(code: UtrCode) -> UtrCode:
 
 
 def described_view(code: UtrCode) -> tuple:
-    return (
-        code.dumps(), len(code), code.rate(), is_utr_code_reduced(code), code.cone_index,
-        code.symbols,
-    )
+    return len(code), code.rate(), is_utr_code_reduced(code), code.cone_index, code.symbols
+
+
+def compact_round_trip(code: UtrCode) -> UtrCode:
+    """The code read back from its compact file, which it writes again byte for byte."""
+    text = code.dumps()
+    loaded = UtrCode.loads(text)
+    assert "construction" in json.loads(text) and loaded.dumps() == text
+    # symbols grown without the index equal those taken from it
+    assert UtrCode.loads(text).symbols == described_view(loaded)[-1]
+    return loaded
 
 
 def test_described_code_matches_its_listed_twin():
@@ -155,30 +164,62 @@ def test_described_code_matches_its_listed_twin():
                 continue
             built += 1
             # the described side first, before it lists its symbols for the twin
-            got = described_view(code)
+            got = described_view(compact_round_trip(code))
             assert got == described_view(listed_twin(code)), (q, n, t, N)
     assert built == 124
     # construction_a reaches no length at q = 11, so the comma form is described here
     wide = described_code(DupParams(11, 2), 3, 2, 1, 1)
-    got = described_view(wide)
-    assert got == described_view(listed_twin(wide))
+    got = described_view(compact_round_trip(wide))
+    listed = listed_twin(wide)
+    assert got == described_view(listed)
     # 121 roots of one cone coordinate take 1 point, 1 210 of two take 3
-    assert '"10,10,10,10,10,10,10"' in got[0] and got[1] == 121 + 1210 * 3
+    assert '"10,10,10,10,10,10,10"' in listed.dumps() and got[0] == 121 + 1210 * 3
 
 
 def test_described_checker_names_the_listed_witness():
-    code = construction_a(P22, 20, 2, 1)
-    cones, points = code._description
-    # two dimensions each gain a pair at distance 1, below the required 2
-    broken = dict(points)
-    for m in (11, 13):
-        near = enumerate_simplex(m, sum(points[m][0]))[:2]
-        broken[m] = tuple(sorted({*points[m], *near}))
+    data = construction_a(P22, 20, 2, 1).to_json()
+    # two dimensions take their whole simplex, whose points are 1 apart, below the required 2
+    for entry in data["construction"]["dimensions"]:
+        if entry["m"] in (11, 13):
+            entry.update(weights=[0] * (entry["m"] + 1), modulus=1, residue=0)
+    code = UtrCode.from_json(data)
     # the roots reversed, so the first failing cone in their order is not the listed code's first
-    bad = UtrCode._of(code.params, code.n, code.N, code.t, _description=(cones[::-1], broken))
+    reversed_roots = code._description._replace(cones=code._description.cones[::-1])
+    bad = UtrCode._of(code.params, code.n, code.N, code.t, _description=reversed_roots)
     failed = is_utr_code_reduced(bad)
     assert not failed.ok and failed.detail == 1
     assert failed == is_utr_code_reduced(listed_twin(bad))
+
+
+def test_symbols_of_a_grown_index_grow_no_codeword(monkeypatch):
+    text = construction_a(P22, 16, 3, 11).dumps()
+    grown = UtrCode.loads(text).symbols
+    code = UtrCode.loads(text)
+    code.cone_index
+    # every member is in the index already, so the symbols only sort them
+    monkeypatch.setattr(utr, "_grow", None)
+    assert code.symbols == grown == listed_twin(code).symbols
+
+
+def test_cone_sizes_come_from_the_description():
+    code = UtrCode.loads(construction_a(P22, 14, 1, 1).dumps())
+    sizes = code.cone_sizes()
+    assert "cone_index" not in vars(code) and "symbols" not in vars(code)
+    assert sizes == [len(v) for v in code.cone_index.values()] and sum(sizes) == len(code)
+    assert sorted(sizes) == sorted(listed_twin(code).cone_sizes())
+
+
+def test_an_empty_class_leaves_its_roots_out_of_the_index():
+    data = construction_a(P22, 12, 2, 1).to_json()
+    entry = data["construction"]["dimensions"][0]
+    # at cone weight 1 a point is a unit vector e_i, of weighted sum i here, so 7 mod 8 is empty
+    assert (entry["m"], entry["weights"], data["construction"]["r_n"]) == (6, list(range(7)), 1)
+    entry.update(modulus=8, residue=7)
+    code = UtrCode.from_json(data)
+    assert code._description.points[6] == [] and all(code.cone_sizes())
+    listed = listed_twin(code)
+    assert described_view(code) == described_view(listed)
+    assert sorted(code.cone_sizes()) == sorted(listed.cone_sizes())
 
 
 def test_code_keeps_symbols_and_builds_words_on_first_read():
@@ -283,7 +324,8 @@ def repeated_cone_codes(draw):
             if i == moved:
                 cone_points[rng.randrange(len(cone_points))] = rng.choice(simplex_points)
             ends = _cone(x.symbols, k)[2]
-            codewords += [Word(_grow(x.symbols, k, ends, p), params) for p in cone_points]
+            grown = [_grow(x.symbols, k, ends, enumerate(p)) for p in cone_points]
+            codewords += [Word(sym, params) for sym in grown]
     n = root_len + r * k
     return UtrCode(params, n, rng.randint(0, 2), rng.randint(1, 3), tuple(codewords))
 
@@ -447,6 +489,18 @@ def test_irreducible_words_match_filtered_product():
                     got = irreducible_words(params, length, min_weight)
                     assert [w.symbols for w in got] == want, (q, k, length, min_weight)
                     assert all(w.params == params for w in got)
+
+
+@pytest.mark.parametrize("q, k", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_root_walk_gives_each_roots_run_ends(q, k):
+    # a nonzero difference at j makes j a run end, and the last run ends at length - k
+    params = DupParams(q, k)
+    for length in range(k, 9):
+        for min_weight in (0, 2):
+            roots = utr._roots(params, length, min_weight)
+            words = irreducible_words(params, length, min_weight)
+            assert [sym for sym, _ in roots] == [x.symbols for x in words]
+            assert all(ends == _cone(sym, k)[2] for sym, ends in roots), (length, min_weight)
 
 
 @pytest.mark.parametrize("cap", [0, 1, 2, 5, 12, 40])
