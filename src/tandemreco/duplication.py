@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 import os
 import random
+import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import compress
 from operator import ne
 
 from .errors import (
@@ -31,8 +32,10 @@ from .errors import (
 )
 
 DEFAULT_NODE_CAP = 10**7
-# symbols a priced walk's last layer may hold: its sets then stay near 1 GB
+# symbols a priced walk's last layer may hold: the Words descendants returns stay near 1 GB
 WALK_SYMBOL_BUDGET = 10**8
+# a literal walk keys each symbol by one code point (see _key), so q stops at 0x110000
+MAX_Q = sys.maxunicode + 1
 
 # the text form of a word over at most 10 symbols is one ASCII digit per symbol
 _TO_DIGIT = bytes.maketrans(bytes(range(10)), b"0123456789")
@@ -63,6 +66,8 @@ class DupParams:
         # bool is an int subclass, but True is not a size
         if not isinstance(self.q, int) or isinstance(self.q, bool) or self.q < 2:
             raise DomainError(f"alphabet size must be an integer >= 2, got {self.q}")
+        if self.q > MAX_Q:
+            raise DomainError(f"alphabet size must be at most {MAX_Q}, got {self.q}")
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise DomainError(f"duplication length must be an integer >= 1, got {self.k}")
 
@@ -217,7 +222,7 @@ def tandem_duplicate(x: Word, i: int) -> Word:
     return Word._trusted(sym[: i + k] + sym[i:], x.params)
 
 
-# k -> {symbols: children}, shared by every layered walk inside one _shared_expansion block
+# k -> {key: children}, shared by every layered walk inside one _shared_expansion block
 _EXPANSION: ContextVar[dict[int, dict] | None] = ContextVar("_EXPANSION", default=None)
 
 
@@ -236,59 +241,90 @@ def _shared_expansion() -> Iterator[None]:
         _EXPANSION.reset(token)
 
 
-def _children(sym: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
-    """The distinct one-step duplications of sym, in order of their first offset.
+def _key(sym: Iterable[int]) -> str:
+    """The key of a word in every literal walk: one code point per symbol.
+
+    Slicing and joining a str copy memory in C, and a str keeps its hash,
+    so a walk over keys never touches a symbol as an object.  Keys compare
+    as the symbol tuples do; ``DupParams`` keeps q within the code points.
+    """
+    return "".join(map(chr, sym))
+
+
+def _symbols(key: str) -> tuple[int, ...]:
+    """The symbols of a walk key; the inverse of :func:`_key`."""
+    # unpacked, the tuple is made at its size, so CPython reuses its freed tuples;
+    # tuple(map(...)) resizes and leaves a free list per word length filling up
+    return (*map(ord, key),)
+
+
+def _children(key: str, k: int) -> list[str]:
+    """The distinct one-step duplications of a key, in order of their first offset.
 
     Duplicating at i and at i + 1 gives the same word exactly when
-    sym[i] == sym[i + k], so each run of equal children is taken once, at its
-    end: at each i with sym[i] != sym[i + k], and at len(sym) - k, the run
+    key[i] == key[i + k], so each run of equal children is taken once, at its
+    end: at each i with key[i] != key[i + k], and at len(key) - k, the run
     ends of :func:`_cone`.  A word shorter than k has no children.
     """
-    last = len(sym) - k
+    last = len(key) - k
     if last < 0:
         return []
     # a filtered range beats compress on the short words the checkers expand
-    kids = [sym[: i + k] + sym[i:] for i in range(last) if sym[i] != sym[i + k]]
-    kids.append(sym + sym[last:])
+    kids = [key[: i + k] + key[i:] for i in range(last) if key[i] != key[i + k]]
+    kids.append(key + key[last:])
     return kids
 
 
-def _layers(x: Word, cap: int) -> Iterator[set[tuple[int, ...]]]:
-    """The symbol sets of D_0(x), D_1(x), ..., each grown from the one before."""
-    return _walk(x.symbols, x.params.k, cap)
+def _memo(k: int) -> dict[str, list[str]] | None:
+    """The open :func:`_shared_expansion` block's children for length k, or None."""
+    scope = _EXPANSION.get()
+    return None if scope is None else scope.setdefault(k, {})
 
 
-def _walk(sym: tuple[int, ...], k: int, cap: int) -> Iterator[set[tuple[int, ...]]]:
-    """The layers of :func:`_layers` from a word's symbols and duplication length.
+def _step(layer: set[str], k: int, cap: int, memo: dict[str, list[str]] | None) -> set[str]:
+    """The layer after ``layer``, its children looked up in memo first when there is one.
 
     No layer may exceed ``cap`` nodes; each public caller reads the node cap
-    once and passes it in.  A word shorter than k has only empty layers after D_0.
-    Inside a :func:`_shared_expansion` block a word's children are looked up
-    before they are built.
+    once and passes it in.
     """
-    layer = {sym}
-    yield layer
-    scope = _EXPANSION.get()
-    memo = None if scope is None else scope.setdefault(k, {})
+    out: set[str] = set()
+    for key in layer:
+        if memo is None:
+            out.update(_children(key, k))
+        else:
+            kids = memo.get(key)
+            if kids is None:
+                kids = memo[key] = _children(key, k)
+            out.update(kids)
+        if len(out) > cap:
+            raise ResourceCapError(f"descendant expansion exceeded cap of {cap} nodes")
+    return out
+
+
+def _layers(x: Word, cap: int) -> Iterator[set[str]]:
+    """The key sets of D_0(x), D_1(x), ..., each grown from the one before."""
+    return _walk(_key(x.symbols), x.params.k, cap)
+
+
+def _walk(key: str, k: int, cap: int) -> Iterator[set[str]]:
+    """The layers of :func:`_layers` from a word's key and duplication length.
+
+    A word shorter than k has only empty layers after D_0.
+    """
+    memo = _memo(k)
+    layer = {key}
     while True:
-        out: set[tuple[int, ...]] = set()
-        for sym in layer:
-            if memo is None:
-                out.update(_children(sym, k))
-            else:
-                kids = memo.get(sym)
-                if kids is None:
-                    kids = memo[sym] = _children(sym, k)
-                out.update(kids)
-            if len(out) > cap:
-                raise ResourceCapError(f"descendant expansion exceeded cap of {cap} nodes")
-        layer = out
         yield layer
+        layer = _step(layer, k, cap, memo)
 
 
-def _layer(sym: tuple[int, ...], k: int, t: int, cap: int) -> set[tuple[int, ...]]:
-    """The symbols of D_t of the word sym, no layer above ``cap`` nodes."""
-    return next(islice(_walk(sym, k, cap), t, None))
+def _layer(key: str, k: int, t: int, cap: int) -> set[str]:
+    """The keys of D_t of the word with this key, no layer above ``cap`` nodes."""
+    layer = {key}
+    memo = _memo(k)
+    for _ in range(t):
+        layer = _step(layer, k, cap, memo)
+    return layer
 
 
 def descendants(x: Word, t: int) -> set[Word]:
@@ -312,8 +348,8 @@ def descendants(x: Word, t: int) -> set[Word]:
                 f"{nodes} descendants of length {length} exceed the budget of "
                 f"{WALK_SYMBOL_BUDGET} symbols"
             )
-    layer = _layer(x.symbols, k, t, cap)
-    return {Word._trusted(sym, x.params) for sym in layer}
+    layer = _layer(_key(x.symbols), k, t, cap)
+    return {Word._trusted(_symbols(key), x.params) for key in layer}
 
 
 def phi(x: Word) -> PhiImage:

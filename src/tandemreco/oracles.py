@@ -14,7 +14,15 @@ import random
 from dataclasses import dataclass, field
 from itertools import islice, product
 
-from .duplication import DupParams, Word, _effective_cap, _layers, _shared_expansion
+from .duplication import (
+    DupParams,
+    Word,
+    _effective_cap,
+    _layers,
+    _shared_expansion,
+    _symbols,
+    _walk,
+)
 from .errors import ResourceCapError
 from .metric import (
     cone_intersection_size,
@@ -123,8 +131,9 @@ def suite_intersection(max_root_len: int = 6, max_t: int = 3) -> OracleResult:
                 # the members' cones overlap, so they share one child memo per root
                 with _shared_expansion():
                     for layer in islice(_layers(x, cap), MAX_S + 1):
-                        members = [Word._trusted(sym, x.params) for sym in sorted(layer)]
-                        tables = [list(islice(_layers(w, cap), max_t + 1)) for w in members]
+                        keys = sorted(layer)
+                        members = [Word._trusted(_symbols(key), x.params) for key in keys]
+                        tables = [list(islice(_walk(key, k, cap), max_t + 1)) for key in keys]
                         for i in range(len(members)):
                             for j in range(i + 1, len(members)):
                                 y, y2 = members[i], members[j]
@@ -152,7 +161,7 @@ def suite_distance(max_root_len: int = 5) -> OracleResult:
                 # every pair's search walks the same cone, so the pairs share one child memo
                 with _shared_expansion():
                     for layer in islice(_layers(x, cap), MAX_S + 1):
-                        members = [Word._trusted(sym, x.params) for sym in sorted(layer)]
+                        members = [Word._trusted(_symbols(key), x.params) for key in sorted(layer)]
                         for i in range(len(members)):
                             for j in range(i, len(members)):
                                 y, y2 = members[i], members[j]

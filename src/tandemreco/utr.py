@@ -17,7 +17,7 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, product
+from itertools import chain, islice, product
 from operator import attrgetter, lt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -29,6 +29,7 @@ from .duplication import (
     _digit_block,
     _effective_cap,
     _grow,
+    _key,
     _layer,
     _texts,
     channel_sample,
@@ -335,19 +336,23 @@ def _pair(code: UtrCode, a: Symbols, b: Symbols) -> tuple[Word, Word]:
 def is_utr_code_direct(code: UtrCode) -> UtrCheck:
     """Definition checked literally: count every pair's shared descendants.
 
-    An index maps each expanded t-descendant to the codewords that own it.
-    Words enter it from last to first, so word i counts what it shares with
-    every later word j, and the last violation seen is the smallest (i, j).
-    The descendants together may hold at most the node cap.  Only a
-    violating pair is wrapped in ``Word``s.
+    An index maps each expanded t-descendant's key to the codewords that own
+    it.  Words enter it from last to first, so word i counts what it shares
+    with every later word j, and the last violation seen is the smallest
+    (i, j).  The descendants together may hold at most the node cap; a
+    described code is priced against it before any codeword is grown.  Only
+    a violating pair is wrapped in ``Word``s.
     """
-    words, k = code.symbols, code.params.k
     cap = _effective_cap()
+    if code._description is not None:
+        _price_direct(code._description, code.t, cap)
+    words, k = code.symbols, code.params.k
+    keys = _keys(code)
     total = 0
-    owners: dict[tuple[int, ...], tuple[int, ...]] = {}
+    owners: dict[str, tuple[int, ...]] = {}
     found = UtrCheck(True)
     for i in range(len(words) - 1, -1, -1):
-        desc = _layer(words[i], k, code.t, cap)
+        desc = _layer(keys[i], k, code.t, cap)
         total += len(desc)
         if total > cap:
             raise ResourceCapError(f"descendant index exceeded cap of {cap} nodes")
@@ -364,6 +369,28 @@ def is_utr_code_direct(code: UtrCode) -> UtrCheck:
                 j = min(bad)
                 found = UtrCheck(False, _pair(code, words[i], words[j]), shared[j])
     return found
+
+
+def _price_direct(description: _Description, t: int, cap: int) -> None:
+    """Raise the direct checker's index error before the walk that would surely raise it.
+
+    Each codeword of cone dimension m has C(t + m, m) t-descendants, so the
+    index's total is known.  When no single layer can pass the cap, the walk
+    would end on the index error, so it is raised here; otherwise the walk
+    runs and raises whichever error it meets first.
+    """
+    roots = Counter(len(ends) - 1 for _, ends in description.cones)
+    nodes = {m: math.comb(t + m, m) for m in roots}
+    total = sum(count * len(description.points[m]) * nodes[m] for m, count in roots.items())
+    if max(nodes.values(), default=0) <= cap < total:
+        raise ResourceCapError(f"descendant index exceeded cap of {cap} nodes")
+
+
+def _keys(code: UtrCode) -> list[str]:
+    """The walk key of each codeword, in symbol order, cut from one join of all symbols."""
+    joined = _key(chain.from_iterable(code.symbols))
+    n = code.n
+    return [joined[i : i + n] for i in range(0, len(joined), n)]
 
 
 def is_utr_code_reduced(code: UtrCode) -> UtrCheck:
@@ -609,7 +636,7 @@ def max_utr_code_bruteforce(params: DupParams, n: int, N: int, t: int) -> UtrCod
         raise ResourceCapError(f"{total} words exceed the cap of {BRUTEFORCE_MAX_WORDS}")
     words = [Word(sym, params) for sym in product(range(q), repeat=n)]
     cap = _effective_cap()
-    desc = [_layer(w.symbols, params.k, t, cap) for w in words]
+    desc = [_layer(_key(w.symbols), params.k, t, cap) for w in words]
     adjacency = [0] * total
     for i in range(total):
         for j in range(i + 1, total):
@@ -677,12 +704,12 @@ def reconstruct_scan(code: UtrCode, reads: Iterable[Word]) -> Word:
     """Oracle decoder: test read containment in literally expanded descendant sets."""
     read_list = _validated_reads(code, reads)
     extra = (len(read_list[0]) - code.n) // code.params.k
-    read_syms = [r.symbols for r in read_list]
+    read_keys = [_key(r.symbols) for r in read_list]
     cap = _effective_cap()
     candidates = []
-    for sym in code.symbols:
-        pool = _layer(sym, code.params.k, extra, cap)
-        if all(r in pool for r in read_syms):
+    for sym, key in zip(code.symbols, _keys(code)):
+        pool = _layer(key, code.params.k, extra, cap)
+        if all(r in pool for r in read_keys):
             candidates.append(sym)
     if not candidates:
         raise NoCandidateError("no codeword is an ancestor of all reads")

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from tandemreco import DupParams, UtrCode, cli, construction_a, descendants, oracles
+from tandemreco import DupParams, UtrCode, cli, construction_a, descendants, oracles, utr
 from tandemreco.cli import build_parser, main
 
 FIXTURE = {
@@ -175,6 +175,29 @@ def test_large_code_build_stays_small(tmp_path, run_optimized):
     listed = UtrCode(code.params, code.n, code.N, code.t, code.codewords).dumps()
     assert hashlib.sha256(listed.encode()).hexdigest() == LARGE_BUILD_DIGEST
     assert int(peak_kb) / 1024 < 85
+
+
+def test_code_verify_priced_above_the_cap_exit_2(tmp_path, capsys, monkeypatch):
+    # (24, 2, 1): 181 152 codewords with 18 021 488 2-descendants, above the default node cap
+    path = tmp_path / "large.json"
+    path.write_text(construction_a(DupParams(2, 2), 24, 2, 1).dumps())
+
+    def refuse(*args):
+        raise AssertionError("walked a checker priced above the node cap")
+
+    monkeypatch.setattr(utr, "_layer", refuse)
+    assert main(["code", "verify", "--code", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: descendant index exceeded cap of 10000000 nodes\n"
+
+
+def test_code_file_alphabet_above_the_code_points_exit_2(tmp_path, capsys):
+    path = write_fixture(tmp_path, q=0x110001)
+    assert main(["code", "verify", "--code", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: alphabet size must be at most 1114112, got 1114113\n"
 
 
 def test_code_build_above_the_field_cap_exit_2(tmp_path, capsys):

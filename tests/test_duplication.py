@@ -33,7 +33,7 @@ from tandemreco import (
     word,
 )
 from tandemreco import duplication
-from tandemreco.duplication import _EXPANSION, _children, _layers, _shared_expansion
+from tandemreco.duplication import _EXPANSION, _children, _key, _layers, _shared_expansion
 
 SMALL_PARAMS = [(q, k) for q in (2, 3) for k in (1, 2)]
 
@@ -94,6 +94,18 @@ def test_mixed_params_rejected():
         PhiImage(word("01", 2, 2), word("11", 3, 2))
 
 
+def test_alphabet_stops_at_the_last_code_point():
+    # a walk keys each symbol by one code point, and chr stops at 0x10FFFF
+    top = DupParams(0x110000, 1)
+    high, surrogate = 0x10FFFF, 0xD800
+    x = Word((high, surrogate, 0), top)
+    children = ((high, high, surrogate, 0), (high, surrogate, surrogate, 0), (high, surrogate, 0, 0))
+    assert descendants(x, 1) == {Word(sym, top) for sym in children}
+    assert len(descendants(x, 2)) == 6
+    with pytest.raises(DomainError, match="^alphabet size must be at most 1114112, got 1114113$"):
+        DupParams(0x110001, 1)
+
+
 def test_tandem_duplicate_examples():
     assert tandem_duplicate(word("0121", 3, 2), 1) == word("012121", 3, 2)
     assert tandem_duplicate(word("01", 2, 2), 1) == word("01", 2, 2)
@@ -143,20 +155,20 @@ def test_descendants_are_priced_before_the_walk(monkeypatch):
         descendants(big, 30)
 
 
-def literal_layers(x: Word, depth: int) -> list[set[tuple[int, ...]]]:
-    """D_0(x), ..., D_depth(x) by duplicating at every offset of every word, in order."""
-    layers = [{x.symbols}]
+def literal_layers(x: Word, depth: int) -> list[set[str]]:
+    """D_0(x), ..., D_depth(x) as walk keys, duplicating at every offset of every word, in order."""
+    layers = [{_key(x.symbols)}]
     for _ in range(depth):
         out = set()
-        for sym in layers[-1]:
-            w = Word(sym, x.params)
-            for i in range(len(sym) - x.params.k + 1):
-                out.add(tandem_duplicate(w, i).symbols)
+        for key in layers[-1]:
+            w = Word(tuple(map(ord, key)), x.params)
+            for i in range(len(key) - x.params.k + 1):
+                out.add(_key(tandem_duplicate(w, i).symbols))
         layers.append(out)
     return layers
 
 
-def walk(x: Word, depth: int) -> list[list[tuple[int, ...]]]:
+def walk(x: Word, depth: int) -> list[list[str]]:
     """The first depth + 1 layers of ``_layers``, each in its iteration order."""
     return [list(layer) for layer in itertools.islice(_layers(x, 10**7), depth + 1)]
 
@@ -172,8 +184,8 @@ def test_layers_match_the_literal_walk(q, k, depth, data):
     sym = data.draw(st.lists(st.integers(0, q - 1), max_size=14))
     x = Word(tuple(sym), DupParams(q, k))
     # each distinct child once, in the order of its first offset
-    kids = [tandem_duplicate(x, i).symbols for i in range(len(sym) - k + 1)]
-    assert _children(x.symbols, k) == list(dict.fromkeys(kids))
+    kids = [_key(tandem_duplicate(x, i).symbols) for i in range(len(sym) - k + 1)]
+    assert _children(_key(x.symbols), k) == list(dict.fromkeys(kids))
     # equal sets built by the same first insertions also iterate in the same order
     want = [list(layer) for layer in literal_layers(x, depth)]
     assert walk(x, depth) == want
@@ -188,12 +200,12 @@ def test_shared_expansion_scope_ends_with_its_block():
     with _shared_expansion():
         walk(x, 2)
         outer = _EXPANSION.get()
-        assert x.symbols in outer[1]
+        assert _key(x.symbols) in outer[1]
         with _shared_expansion():
             # a nested scope starts empty and leaves the outer one untouched
             assert _EXPANSION.get() == {}
             walk(word("1001", 2, 1), 2)
-        assert _EXPANSION.get() is outer and (1, 0, 0, 1) not in outer[1]
+        assert _EXPANSION.get() is outer and _key((1, 0, 0, 1)) not in outer[1]
     assert _EXPANSION.get() is None
     with contextlib.suppress(KeyError), _shared_expansion():
         walk(x, 2)

@@ -2,11 +2,14 @@
 
 import itertools
 import json
+import os
 import random
 import tracemalloc
+from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tandemreco import (
@@ -40,11 +43,12 @@ from tandemreco import (
     sidon_class,
     sidon_size,
     simulate_reconstruction,
+    tandem_duplicate,
     utr,
     utr_size_formula,
     word,
 )
-from tandemreco.duplication import _cone, _grow
+from tandemreco.duplication import _cone, _effective_cap, _grow
 from tandemreco.simplex import enumerate_simplex
 
 P21 = DupParams(2, 1)
@@ -398,6 +402,172 @@ def test_direct_checker_matches_pairwise_loop():
         assert is_utr_code_direct(code) == want
         invalid += not want.ok
     assert invalid >= 50  # 63 of the 320 codes are invalid
+
+
+def literal_layer(x: Word, t: int, cap: int) -> set[tuple[int, ...]]:
+    """D_t(x) as symbol tuples, duplicating at every offset of every word; no layer above cap."""
+    layer = {x.symbols}
+    for _ in range(t):
+        out = set()
+        for sym in layer:
+            w = Word._trusted(sym, x.params)
+            out.update(tandem_duplicate(w, i).symbols for i in range(len(sym) - x.params.k + 1))
+            if len(out) > cap:
+                raise ResourceCapError(f"descendant expansion exceeded cap of {cap} nodes")
+        layer = out
+    return layer
+
+
+def tuple_direct_checker(code: UtrCode) -> UtrCheck:
+    """The direct checker's owner index keyed by symbol tuples, over the literal walk.
+
+    The reference of the keyed checker: same index order, same caps, same witness.
+    """
+    words, params = code.symbols, code.params
+    cap = _effective_cap()
+    total = 0
+    owners: dict[tuple[int, ...], tuple[int, ...]] = {}
+    found = UtrCheck(True)
+    for i in range(len(words) - 1, -1, -1):
+        desc = literal_layer(Word._trusted(words[i], params), code.t, cap)
+        total += len(desc)
+        if total > cap:
+            raise ResourceCapError(f"descendant index exceeded cap of {cap} nodes")
+        mates: list[int] = []
+        for d in desc:
+            owned = owners.get(d, ())
+            mates += owned
+            owners[d] = owned + (i,)
+        shared = Counter(mates)
+        bad = [j for j, count in shared.items() if count > code.N]
+        if bad:
+            j = min(bad)
+            pair = (Word._trusted(words[i], params), Word._trusted(words[j], params))
+            found = UtrCheck(False, pair, shared[j])
+    return found
+
+
+def literal_scan(code: UtrCode, reads: list[Word]) -> Word:
+    """``reconstruct_scan`` over the literal walk, for reads that pass its validation."""
+    wanted = {r.symbols for r in reads}
+    extra = (len(reads[0]) - code.n) // code.params.k
+    cap = _effective_cap()
+    fits = [w for w in code.codewords if wanted <= literal_layer(w, extra, cap)]
+    if not fits:
+        raise NoCandidateError("no codeword is an ancestor of all reads")
+    if len(fits) > 1:
+        raise AmbiguityError(f"{len(fits)} codewords fit the reads")
+    return fits[0]
+
+
+def outcome(fn, *args):
+    """What fn returns, or the type and message of the TandemError it raises."""
+    try:
+        return fn(*args)
+    except TandemError as err:
+        return type(err), str(err)
+
+
+@st.composite
+def small_codes(draw):
+    """Listed codes of up to 12 words, q in {2, 3}, k in {1, 2, 3}, n <= 7, t <= 2, N <= 3.
+
+    Up to six words come from the whole space and, where n >= 2k, up to six
+    from the children of one word of length n - k, so invalid codes are common.
+    """
+    params = DupParams(draw(st.sampled_from((2, 3))), draw(st.sampled_from((1, 2, 3))))
+    n = draw(st.integers(1, 7))
+    space = list(itertools.product(range(params.q), repeat=n))
+    # children of one word are cone mates at distance 1, so they share descendants
+    near = n >= 2 * params.k
+    picks = draw(st.lists(st.sampled_from(space), min_size=not near, max_size=6, unique=True))
+    if near:
+        shorter = list(itertools.product(range(params.q), repeat=n - params.k))
+        mates = sorted(literal_layer(Word(draw(st.sampled_from(shorter)), params), 1, 10**7))
+        some = min(2, len(mates))
+        picks += draw(st.lists(st.sampled_from(mates), min_size=some, max_size=6, unique=True))
+    # t = 0 keeps every code valid, so it is not the value draws start from
+    t, N = draw(st.sampled_from((1, 2, 0))), draw(st.integers(0, 3))
+    return UtrCode(params, n, N, t, [Word(sym, params) for sym in picks])
+
+
+def capped(cap: int | None):
+    """The environment with TANDEM_NODE_CAP set to cap, or left unset for None."""
+    env = {k: v for k, v in os.environ.items() if k != "TANDEM_NODE_CAP"}
+    if cap is not None:
+        env["TANDEM_NODE_CAP"] = str(cap)
+    return mock.patch.dict(os.environ, env, clear=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(code=small_codes(), cap=st.one_of(st.none(), st.integers(0, 120)))
+@example(code=fixture_code(N=0), cap=None)  # invalid: 0010 and 0100 share 0100
+@example(code=fixture_code(N=1), cap=None)
+@example(code=fixture_code(N=1), cap=8)
+def test_keyed_direct_checker_matches_tuple_twin(code, cap):
+    with capped(cap):
+        assert outcome(is_utr_code_direct, code) == outcome(tuple_direct_checker, code)
+
+
+@settings(max_examples=300, deadline=None)
+@given(code=small_codes(), cap=st.one_of(st.none(), st.integers(0, 60)), data=st.data())
+def test_keyed_scan_and_descendants_match_literal_walk(code, cap, data):
+    c = data.draw(st.sampled_from(code.codewords))
+    depth = data.draw(st.integers(0, 2 if code.n >= code.params.k else 0))
+    pool = sorted(literal_layer(c, depth, 10**7))
+    # reads of one codeword, or of none when a stray word of their length joins them
+    picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    if data.draw(st.booleans()):
+        length = len(pool[0])
+        picks.append(tuple(data.draw(st.lists(st.integers(0, code.params.q - 1),
+                                              min_size=length, max_size=length))))
+    reads = sorted({Word(sym, code.params) for sym in picks}, key=lambda w: w.symbols)
+    with capped(cap):
+        assert outcome(reconstruct_scan, code, reads) == outcome(literal_scan, code, reads)
+        want = outcome(literal_layer, c, code.t, _effective_cap())
+        if isinstance(want, set):
+            want = {Word._trusted(sym, c.params) for sym in want}
+        assert outcome(descendants, c, code.t) == want
+
+
+@pytest.mark.parametrize(("n", "t", "N", "total"), [(14, 1, 1, 30_484), (16, 3, 11, 178_464)])
+def test_direct_checker_prices_a_described_code(monkeypatch, n, t, N, total):
+    # the price is the walk's total: the walk fits a cap of total, and total - 1 raises unwalked
+    monkeypatch.setenv("TANDEM_NODE_CAP", str(total))
+    assert is_utr_code_direct(construction_a(P22, n, t, N)).ok
+    code = construction_a(P22, n, t, N)
+    monkeypatch.setenv("TANDEM_NODE_CAP", str(total - 1))
+    message = f"^descendant index exceeded cap of {total - 1} nodes$"
+    with pytest.raises(ResourceCapError, match=message):
+        is_utr_code_direct(code)
+    assert "symbols" not in vars(code)
+
+
+def test_priced_checker_raises_what_the_walk_raises(monkeypatch):
+    # listed codes are not priced, so the listed twin raises whatever its walk meets first
+    code = construction_a(P22, 12, 1, 1)  # 6 488 descendants, at most 9 per codeword
+    listed = listed_twin(code)
+    for cap in (0, 1, 5, 8, 9, 10, 100, 6487, 6488):
+        monkeypatch.setenv("TANDEM_NODE_CAP", str(cap))
+        fresh = construction_a(P22, 12, 1, 1)
+        assert outcome(is_utr_code_direct, fresh) == outcome(is_utr_code_direct, listed)
+        # a layer above the cap leaves the raise to the walk, which grows the symbols
+        assert ("symbols" in vars(fresh)) == (cap < 9 or cap >= 6488)
+
+
+def test_direct_checker_price_survives_optimize(run_optimized):
+    script = (
+        "import os, sys\n"
+        "from tandemreco import DupParams, ResourceCapError, construction_a, is_utr_code_direct\n"
+        "code = construction_a(DupParams(2, 2), 14, 1, 1)\n"
+        "os.environ['TANDEM_NODE_CAP'] = '30483'\n"
+        "try:\n"
+        "    is_utr_code_direct(code)\n"
+        "except ResourceCapError as err:\n"
+        "    print(sys.flags.optimize, err, 'symbols' in vars(code))\n"
+    )
+    want = "1 descendant index exceeded cap of 30483 nodes False"
+    assert run_optimized(script).strip() == want
 
 
 def test_direct_checker_caps_its_index(monkeypatch):
