@@ -17,8 +17,8 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, product
-from operator import attrgetter, lt
+from itertools import accumulate, chain, islice, product, repeat
+from operator import attrgetter, le, lt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .capacity import capacity_profile
@@ -666,6 +666,28 @@ def _validated_reads(code: UtrCode, reads: Iterable[Word]) -> list[Word]:
     return out
 
 
+def _read_symbols(code: UtrCode, reads: Iterable[Word]) -> list[Symbols]:
+    """The distinct reads' symbols in order, as :func:`_validated_reads` checks them.
+
+    Reads that all carry the code's params are deduplicated and checked by
+    their symbol tuples; any other input goes to the validator, so it raises
+    what it always has.
+    """
+    reads = list(reads)
+    try:
+        # list.count tests identity before equality, so one shared params object is quick
+        same = list(map(_PARAMS, reads)).count(code.params) == len(reads)
+        syms = sorted(set(map(_SYMBOLS, reads)))
+    except (AttributeError, TypeError):  # an item that is not a Word
+        same = False
+    if same and syms:
+        lengths = list(map(len, syms))
+        extra = lengths[0] - code.n
+        if lengths.count(lengths[0]) == len(lengths) and extra >= 0 and not extra % code.params.k:
+            return syms
+    return [r.symbols for r in _validated_reads(code, reads)]
+
+
 def reconstruct(code: UtrCode, reads: Iterable[Word]) -> Word:
     """Decode by intersecting cone coordinates.
 
@@ -673,31 +695,41 @@ def reconstruct(code: UtrCode, reads: Iterable[Word]) -> Word:
     componentwise minimum of their coordinates dominates the codeword and
     nothing closer, so exactly one codeword survives when enough distinct
     reads are supplied (N+1 for a valid code).  Fewer reads still decode
-    whenever the survivor happens to be unique.
+    whenever the survivor happens to be unique.  The survivor is grown from
+    the root and its coordinates.  A listed code finds the root's cone in
+    ``cone_index``; a described code decodes from its description and
+    grows no other codeword.
     """
-    read_list = _validated_reads(code, reads)
+    syms = _read_symbols(code, reads)
     k = code.params.k
-    if len(read_list[0]) < k:
+    if len(syms[0]) < k:
         # too short to carry a duplication: a read must be the codeword itself
-        if len(read_list) == 1 and read_list[0].symbols in code.symbols:
-            return read_list[0]
+        if len(syms) == 1 and syms[0] in code.symbols:
+            return Word._trusted(syms[0], code.params)
         raise NoCandidateError("reads below the duplication length match no codeword")
-    cones = [_cone(r.symbols, k)[:2] for r in read_list]
-    roots = {r for r, _ in cones}
-    if len(roots) != 1:
+    roots, sigmas, ends = zip(*map(_cone, syms, repeat(k)))
+    if roots.count(roots[0]) != len(roots):
         raise ConeMismatchError("reads do not share a root")
-    (shared_root,) = roots
-    meet = tuple(min(col) for col in zip(*(sigma for _, sigma in cones)))
-    candidates = [
-        sym
-        for sym, coords in code.cone_index.get(shared_root, [])
-        if all(a <= b for a, b in zip(coords, meet))
-    ]
+    meet = list(map(min, zip(*sigmas)))
+    candidates = [v for v in _cone_points(code, roots[0], len(meet) - 1) if all(map(le, v, meet))]
     if not candidates:
         raise NoCandidateError("no codeword is an ancestor of all reads")
     if len(candidates) > 1:
         raise AmbiguityError(f"{len(candidates)} codewords fit the reads")
-    return Word._trusted(candidates[0], code.params)
+    # a run of the root ends k symbols earlier for each k-block the read's runs so far hold
+    root_ends = [e - k * s for e, s in zip(ends[0], accumulate(sigmas[0]))]
+    return Word._trusted(_grow(roots[0], k, root_ends, enumerate(candidates[0])), code.params)
+
+
+def _cone_points(code: UtrCode, root: Symbols, m: int) -> Sequence[Symbols]:
+    """The cone coordinates of the codewords whose root is root, of cone dimension m."""
+    if code._description is None:
+        return [v for _, v in code.cone_index.get(root, ())]
+    m_n, r_n, _, _, points = code._description
+    # the roots are every irreducible word of one length with weight at least m_n
+    if len(root) != code.n - code.params.k * r_n or m < m_n:
+        return ()
+    return points.get(m, ())
 
 
 def reconstruct_scan(code: UtrCode, reads: Iterable[Word]) -> Word:

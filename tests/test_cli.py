@@ -5,7 +5,18 @@ import json
 
 import pytest
 
-from tandemreco import DupParams, UtrCode, cli, construction_a, descendants, oracles, utr
+from tandemreco import (
+    DupParams,
+    UtrCode,
+    Word,
+    cli,
+    construction_a,
+    descendants,
+    oracles,
+    psi_inv,
+    reconstruct,
+    utr,
+)
 from tandemreco.cli import build_parser, main
 
 FIXTURE = {
@@ -158,23 +169,60 @@ LARGE_BUILD_DIGEST = "7ba52827c671d805641dbeba7f7c2c8bac5e6f9e0534105a4559a51322
 LARGE_COMPACT_DIGEST = "8c160a97ba57fe9c504ab638ee9da43c75f7d05d6d8bb435fa287b35948992d8"
 
 
+def cli_in_child(args: list[str]) -> str:
+    """A script that runs the CLI on args, then prints its exit status and its own peak in kB.
+
+    On Linux a child's ru_maxrss starts from the peak of the parent it was
+    forked from and keeps it across exec, so the child reads its own
+    high-water mark, VmHWM, where the system reports one.
+    """
+    return (
+        "from tandemreco.cli import main\n"
+        f"status = main({args!r})\n"
+        "try:\n"
+        "    with open('/proc/self/status') as lines:\n"
+        "        peak = next(int(ln.split()[1]) for ln in lines if ln.startswith('VmHWM:'))\n"
+        "except (OSError, StopIteration):\n"
+        "    import resource\n"
+        "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(status, peak)\n"
+    )
+
+
 def test_large_code_build_stays_small(tmp_path, run_optimized):
     # a fresh process, so the peak is the build's own; 116 MB when built codes were listed
     out = tmp_path / "large.json"
     build = ["code", "build", "--q", "2", "--k", "2", "--n", "24", "--t", "2", "--N", "1"]
-    script = (
-        "import resource\n"
-        "from tandemreco.cli import main\n"
-        f"status = main({[*build, '--out', str(out)]!r})\n"
-        "print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-    )
-    status, peak_kb = run_optimized(script).split()[-2:]
+    status, peak_kb = run_optimized(cli_in_child([*build, "--out", str(out)])).split()[-2:]
     assert status == "0"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_COMPACT_DIGEST
     code = UtrCode.loads(out.read_text())
     listed = UtrCode(code.params, code.n, code.N, code.t, code.codewords).dumps()
     assert hashlib.sha256(listed.encode()).hexdigest() == LARGE_BUILD_DIGEST
     assert int(peak_kb) / 1024 < 85
+
+
+@pytest.mark.parametrize("n", [24, 28])
+def test_large_code_decode_stays_small(tmp_path, run_optimized, n):
+    # 2 458 360 and 28 485 700 codewords; decoding once grew them all (756 MB at n = 24)
+    text = construction_a(DupParams(2, 2), n, 1, 1).dumps()
+    path = tmp_path / "large.json"
+    path.write_text(text)
+    code = UtrCode.loads(text)
+    root, ends = code._description.cones[-1]
+    coords = code._description.points[len(ends) - 1]
+    sent = psi_inv(Word(root, code.params), coords[len(coords) // 2])
+    layer = sorted(descendants(sent, 1), key=lambda w: w.symbols)
+    reads = [layer[0], layer[-1]]
+    assert reconstruct(code, reads) == sent
+    assert not {"cone_index", "symbols", "codewords"} & vars(code).keys()
+    reads_path = tmp_path / "reads.txt"
+    reads_path.write_text("".join(f"{r.text()}\n" for r in reads))
+    decode = ["code", "decode", "--code", str(path), "--reads", str(reads_path)]
+    printed, tail = run_optimized(cli_in_child(decode)).splitlines()
+    status, peak_kb = tail.split()
+    assert printed == sent.text() and status == "0"
+    assert int(peak_kb) / 1024 < 40
 
 
 def test_code_verify_priced_above_the_cap_exit_2(tmp_path, capsys, monkeypatch):

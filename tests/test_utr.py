@@ -848,6 +848,109 @@ def test_meet_decoder_agrees_with_scan():
         assert reconstruct(code, reads) == reconstruct_scan(code, reads) == c
 
 
+def empty_class_code() -> UtrCode:
+    """The (12, 2, 1) code with its dimension-6 class emptied, so its roots of weight 6 own nothing."""
+    data = construction_a(P22, 12, 2, 1).to_json()
+    data["construction"]["dimensions"][0].update(modulus=8, residue=7)
+    return UtrCode.from_json(data)
+
+
+# (q, n, t, N) of construction_a codes, whose cones have weight r_n = 1 at q = 2 and n <= 14,
+# 2 at n = 16 and 0 at q = 3
+DECODE_TWIN_CODES = [(2, 10, 1, 1), (2, 12, 2, 1), (2, 13, 1, 0), (2, 14, 3, 11),
+                     (2, 16, 1, 0), (2, 16, 3, 1), (3, 8, 2, 1)]
+
+
+def test_decoder_matches_listed_twin_and_scan():
+    rng = random.Random(21)
+    seen = Counter()
+    codes = [construction_a(DupParams(q, 2), n, t, N) for q, n, t, N in DECODE_TWIN_CODES]
+    for code in [UtrCode.loads(c.dumps()) for c in codes] + [empty_class_code()]:
+        listed = listed_twin(code)
+        params, k = code.params, code.params.k
+        m_n, r_n = code._description.m_n, code._description.r_n
+        for _ in range(30):
+            depth = rng.randrange(3)
+            reads = set()
+            # reads of one or two sources: a codeword, or any word, whose root may be off the pool
+            for _ in range(rng.choice((1, 1, 2))):
+                if rng.random() < 0.6:
+                    source = listed.codewords[rng.randrange(len(listed))]
+                else:
+                    source = Word(tuple(rng.randrange(params.q) for _ in range(code.n)), params)
+                pool = sorted(descendants(source, depth), key=lambda w: w.symbols)
+                # up to N + 2 of them, so fewer than N + 1 often leave several candidates
+                reads.update(rng.sample(pool, min(len(pool), rng.randint(1, code.N + 2))))
+            reads = sorted(reads, key=lambda w: w.symbols)
+            rng.shuffle(reads)
+            got = outcome(reconstruct, code, reads)
+            assert got == outcome(reconstruct, listed, reads)
+            kind = Word if isinstance(got, Word) else got[0]
+            seen[kind] += 1
+            # the scan knows no roots: reads of two roots are reads of no codeword
+            if kind is ConeMismatchError:
+                got = (NoCandidateError, "no codeword is an ancestor of all reads")
+            assert outcome(reconstruct_scan, code, reads) == got
+            roots = {root(r).symbols for r in reads}
+            if len(roots) == 1:
+                (shared,) = roots
+                if len(shared) != code.n - k * r_n:
+                    seen["root of another length"] += 1
+                elif len(_cone(shared, k)[2]) - 1 < m_n:
+                    seen["root below the weight threshold"] += 1
+        assert "cone_index" not in vars(code)
+    assert {Word, NoCandidateError, AmbiguityError, ConeMismatchError} <= seen.keys()
+    assert {"root of another length", "root below the weight threshold"} <= seen.keys()
+
+
+def caught(make_reads, fn, code):
+    """What fn returns for the reads make_reads gives, or the type and message of what it raises."""
+    try:
+        return fn(code, make_reads())
+    except Exception as err:
+        return type(err), str(err)
+
+
+def test_read_check_matches_the_validator():
+    code = construction_a(P22, 12, 1, 1)
+    a, b = code.codewords[5], code.codewords[9]
+    reads = sorted(descendants(a, 1), key=lambda w: w.symbols)
+    twin = Word(reads[0].symbols, DupParams(2, 2))  # equal, but its params are another object
+    cases = {
+        "descendants": lambda: reads,
+        "duplicates": lambda: [reads[1], Word(reads[1].symbols, P22), reads[0], reads[1]],
+        "equal params": lambda: [twin, reads[2]],
+        "foreign params": lambda: [reads[0], Word(reads[1].symbols, DupParams(2, 3))],
+        "foreign code": lambda: [Word(reads[0].symbols, DupParams(3, 2))],
+        "mixed lengths": lambda: [reads[0], b],
+        "unreachable length": lambda: [Word(reads[0].symbols[:-1], P22)],
+        "shorter than n": lambda: [Word(a.symbols[:-2], P22)],
+        "codeword": lambda: [a],
+        "no reads": lambda: [],
+        "generator": lambda: (r for r in reads[:3]),
+        "empty generator": lambda: iter(()),
+        "str items": lambda: [r.text() for r in reads],
+        "list items": lambda: [list(r.symbols) for r in reads],
+        "a Word and a str": lambda: [reads[0], "0101"],
+        "a str": lambda: "0101",
+    }
+    validated = lambda code, reads: [r.symbols for r in utr._validated_reads(code, reads)]
+    for name, make in cases.items():
+        want = caught(make, validated, code)
+        assert caught(make, utr._read_symbols, code) == want, name
+        # the decoder agrees with its scanning twin on the same input
+        assert caught(make, reconstruct, code) == caught(make, reconstruct_scan, code), name
+    assert caught(cases["equal params"], reconstruct, code) == a
+
+
+def test_simulate_grows_no_cone_index():
+    code = UtrCode.loads(construction_a(P22, 14, 1, 1).dumps())
+    report = simulate_reconstruction(code, 100, seed=1)
+    assert "cone_index" not in vars(code)
+    assert report == simulate_reconstruction(listed_twin(code), 100, seed=1)
+    assert report.success_rate == 1.0
+
+
 def test_simulate_success():
     report = simulate_reconstruction(fixture_code(N=1), 300, seed=17)
     assert report.success_rate == 1.0
