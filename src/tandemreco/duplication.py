@@ -505,14 +505,15 @@ def _decomposed(x: Word) -> Cone:
 
 
 def _grow(
-    sym: tuple[int, ...], k: int, ends: tuple[int, ...], steps: Iterable[tuple[int, int]]
-) -> tuple[int, ...]:
+    sym: tuple[int, ...] | str, k: int, ends: tuple[int, ...], steps: Iterable[tuple[int, int]]
+) -> tuple[int, ...] | str:
     """Inverse of :func:`_cone` on an irreducible word: its cone member at coordinates v.
 
     ``steps`` gives v as (i, v[i]) pairs in order of i; zero entries may be left out.
+    ``sym`` is the word's symbol tuple or its walk key, and the member is of its kind.
     """
     # run i grows by v[i] k-blocks: sym[e : e + k] is duplicated v[i] times
-    out = ()
+    out = sym[:0]
     cut = 0
     for i, s in steps:
         if s:

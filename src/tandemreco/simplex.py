@@ -166,10 +166,11 @@ def min_half_distance(points: list[SimplexPoint]) -> int | None:
     """Minimum pairwise distance, or None for fewer than two points.
 
     Looks each point's radius-rho shell up in a set, for rho = 1, 2, ...,
-    while the |C| * ball_size(m, rho) lookups cost less than the
-    |C|(|C| - 1)/2 pairs, then compares pairs.  Input off a nonnegative
-    simplex goes to the pairwise form, which also reports mixed lengths or
-    sums.
+    when the shells up to a radius that surely holds a pair, |C| *
+    ball_size(m, rho) lookups in all, cost less than the |C|(|C| - 1)/2
+    pairs; otherwise compares pairs, and probes no shell first.  Input off a
+    nonnegative simplex goes to the pairwise form, which also reports mixed
+    lengths or sums.
     """
     n = len(points)
     if n < 2:
@@ -180,13 +181,20 @@ def min_half_distance(points: list[SimplexPoint]) -> int | None:
     # at dimension 0 every point is (r,), so two points always repeat one
     if len(present) < n:
         return 0
-    m = len(points[0]) - 1
+    m, r = len(points[0]) - 1, sum(points[0])
     rho = 1
     while 2 * ball_size(m, rho) < n - 1:
-        if any(q in present for p in present for q in _shell(p, rho)):
-            return rho
+        # points pairwise more than rho apart own disjoint sets {p + w : w >= 0, sum(w) = rho}
+        # of C(rho + m, m) points each in the (m, r + rho)-simplex, so too many hold a pair
+        if n * binom(rho + m, m) > binom(r + rho + m, m):
+            return next(d for d in range(1, rho + 1) if _near(present, d))
         rho += 1
     return min_half_distance_pairwise(points)
+
+
+def _near(present: set[SimplexPoint], rho: int) -> bool:
+    """Whether two points of present are exactly rho apart."""
+    return any(q in present for p in present for q in _shell(p, rho))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .duplication import (
     _grow,
     _key,
     _layer,
+    _symbols,
     _texts,
     channel_sample,
     descendants,
@@ -151,14 +152,7 @@ class UtrCode:
         index = vars(self).get("cone_index")
         if index is not None:
             return tuple(sorted([sym for members in index.values() for sym, _ in members]))
-        k = self.params.k
-        steps = _steps(self._description.points)
-        grown = [
-            _grow(sym, k, ends, g)
-            for sym, ends in self._description.cones
-            for _, g in steps[len(ends) - 1]
-        ]
-        return tuple(sorted(grown))
+        return tuple(_grown(self._description, self.params.k, tuple))
 
     def __len__(self) -> int:
         # a listed code holds its symbols, and a described one may have grown them
@@ -260,6 +254,20 @@ def _steps(points: dict[int, Sequence[Symbols]]) -> dict[int, list[tuple[Symbols
     }
 
 
+def _grown(description: _Description, k: int, form: Callable[[Symbols], Symbols | str]) -> list:
+    """Every codeword of a description, each grown from form(root symbols), sorted.
+
+    ``tuple`` grows symbol tuples and ``_key`` walk keys, which sort alike.
+    """
+    steps = _steps(description.points)
+    grown = []
+    for sym, ends in description.cones:
+        root = form(sym)
+        grown += [_grow(root, k, ends, g) for _, g in steps[len(ends) - 1]]
+    grown.sort()
+    return grown
+
+
 def _members(
     sym: Symbols, k: int, ends: Symbols, steps: Iterable[tuple[Symbols, list]]
 ) -> list[tuple[Symbols, Symbols]]:
@@ -340,34 +348,41 @@ def is_utr_code_direct(code: UtrCode) -> UtrCheck:
     it.  Words enter it from last to first, so word i counts what it shares
     with every later word j, and the last violation seen is the smallest
     (i, j).  The descendants together may hold at most the node cap; a
-    described code is priced against it before any codeword is grown.  Only
-    a violating pair is wrapped in ``Word``s.
+    described code is priced against it before any codeword is grown, and
+    then grows its walk keys, not its symbols.  Only a violating pair is
+    turned back into symbols and wrapped in ``Word``s.
     """
     cap = _effective_cap()
     if code._description is not None:
         _price_direct(code._description, code.t, cap)
-    words, k = code.symbols, code.params.k
-    keys = _keys(code)
+    keys, k, N = _keys(code), code.params.k, code.N
     total = 0
     owners: dict[str, tuple[int, ...]] = {}
     found = UtrCheck(True)
-    for i in range(len(words) - 1, -1, -1):
+    for i in range(len(keys) - 1, -1, -1):
         desc = _layer(keys[i], k, code.t, cap)
         total += len(desc)
         if total > cap:
             raise ResourceCapError(f"descendant index exceeded cap of {cap} nodes")
-        # one entry per descendant that word i shares with a later word
+        # the descendants word i owns alone share its one tuple; mates gets one
+        # entry per descendant that word i shares with a later word
+        mine = (i,)
         mates: list[int] = []
         for d in desc:
-            owned = owners.get(d, ())
-            mates += owned
-            owners[d] = owned + (i,)
-        if len(mates) > code.N:  # else no later word can share more than N
+            owned = owners.get(d)
+            if owned is None:
+                owners[d] = mine
+            else:
+                mates += owned
+                owners[d] = owned + mine
+        # a later word sharing more than N descendants repeats N times in mates
+        if len(mates) > N and len(mates) - len(set(mates)) >= N:
             shared = Counter(mates)
-            bad = [j for j, count in shared.items() if count > code.N]
+            bad = [j for j, count in shared.items() if count > N]
             if bad:
                 j = min(bad)
-                found = UtrCheck(False, _pair(code, words[i], words[j]), shared[j])
+                pair = _pair(code, _symbols(keys[i]), _symbols(keys[j]))
+                found = UtrCheck(False, pair, shared[j])
     return found
 
 
@@ -387,7 +402,13 @@ def _price_direct(description: _Description, t: int, cap: int) -> None:
 
 
 def _keys(code: UtrCode) -> list[str]:
-    """The walk key of each codeword, in symbol order, cut from one join of all symbols."""
+    """The walk key of each codeword, in symbol order.
+
+    A described code that has not grown its symbols grows each key from its
+    root's key; otherwise the keys are cut from one join of all symbols.
+    """
+    if code._description is not None and "symbols" not in vars(code):
+        return _grown(code._description, code.params.k, _key)
     joined = _key(chain.from_iterable(code.symbols))
     n = code.n
     return [joined[i : i + n] for i in range(0, len(joined), n)]
@@ -739,15 +760,15 @@ def reconstruct_scan(code: UtrCode, reads: Iterable[Word]) -> Word:
     read_keys = [_key(r.symbols) for r in read_list]
     cap = _effective_cap()
     candidates = []
-    for sym, key in zip(code.symbols, _keys(code)):
+    for key in _keys(code):
         pool = _layer(key, code.params.k, extra, cap)
         if all(r in pool for r in read_keys):
-            candidates.append(sym)
+            candidates.append(key)
     if not candidates:
         raise NoCandidateError("no codeword is an ancestor of all reads")
     if len(candidates) > 1:
         raise AmbiguityError(f"{len(candidates)} codewords fit the reads")
-    return Word._trusted(candidates[0], code.params)
+    return Word._trusted(_symbols(candidates[0]), code.params)
 
 
 @dataclass(frozen=True)

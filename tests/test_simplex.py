@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tandemreco import simplex
@@ -167,6 +167,26 @@ def test_probe_finds_distances_behind_empty_shells(monkeypatch):
     assert min_half_distance(sets[3] + [(-1, member[1] + 1) + member[2:]]) == 1
     monkeypatch.setattr(simplex, "min_half_distance_pairwise", _refuse_pairs)
     assert [min_half_distance(points) for points in sets] == want == [3, 4, 2, 3, 2, 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+# distance-2 codes that hold a pair within 2 but cannot afford radius 2 probe no radius
+@example(list(sidon_code(5, 8, 2).points))
+@example(list(sidon_code(5, 7, 2).points))
+@example(list(sidon_code(4, 8, 2).points))
+def test_min_half_distance_never_probes_then_compares_pairs(points):
+    # a probe that runs finds its pair, so no set pays for shells and then for every pair
+    probed, compared = [], []
+    near, pairwise = simplex._near, simplex.min_half_distance_pairwise
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "_near", lambda *args: probed.append(args) or near(*args))
+        patch.setattr(simplex, "min_half_distance_pairwise",
+                      lambda pts: compared.append(pts) or pairwise(pts))
+        got = _distance_or_error(min_half_distance, points)
+    assert not (probed and compared)
+    if probed:
+        assert got == probed[-1][1]
 
 
 def test_required_distance_examples():

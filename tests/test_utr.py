@@ -551,8 +551,52 @@ def test_priced_checker_raises_what_the_walk_raises(monkeypatch):
         monkeypatch.setenv("TANDEM_NODE_CAP", str(cap))
         fresh = construction_a(P22, 12, 1, 1)
         assert outcome(is_utr_code_direct, fresh) == outcome(is_utr_code_direct, listed)
-        # a layer above the cap leaves the raise to the walk, which grows the symbols
-        assert ("symbols" in vars(fresh)) == (cap < 9 or cap >= 6488)
+        # the walk grows walk keys, so whichever check ends it, no symbol tuple is grown
+        assert "symbols" not in vars(fresh)
+
+
+def test_keys_grown_from_the_description_match_the_listed_twin():
+    built = 0
+    for q, top, _ in INDEX_TWIN_RANGE:
+        for n, t, N in itertools.product(range(1, top + 1), (1, 2, 3), (0, 1, 11)):
+            try:
+                code = construction_a(DupParams(q, 2), n, t, N)
+            except TandemError:
+                continue
+            built += 1
+            loaded = UtrCode.loads(code.dumps())
+            grown = [utr._keys(code), utr._keys(loaded)]
+            assert "symbols" not in vars(code) and "symbols" not in vars(loaded)
+            assert grown == [utr._keys(listed_twin(code))] * 2, (q, n, t, N)
+    assert built == 124
+    # the comma form's alphabet: symbols 0-10 are code points 0-10
+    wide = described_code(DupParams(11, 2), 3, 2, 1, 1)
+    assert utr._keys(wide) == utr._keys(listed_twin(wide))
+
+
+def test_scan_of_a_described_code_grows_no_symbols():
+    code = construction_a(P22, 12, 1, 1)
+    # the twin lists a copy read from the file, so code itself lists nothing
+    listed = listed_twin(UtrCode.loads(code.dumps()))
+    x = listed.codewords[100]
+    reads = sorted(descendants(x, 1), key=lambda w: w.symbols)
+    assert reconstruct_scan(code, reads) == x == reconstruct_scan(listed, reads)
+    one = reads[:1]
+    assert outcome(reconstruct_scan, code, one) == outcome(reconstruct_scan, listed, one)
+    assert "symbols" not in vars(code)
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_failing_described_code_names_the_listed_witness(n):
+    # the description of a valid code, read with no uncertainty or with two duplications
+    code = construction_a(P22, n, 1, 1)
+    for N, t in ((0, 1), (1, 2)):
+        bad = UtrCode._of(code.params, n, N, t, _description=code._description)
+        failed = is_utr_code_direct(bad)
+        assert "symbols" not in vars(bad)
+        listed = listed_twin(bad)
+        assert not failed.ok and failed == is_utr_code_direct(listed), (n, N, t)
+        assert failed == pairwise_direct_checker(listed)
 
 
 def test_direct_checker_price_survives_optimize(run_optimized):
