@@ -150,30 +150,6 @@ class Word:
         return sum(1 for s in self.symbols if s != 0)
 
 
-def _texts(block: tuple[tuple[int, ...], ...], q: int, n: int) -> list[str]:
-    """``Word.text`` of each word of length n in block, with one translation when q <= 10."""
-    if q > 10:
-        return [",".join(map(str, sym)) for sym in block]
-    digits = b"".join(map(bytes, block)).translate(_TO_DIGIT).decode("ascii")
-    return [digits[i : i + n] for i in range(0, len(digits), n)]
-
-
-def _digit_block(texts: list[str], q: int, n: int) -> tuple[tuple[int, ...], ...] | None:
-    """The symbols of texts when each is n ASCII digits below q <= 10, else None.
-
-    The list is checked and translated as a whole; on None the caller parses
-    word by word, which strips blanks, reads commas and names a bad word.
-    """
-    joined = "".join(texts)
-    if q > 10 or not joined.isascii() or list(map(len, texts)).count(n) != len(texts):
-        return None
-    raw = joined.encode("ascii")
-    # deleting the alphabet's digits leaves nothing
-    if raw.translate(None, b"0123456789"[:q]):
-        return None
-    return tuple(zip(*[iter(raw.translate(_FROM_DIGIT))] * n))
-
-
 def word(text: str, q: int, k: int) -> Word:
     """Parse a word from its text form."""
     return Word.parse(text, DupParams(q, k))

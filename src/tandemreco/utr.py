@@ -17,8 +17,8 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice, product, repeat
-from operator import attrgetter, le, lt
+from itertools import accumulate, islice, product, repeat
+from operator import attrgetter, le
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .capacity import capacity_profile
@@ -26,13 +26,11 @@ from .duplication import (
     DupParams,
     Word,
     _cone,
-    _digit_block,
     _effective_cap,
     _grow,
     _key,
     _layer,
     _symbols,
-    _texts,
     channel_sample,
     descendants,
 )
@@ -134,15 +132,13 @@ class UtrCode:
     _description = None
 
     @classmethod
-    def _of(cls, params: DupParams, n: int, N: int, t: int, **held) -> "UtrCode":
-        """A code from checked parts of length n over params' alphabet.
-
-        ``held`` gives either ``symbols``, sorted and distinct, or
-        ``_description``, a :class:`_Description` of roots of one length.
-        """
+    def _of(
+        cls, params: DupParams, n: int, N: int, t: int, _description: _Description
+    ) -> "UtrCode":
+        """A described code of length n over params' alphabet, its roots all of one length."""
         _check_budget(n, N, t)
         code = object.__new__(cls)
-        vars(code).update(params=params, n=n, N=N, t=t, **held)
+        vars(code).update(params=params, n=n, N=N, t=t, _description=_description)
         return code
 
     # the symbols field's class default: a listed code holds its symbols, so only a
@@ -204,10 +200,9 @@ class UtrCode:
         return dict(index)
 
     def to_json(self) -> dict:
-        q, k = self.params.q, self.params.k
-        head = {"q": q, "k": k, "n": self.n, "N": self.N, "t": self.t}
+        head = {"q": self.params.q, "k": self.params.k, "n": self.n, "N": self.N, "t": self.t}
         if self._description is None:
-            return {**head, "codewords": _texts(self.symbols, q, self.n)}
+            return {**head, "codewords": [w.text() for w in self.codewords]}
         m_n, r_n, _, classes, _ = self._description
         dimensions = [
             {"m": m, "weights": list(weights), "modulus": modulus, "residue": residue}
@@ -230,14 +225,7 @@ class UtrCode:
         if not all(isinstance(s, str) for s in texts):
             raise DomainError("code key 'codewords' must hold strings")
         params = DupParams(q, k)
-        symbols = _digit_block(texts, params.q, n)
-        if symbols is None:
-            # word by word: the same code, or the error the first bad word raises
-            return cls(params, n, N, t, [Word.parse(s, params) for s in texts])
-        # a written file is sorted and free of repeats already
-        if not all(map(lt, symbols, symbols[1:])):
-            symbols = tuple(sorted(set(symbols)))
-        return cls._of(params, n, N, t, symbols=symbols)
+        return cls(params, n, N, t, [Word.parse(s, params) for s in texts])
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
@@ -404,14 +392,12 @@ def _price_direct(description: _Description, t: int, cap: int) -> None:
 def _keys(code: UtrCode) -> list[str]:
     """The walk key of each codeword, in symbol order.
 
-    A described code that has not grown its symbols grows each key from its
-    root's key; otherwise the keys are cut from one join of all symbols.
+    A described code grows each key from its root's key, so it lists no
+    symbol tuple; a listed code keys its symbols.
     """
-    if code._description is not None and "symbols" not in vars(code):
+    if code._description is not None:
         return _grown(code._description, code.params.k, _key)
-    joined = _key(chain.from_iterable(code.symbols))
-    n = code.n
-    return [joined[i : i + n] for i in range(0, len(joined), n)]
+    return list(map(_key, code.symbols))
 
 
 def is_utr_code_reduced(code: UtrCode) -> UtrCheck:
@@ -420,44 +406,26 @@ def is_utr_code_reduced(code: UtrCode) -> UtrCheck:
     Words shorter than k never duplicate, and words with different roots
     never share descendants; within one root's cone the shared-descendant
     bound is equivalent to a minimum distance on the coordinate images.
-    That distance depends only on the coordinates, so a cone whose set of
-    coordinates has already passed is not compared again: each distinct
-    coordinate set is checked once per code, and a described code's once
-    per cone dimension.  A violating set is never remembered, so the first
-    violation in ``cone_index`` order of the listed code is the one
-    reported.  Must agree with :func:`is_utr_code_direct`.
+    A listed code compares the coordinates of each cone of ``cone_index``
+    in turn and reports the first close pair of the first failing cone.  A
+    described code gives every cone of one dimension the same points, so it
+    compares each dimension's points once and names the pair the listed
+    code would.  Must agree with :func:`is_utr_code_direct`.
     """
     if code._description is not None:
         return _reduced_described(code)
-    needs: dict[int, int] = {}
-    passed: set[frozenset[tuple[int, ...]]] = set()
     for members in code.cone_index.values():
-        m = len(members[0][1]) - 1
-        if m not in needs:
-            needs[m] = required_distance(code.N, code.t, m)
-        need = needs[m]
+        need = required_distance(code.N, code.t, len(members[0][1]) - 1)
         # psi is injective, so distinct cone mates are always at least 1 apart
-        if need <= 1:
-            continue
-        # the need is fixed by the coordinates' length, so a passed set passes again
-        coords = frozenset(sigma for _, sigma in members)
-        if coords in passed:
-            continue
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                dist = half_manhattan(members[i][1], members[j][1])
-                if dist < need:
-                    return UtrCheck(False, _pair(code, members[i][0], members[j][0]), dist)
-        passed.add(coords)
+        close = need > 1 and _close_pair([v for _, v in members], need)
+        if close:
+            i, j, dist = close
+            return UtrCheck(False, _pair(code, members[i][0], members[j][0]), dist)
     return UtrCheck(True)
 
 
 def _close_pair(coords: Sequence[Symbols], need: int) -> tuple[int, int, int] | None:
-    """The first pair i < j of coords closer than need, with its distance, or None.
-
-    :func:`is_utr_code_reduced` keeps its own copy of this loop for listed
-    codes, so that many tiny codes pay no extra call.
-    """
+    """The first pair i < j of coords closer than need, with its distance, or None."""
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):
             dist = half_manhattan(coords[i], coords[j])
@@ -551,13 +519,15 @@ def utr_size_formula(
     return total
 
 
-def irreducible_words(params: DupParams, length: int, min_weight: int = 0) -> list[Word]:
-    """All irreducible words of one length (weight filter optional), lex by transform."""
-    return [Word._trusted(sym, params) for sym, _ in _roots(params, length, min_weight)]
+def irreducible_words(params: DupParams, length: int) -> list[Word]:
+    """All irreducible words of one length, lex by transform."""
+    return [Word._trusted(sym, params) for sym, _ in _roots(params, length, 0)]
 
 
 def _roots(params: DupParams, length: int, min_weight: int) -> list[tuple[Symbols, Symbols]]:
-    """:func:`irreducible_words` as symbols, each with its zero-run ends (``_cone``'s third part).
+    """The irreducible words of weight at least min_weight as symbols, lex by transform.
+
+    Each comes with its zero-run ends (``_cone``'s third part).
 
     A layer-by-layer walk appends sym[-k] + d (mod q), d = 0 only while the
     zero run stays below k and min_weight in reach, so no layer outgrows the

@@ -5,10 +5,12 @@ translation, and ``UtrCode`` dedupes, sorts and checks its codewords with C
 built-ins when every word carries its params and length.  The per-symbol
 versions they replaced are kept here as written, and the two must agree: the
 same word, or the same exception type and message.  ``UtrCode.from_json``
-reads a whole codeword list at once, and the per-word path is its twin.  The
-benchmark's codes are pinned by hash in both file forms, the compact
-description that ``dumps`` writes for a built code and the listing of its
-codewords, so a codec change that alters a stored file fails here.
+parses a listed file's codewords one by one with ``Word.parse`` and hands
+them to the public constructor; a plain per-word loader is its twin, and the
+outcomes of a few odd files are pinned.  The benchmark's codes are pinned by
+hash in both file forms, the compact description that ``dumps`` writes for a
+built code and the listing of its codewords, so a codec change that alters a
+stored file fails here.
 """
 
 import hashlib
@@ -233,6 +235,30 @@ def test_loader_matches_per_word_path(data):
     if isinstance(want, UtrCode):
         assert got.codewords == want.codewords and got.dumps() == want.dumps()
         assert all(type(s) is int for sym in got.symbols for s in sym)
+
+
+# each file: its code (params, n, N, t, codeword texts) or its exception's type and message
+LISTED_FILE_OUTCOMES = [
+    (code_file(2, 4, "0110", "0120"), (DomainError, "symbol 2 outside alphabet of size 2")),
+    (
+        code_file(2, 4, "000", "00000"),
+        (WordLengthError, "codeword Word('000', q=2, k=2) does not have length 4"),
+    ),
+    (code_file(2, 4, " 0101 ", "0110"), (DupParams(2, 2), 4, 1, 1, ["0101", "0110"])),
+    (code_file(10, 3, "01\u0661", "019"), (DomainError, "not a word over 10 symbols: '01\u0661'")),
+    (code_file(3, 2, "21", "02", "21", "10"), (DupParams(3, 2), 2, 1, 1, ["02", "10", "21"])),
+    (code_file(3, 2, "02", "10", "21"), (DupParams(3, 2), 2, 1, 1, ["02", "10", "21"])),
+    (code_file(11, 2, "1,10", "0,3", "1,10"), (DupParams(11, 2), 2, 1, 1, ["0,3", "1,10"])),
+    (code_file(11, 2, "03,4"), (DomainError, "not a word over 11 symbols: '03,4'")),
+]
+
+
+@pytest.mark.parametrize("data, want", LISTED_FILE_OUTCOMES)
+def test_listed_file_outcomes_are_pinned(data, want):
+    got = outcome(UtrCode.from_json, data)
+    if isinstance(got, UtrCode):
+        got = (got.params, got.n, got.N, got.t, [w.text() for w in got.codewords])
+    assert got == want
 
 
 def sha256(text: str) -> str:

@@ -38,7 +38,6 @@ SETTABLE = {
         "UtrCheck.__new__(detail)",  # record field
         "UtrCheck.__new__(witness)",  # record field
         "construction_a(theta)",  # cli code build --theta
-        "irreducible_words(min_weight)",  # construction_a
     ],
 }
 

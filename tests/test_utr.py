@@ -24,6 +24,7 @@ from tandemreco import (
     UtrCode,
     Word,
     WordLengthError,
+    cone_dimension,
     construction_a,
     count_rll_weight,
     descendants,
@@ -287,7 +288,7 @@ def test_reduced_checker_computes_each_dimension_need_once(monkeypatch):
 
 
 def all_pairs_reduced_checker(code: UtrCode) -> UtrCheck:
-    """The cone reduction comparing every pair of every cone; the reference of verdict reuse."""
+    """The cone reduction, every pair of every cone compared: the listed checker's twin."""
     for members in code.cone_index.values():
         need = required_distance(code.N, code.t, len(members[0][1]) - 1)
         if need <= 1:
@@ -698,11 +699,14 @@ def test_irreducible_words_match_filtered_product():
                         diff = tuple((sym[i + k] - sym[i]) % q for i in range(length - k))
                         pool.append((sym[:k], diff, sym))
                 pool.sort()
+                words = irreducible_words(params, length)
+                assert [w.symbols for w in words] == [sym for _, _, sym in pool], (q, k, length)
+                assert all(w.params == params for w in words)
+                # the weight filter is the root walk's, which construction A's pool uses
                 for min_weight in range(length + 1):
                     want = [sym for _, diff, sym in pool if sum(map(bool, diff)) >= min_weight]
-                    got = irreducible_words(params, length, min_weight)
-                    assert [w.symbols for w in got] == want, (q, k, length, min_weight)
-                    assert all(w.params == params for w in got)
+                    got = utr._roots(params, length, min_weight)
+                    assert [sym for sym, _ in got] == want, (q, k, length, min_weight)
 
 
 @pytest.mark.parametrize("q, k", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -712,7 +716,8 @@ def test_root_walk_gives_each_roots_run_ends(q, k):
     for length in range(k, 9):
         for min_weight in (0, 2):
             roots = utr._roots(params, length, min_weight)
-            words = irreducible_words(params, length, min_weight)
+            words = irreducible_words(params, length)
+            words = [x for x in words if cone_dimension(x) >= min_weight]
             assert [sym for sym, _ in roots] == [x.symbols for x in words]
             assert all(ends == _cone(sym, k)[2] for sym, ends in roots), (length, min_weight)
 
@@ -731,10 +736,10 @@ def test_irreducible_words_cap(monkeypatch, cap):
                     size = q**k * sum(count_rll_weight(l, m, params) for m in weights)
                     if size > cap:
                         with pytest.raises(ResourceCapError) as excinfo:
-                            irreducible_words(params, length, min_weight)
+                            utr._roots(params, length, min_weight)
                         assert str(excinfo.value) == f"irreducible enumeration above cap {cap}"
                     else:
-                        assert len(irreducible_words(params, length, min_weight)) == size
+                        assert len(utr._roots(params, length, min_weight)) == size
 
 
 @pytest.mark.parametrize("k, length", [(3, 5), (2, 3)])
