@@ -163,7 +163,7 @@ def cmd_code_verify(args) -> int:
 
 def cmd_code_info(args) -> int:
     code = _load_code(args.code)
-    cones = code.cone_sizes()
+    cones = code.cone_size_counts()
     _print_json(
         {
             "q": code.params.q,
@@ -173,7 +173,7 @@ def cmd_code_info(args) -> int:
             "t": code.t,
             "size": len(code),
             "rate": code.rate(),
-            "roots": len(cones),
+            "roots": sum(cones.values()),
             "largest_cone": max(cones, default=0),
         }
     )

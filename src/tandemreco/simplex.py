@@ -143,10 +143,12 @@ def min_half_distance_pairwise(points: list[SimplexPoint]) -> int | None:
 
 
 def _shell(p: SimplexPoint, rho: int) -> Iterator[SimplexPoint]:
-    """The nonnegative points of p's sum at distance exactly rho from p.
+    """The nonnegative points of p's sum exactly rho >= 1 from p, below p where they first differ.
 
     Each takes rho units off p (a multiset of coordinates, none below zero)
-    and adds rho units to coordinates that gave none.
+    and adds rho units to coordinates above the lowest one taken that gave
+    none.  Of two points rho apart, only the one above at their first
+    differing coordinate holds the other in its shell.
     """
     for take in combinations_with_replacement(range(len(p)), rho):
         base = list(p)
@@ -154,7 +156,7 @@ def _shell(p: SimplexPoint, rho: int) -> Iterator[SimplexPoint]:
             base[i] -= 1
         if min(base) < 0:
             continue
-        free = [i for i in range(len(p)) if i not in take]
+        free = [i for i in range(take[0] + 1, len(p)) if i not in take]
         for give in combinations_with_replacement(free, rho):
             q = base[:]
             for i in give:
@@ -193,7 +195,7 @@ def min_half_distance(points: list[SimplexPoint]) -> int | None:
 
 
 def _near(present: set[SimplexPoint], rho: int) -> bool:
-    """Whether two points of present are exactly rho apart."""
+    """Whether two points of present are exactly rho apart, each pair looked up from one end."""
     return any(q in present for p in present for q in _shell(p, rho))
 
 

@@ -15,11 +15,12 @@ import json
 import math
 import random
 from collections import Counter, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, islice, product, repeat
 from operator import attrgetter, le
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from .capacity import capacity_profile
 from .duplication import (
@@ -78,14 +79,16 @@ class _Description(NamedTuple):
     """A Construction-A code: roots of weight at least m_n, and cones of weight r_n.
 
     ``cones`` holds each root's symbols with its run ends, in the order of
-    :func:`irreducible_words`; ``classes`` maps each cone dimension m that
-    occurs to its congruence class (m + 1 weights, modulus, residue), and
+    :func:`irreducible_words`, walked on first read; ``counts`` maps each cone
+    dimension m that occurs to its number of roots; ``classes`` maps each such
+    m to its congruence class (m + 1 weights, modulus, residue), and
     ``points`` to the class's points in the (m, r_n)-simplex, in lex order.
     """
 
     m_n: int
     r_n: int
-    cones: list[tuple[Symbols, Symbols]]
+    cones: Sequence[tuple[Symbols, Symbols]]
+    counts: dict[int, int]
     classes: dict[int, tuple[Symbols, int, int]]
     points: dict[int, Sequence[Symbols]]
 
@@ -95,11 +98,13 @@ class UtrCode:
     """An (N, t) reconstruction code: equal-length codewords plus its budget.
 
     A listed code keeps its codewords as one sorted tuple of distinct symbol
-    tuples.  A described code, as :func:`construction_a` builds it, keeps its
-    roots and one congruence class per cone dimension instead, grows
-    ``symbols`` and ``cone_index`` on first read, and writes only that
-    description to its file.  ``codewords`` wraps the symbols in ``Word``s on
-    first read.  Equality and hash read the symbols.
+    tuples.  A described code, as :func:`construction_a` builds it, keeps the
+    number of its roots of each cone dimension and one congruence class per
+    dimension instead, takes its size, rate and cone size counts from them,
+    and writes only that description to its file.  It walks its roots once,
+    when codewords are first read, and grows ``symbols`` and ``cone_index``
+    on first read.  ``codewords`` wraps the symbols in ``Word``s on first
+    read.  Equality and hash read the symbols.
     """
 
     params: DupParams
@@ -152,18 +157,35 @@ class UtrCode:
 
     def __len__(self) -> int:
         # a listed code holds its symbols, and a described one may have grown them
-        return len(self.symbols) if "symbols" in vars(self) else sum(self.cone_sizes())
+        if "symbols" in vars(self):
+            return len(self.symbols)
+        return sum(size * count for size, count in self.cone_size_counts().items())
 
     def cone_sizes(self) -> list[int]:
         """The number of codewords in each cone of ``cone_index``, in its order.
 
-        A described code counts them without growing its index.
+        A described code counts them from its roots without growing its index.
         """
         if self._description is None:
             return list(map(len, self.cone_index.values()))
         points = self._description.points
         # a root whose class is empty owns no codeword, so it is no cone of the index
         return [size for _, ends in self._description.cones if (size := len(points[len(ends) - 1]))]
+
+    def cone_size_counts(self) -> dict[int, int]:
+        """How many cones of ``cone_index`` hold each number of codewords.
+
+        A described code counts them from its root counts, walking no root.
+        """
+        if self._description is None:
+            return Counter(map(len, self.cone_index.values()))
+        points = self._description.points
+        sizes: Counter[int] = Counter()
+        for m, count in self._description.counts.items():
+            # a dimension whose class is empty owns no cone
+            if points[m]:
+                sizes[len(points[m])] += count
+        return sizes
 
     @cached_property
     def codewords(self) -> tuple[Word, ...]:
@@ -203,7 +225,7 @@ class UtrCode:
         head = {"q": self.params.q, "k": self.params.k, "n": self.n, "N": self.N, "t": self.t}
         if self._description is None:
             return {**head, "codewords": [w.text() for w in self.codewords]}
-        m_n, r_n, _, classes, _ = self._description
+        m_n, r_n, _, _, classes, _ = self._description
         dimensions = [
             {"m": m, "weights": list(weights), "modulus": modulus, "residue": residue}
             for m, (weights, modulus, residue) in sorted(classes.items())
@@ -281,8 +303,9 @@ def _read(data, where: str, keys: tuple[tuple[str, type], ...]) -> list:
 def _read_description(params: DupParams, n: int, data) -> _Description:
     """The description in a code file's ``construction``, its points drawn from each class.
 
-    The listed dimensions must be exactly those of the roots, whose walk and
-    simplices keep their caps; no codeword is grown or checked here.
+    The listed dimensions must be exactly those of the roots, which are
+    counted and priced, not walked, and whose simplices keep their caps; no
+    codeword is grown or checked here.
     """
     m_n, r_n, dimensions = _read(data, "construction", _CONSTRUCTION_KEYS)
     if m_n < 0 or r_n < 0:
@@ -299,14 +322,14 @@ def _read_description(params: DupParams, n: int, data) -> _Description:
                 f"dimension {m} needs 0 <= residue < modulus, got {residue} mod {modulus}"
             )
         classes[m] = (tuple(weights), modulus, residue)
-    cones = _pool(params, n - r_n * params.k, m_n)
-    dims = {len(ends) - 1 for _, ends in cones}
-    if dims != classes.keys():
+    root_len = n - r_n * params.k
+    counts = _root_counts(params, root_len, m_n)
+    if counts.keys() != classes.keys():
         raise DomainError(
-            f"construction lists dimensions {sorted(classes)}, its roots have {sorted(dims)}"
+            f"construction lists dimensions {sorted(classes)}, its roots have {sorted(counts)}"
         )
     points = {m: in_class(enumerate_simplex(m, r_n), *c) for m, c in classes.items()}
-    return _Description(m_n, r_n, cones, classes, points)
+    return _Description(m_n, r_n, _RootList(params, root_len, m_n), counts, classes, points)
 
 
 def _check_budget(n: int, N: int, t: int) -> None:
@@ -382,9 +405,9 @@ def _price_direct(description: _Description, t: int, cap: int) -> None:
     would end on the index error, so it is raised here; otherwise the walk
     runs and raises whichever error it meets first.
     """
-    roots = Counter(len(ends) - 1 for _, ends in description.cones)
-    nodes = {m: math.comb(t + m, m) for m in roots}
-    total = sum(count * len(description.points[m]) * nodes[m] for m, count in roots.items())
+    counts = description.counts
+    nodes = {m: math.comb(t + m, m) for m in counts}
+    total = sum(count * len(description.points[m]) * nodes[m] for m, count in counts.items())
     if max(nodes.values(), default=0) <= cap < total:
         raise ResourceCapError(f"descendant index exceeded cap of {cap} nodes")
 
@@ -436,7 +459,7 @@ def _close_pair(coords: Sequence[Symbols], need: int) -> tuple[int, int, int] | 
 
 def _reduced_described(code: UtrCode) -> UtrCheck:
     """:func:`is_utr_code_reduced` on a described code: each dimension's points compared once."""
-    _, _, cones, _, points = code._description
+    _, _, cones, _, _, points = code._description
     failing = {}
     for m, coords in points.items():
         need = required_distance(code.N, code.t, m)
@@ -557,11 +580,49 @@ def _roots(params: DupParams, length: int, min_weight: int) -> list[tuple[Symbol
         )
 
 
-def _pool(params: DupParams, root_len: int, m_n: int) -> list[tuple[Symbols, Symbols]]:
-    """Construction A's roots, of length root_len and weight at least m_n, with their run ends."""
+def _root_counts(params: DupParams, root_len: int, m_n: int) -> dict[int, int]:
+    """The number of Construction A's roots of each cone dimension m that has one.
+
+    The roots are the irreducible words of length root_len and weight m >= m_n:
+    q^k prefixes times ``count_rll_weight``(root_len - k, m) difference strings.
+    Each node of the walk in :func:`_roots` completes to a root, so no layer
+    of it outgrows the result, and the walk passes ``IRREDUCIBLE_CAP``
+    exactly when the total does; that error is raised here, before any walk.
+    """
     if root_len > ROOT_ENUM_MAX_LEN:
         raise ResourceCapError(f"root length {root_len} above enumeration limit")
-    return _roots(params, root_len, m_n)
+    q, k = params.q, params.k
+    counts = {}
+    for m in range(m_n, root_len - k + 1):
+        if count := q**k * count_rll_weight(root_len - k, m, params):
+            counts[m] = count
+    if sum(counts.values()) > IRREDUCIBLE_CAP:
+        raise ResourceCapError(f"irreducible enumeration above cap {IRREDUCIBLE_CAP}")
+    return counts
+
+
+class _RootList(Sequence):
+    """The roots that :func:`_root_counts` counts, with their run ends, in walk order.
+
+    Nothing is walked until an item is read; :func:`_roots` then runs once,
+    and its list is kept.
+    """
+
+    def __init__(self, params: DupParams, root_len: int, m_n: int):
+        self._walk = (params, root_len, m_n)
+
+    @cached_property
+    def _listed(self) -> list[tuple[Symbols, Symbols]]:
+        return _roots(*self._walk)
+
+    def __getitem__(self, i):
+        return self._listed[i]
+
+    def __len__(self) -> int:
+        return len(self._listed)
+
+    def __iter__(self):
+        return iter(self._listed)
 
 
 def construction_a(
@@ -574,9 +635,10 @@ def construction_a(
     """Build a reconstruction code from the rate-maximizing geometry.
 
     The capacity engine fixes the optimal root-length fraction; roots of
-    that length with enough nonzero difference symbols are enumerated, and
-    each cone is filled with a congruence-class code at the required
-    distance, mapped back to words.  The result is re-verified.
+    that length with enough nonzero difference symbols are counted by cone
+    dimension, and each cone is filled with a congruence-class code at the
+    required distance, mapped back to words.  The roots are walked only when
+    codewords are read.  The result is re-verified.
     """
     if params.k < 2:
         raise DomainError("construction needs k >= 2 (rate analysis is undefined at k = 1)")
@@ -592,20 +654,21 @@ def construction_a(
         raise InfeasibleGeometryError(f"derived root length {root_len} is below k={k}")
     m_n = math.ceil(profile.theta * profile.gamma0 * n)
 
-    cones = _pool(params, root_len, m_n)
-    if not cones:
+    counts = _root_counts(params, root_len, m_n)
+    if not counts:
         raise InfeasibleGeometryError(
             f"no roots of length {root_len} with weight >= {m_n}"
         )
 
     # every root of one cone dimension gets the same simplex code, so the code is
-    # described by its roots' run ends and one congruence class per dimension
+    # described by its roots' length and least weight and one congruence class per dimension
     classes, points = {}, {}
-    for m in dict.fromkeys(len(ends) - 1 for _, ends in cones):
+    for m in counts:
         d = required_distance(N, t, m)
         points[m] = sidon_code(m, r_n, d).points
         classes[m] = sidon_class(m, r_n, d)
-    description = _Description(m_n, r_n, cones, classes, points)
+    roots = _RootList(params, root_len, m_n)
+    description = _Description(m_n, r_n, roots, counts, classes, points)
     out = UtrCode._of(params, n, N, t, _description=description)
     check = is_utr_code_reduced(out)
     if not check.ok:
@@ -716,7 +779,7 @@ def _cone_points(code: UtrCode, root: Symbols, m: int) -> Sequence[Symbols]:
     """The cone coordinates of the codewords whose root is root, of cone dimension m."""
     if code._description is None:
         return [v for _, v in code.cone_index.get(root, ())]
-    m_n, r_n, _, _, points = code._description
+    m_n, r_n, _, _, _, points = code._description
     # the roots are every irreducible word of one length with weight at least m_n
     if len(root) != code.n - code.params.k * r_n or m < m_n:
         return ()

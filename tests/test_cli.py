@@ -225,6 +225,26 @@ def test_large_code_decode_stays_small(tmp_path, run_optimized, n):
     assert int(peak_kb) / 1024 < 40
 
 
+# code info on the compact (n, 1, 1) files, as printed when it walked every root
+LARGE_INFO = {
+    24: {"size": 2458360, "rate": 0.8845526986438877, "roots": 4804, "largest_cone": 969},
+    28: {"size": 28485700, "rate": 0.8844190901163981, "roots": 8320, "largest_cone": 7315},
+}
+
+
+@pytest.mark.parametrize("n", [24, 28])
+def test_large_code_info_is_pinned_and_walks_no_root(tmp_path, capsys, monkeypatch, n):
+    def refuse(*args):
+        raise AssertionError("walked the roots")
+
+    monkeypatch.setattr(utr, "_roots", refuse)
+    path = tmp_path / "large.json"
+    path.write_text(construction_a(DupParams(2, 2), n, 1, 1).dumps())
+    assert main(["code", "info", "--code", str(path)]) == 0
+    head = {"q": 2, "k": 2, "n": n, "N": 1, "t": 1}
+    assert json.loads(capsys.readouterr().out) == {**head, **LARGE_INFO[n]}
+
+
 def test_code_verify_priced_above_the_cap_exit_2(tmp_path, capsys, monkeypatch):
     # (24, 2, 1): 181 152 codewords with 18 021 488 2-descendants, above the default node cap
     path = tmp_path / "large.json"

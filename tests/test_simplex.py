@@ -189,6 +189,17 @@ def test_min_half_distance_never_probes_then_compares_pairs(points):
         assert got == probed[-1][1]
 
 
+def test_near_matches_its_pairwise_twin():
+    # a shell finds each close pair from one end only, so a shell short of a move misses pairs
+    rng = random.Random(12)
+    for _ in range(3000):
+        m, r, rho = rng.randint(0, 5), rng.randint(0, 8), rng.randint(1, 4)
+        points = enumerate_simplex(m, r)
+        present = set(rng.sample(points, rng.randint(0, min(len(points), 40))))
+        want = any(half_manhattan(u, v) == rho for u, v in itertools.combinations(present, 2))
+        assert simplex._near(present, rho) == want, (sorted(present), rho)
+
+
 def test_required_distance_examples():
     assert required_distance(1, 2, 1) == 2
     assert required_distance(5, 3, 2) == 2

@@ -49,6 +49,7 @@ from tandemreco import (
     utr_size_formula,
     word,
 )
+from tandemreco.cli import main
 from tandemreco.duplication import _cone, _effective_cap, _grow
 from tandemreco.simplex import enumerate_simplex
 
@@ -740,6 +741,95 @@ def test_irreducible_words_cap(monkeypatch, cap):
                         assert str(excinfo.value) == f"irreducible enumeration above cap {cap}"
                     else:
                         assert len(utr._roots(params, length, min_weight)) == size
+
+
+def refuse_walk(*args):
+    raise AssertionError("walked the roots")
+
+
+def test_root_counts_match_the_walk():
+    for q in (2, 3):
+        for k in (1, 2, 3):
+            params = DupParams(q, k)
+            for length in range(9):
+                for min_weight in range(length + 1):
+                    roots = utr._roots(params, length, min_weight)
+                    walked = Counter(len(ends) - 1 for _, ends in roots)
+                    got = utr._root_counts(params, length, min_weight)
+                    assert got == walked, (q, k, length, min_weight)
+
+
+# construction_a over P22 at t = 1, N = 1: code length and the roots its walk lists
+BUILT_ROOTS = [(8, 68), (9, 92), (10, 28), (11, 32), (12, 120)]
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 5, 12, 40])
+def test_described_codes_are_priced_before_the_walk(monkeypatch, cap):
+    # the price raises exactly when the walk would, with the walk's message
+    walked = {n: len(construction_a(P22, n, 1, 1)._description.cones) for n, _ in BUILT_ROOTS}
+    assert walked == dict(BUILT_ROOTS)
+    monkeypatch.setattr(utr, "IRREDUCIBLE_CAP", cap)
+    monkeypatch.setattr(utr, "_roots", refuse_walk)
+    message = f"^irreducible enumeration above cap {cap}$"
+    for n, roots in BUILT_ROOTS:
+        if roots > cap:
+            with pytest.raises(ResourceCapError, match=message):
+                construction_a(P22, n, 1, 1)
+        else:
+            assert sum(construction_a(P22, n, 1, 1)._description.counts.values()) == roots
+    for q in (2, 3):
+        for k in (1, 2, 3):
+            params = DupParams(q, k)
+            for length in range(k, 8):
+                l = length - k
+                for min_weight in range(l + 2):
+                    dims = [m for m in range(min_weight, l + 1) if count_rll_weight(l, m, params)]
+                    size = q**k * sum(count_rll_weight(l, m, params) for m in dims)
+                    # cones of weight 0 hold one point each, so the code has one word per root
+                    entries = [dict(m=m, weights=[0] * (m + 1), modulus=1, residue=0) for m in dims]
+                    construction = {"m_n": min_weight, "r_n": 0, "dimensions": entries}
+                    text = json.dumps({"q": q, "k": k, "n": length, "N": 1, "t": 1,
+                                       "construction": construction})
+                    if size > cap:
+                        with pytest.raises(ResourceCapError, match=message):
+                            UtrCode.loads(text)
+                    else:
+                        assert len(UtrCode.loads(text)) == size
+
+
+# the benchmark's codes: (n, t, N) and whether its direct checker runs on them
+BENCH_CODES = [
+    (12, 1, 1, True), (14, 1, 1, True), (16, 1, 1, False),
+    (20, 2, 1, False), (16, 3, 11, False), (16, 3, 1, False),
+]
+
+
+def test_build_load_size_info_and_decode_walk_no_root(tmp_path, capsys):
+    sent = construction_a(P22, 16, 3, 11).codewords[500]
+    reads = sorted(descendants(sent, 3), key=lambda w: w.symbols)[::7][:12]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(utr, "_roots", refuse_walk)
+        built = [construction_a(P22, n, t, N) for n, t, N, _ in BENCH_CODES]
+        loaded = [UtrCode.loads(code.dumps()) for code in built]
+        sizes = [(len(code), code.rate(), code.to_json()) for code in loaded]
+        path = tmp_path / "code.json"
+        path.write_text(loaded[4].dumps())
+        assert main(["code", "info", "--code", str(path)]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert reconstruct(loaded[4], reads) == sent
+        with pytest.raises(ResourceCapError, match="^descendant index exceeded cap of"):
+            is_utr_code_direct(construction_a(P22, 24, 1, 1))
+    for (_, _, _, literal), code, copy, size in zip(BENCH_CODES, built, loaded, sizes):
+        listed = listed_twin(code)
+        assert size == (len(listed), listed.rate(), code.to_json())
+        assert copy.cone_index == listed.cone_index
+        assert copy.symbols == code.symbols == listed.symbols
+        assert sorted(copy.cone_sizes()) == sorted(listed.cone_sizes())
+        assert is_utr_code_reduced(copy) == is_utr_code_reduced(listed)
+        if literal:
+            assert is_utr_code_direct(copy) == is_utr_code_direct(listed)
+    cones = list(map(len, listed_twin(loaded[4]).cone_index.values()))
+    assert (info["size"], info["roots"], info["largest_cone"]) == (984, len(cones), max(cones))
 
 
 @pytest.mark.parametrize("k, length", [(3, 5), (2, 3)])
