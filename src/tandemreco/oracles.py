@@ -31,6 +31,7 @@ from .metric import (
     duplication_distance_bfs,
 )
 from .simplex import (
+    _close_pair,
     ball_size,
     ball_size_bruteforce,
     enumerate_simplex,
@@ -271,10 +272,9 @@ def suite_sidon() -> OracleResult:
         for r in range(0, max_r + 1):
             for d in range(1, max_d + 1):
                 code = sidon_code(m, r, d)
-                dist = code.min_half_distance
                 result.checks += 1
-                if dist is not None and dist < d:
-                    result.fail(f"sidon_code({m},{r},{d}) has distance {dist}")
+                if _close_pair(code.points, d):
+                    result.fail(f"sidon_code({m},{r},{d}) has distance {code.min_half_distance}")
     return result
 
 

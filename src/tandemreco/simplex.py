@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement, product
@@ -135,8 +135,8 @@ def required_distance_upper_log(N: int, t: int, m: int) -> int:
     return max(1, t - math.floor(math.log2(N) ** 2 / (4 * m)))
 
 
-def min_half_distance_pairwise(points: list[SimplexPoint]) -> int | None:
-    """Minimum pairwise distance by comparing every pair; the twin of the probe."""
+def min_half_distance(points: list[SimplexPoint]) -> int | None:
+    """Minimum pairwise distance by comparing every pair, or None for fewer than two points."""
     if len(points) < 2:
         return None
     return min(half_manhattan(u, v) for u, v in combinations(points, 2))
@@ -164,39 +164,36 @@ def _shell(p: SimplexPoint, rho: int) -> Iterator[SimplexPoint]:
             yield tuple(q)
 
 
-def min_half_distance(points: list[SimplexPoint]) -> int | None:
-    """Minimum pairwise distance, or None for fewer than two points.
-
-    Looks each point's radius-rho shell up in a set, for rho = 1, 2, ...,
-    when the shells up to a radius that surely holds a pair, |C| *
-    ball_size(m, rho) lookups in all, cost less than the |C|(|C| - 1)/2
-    pairs; otherwise compares pairs, and probes no shell first.  Input off a
-    nonnegative simplex goes to the pairwise form, which also reports mixed
-    lengths or sums.
-    """
-    n = len(points)
-    if n < 2:
-        return None
-    if len({(len(p), sum(p)) for p in points}) > 1 or any(c < 0 for p in points for c in p):
-        return min_half_distance_pairwise(points)
-    present = {tuple(p) for p in points}
-    # at dimension 0 every point is (r,), so two points always repeat one
-    if len(present) < n:
-        return 0
-    m, r = len(points[0]) - 1, sum(points[0])
-    rho = 1
-    while 2 * ball_size(m, rho) < n - 1:
-        # points pairwise more than rho apart own disjoint sets {p + w : w >= 0, sum(w) = rho}
-        # of C(rho + m, m) points each in the (m, r + rho)-simplex, so too many hold a pair
-        if n * binom(rho + m, m) > binom(r + rho + m, m):
-            return next(d for d in range(1, rho + 1) if _near(present, d))
-        rho += 1
-    return min_half_distance_pairwise(points)
-
-
 def _near(present: set[SimplexPoint], rho: int) -> bool:
     """Whether two points of present are exactly rho apart, each pair looked up from one end."""
     return any(q in present for p in present for q in _shell(p, rho))
+
+
+def _close_pair(points: Sequence[SimplexPoint], d: int) -> tuple[int, int, int] | None:
+    """The first pair i < j of points closer than d, with its distance, or None.
+
+    The points are distinct and of one simplex, so no two are closer than 1.
+    When every point's shells of radius 1 ... d - 1, some |C| * ball_size(m,
+    d - 1) lookups in all, cost less than the |C|(|C| - 1)/2 pairs, they are
+    looked up first, and a set whose shells hold no point is cleared without
+    comparing a pair.  Otherwise, or to name the pair a shell found, the
+    pairs are compared in order.
+    """
+    n = len(points)
+    if d <= 1 or n < 2:
+        return None
+    m = len(points[0]) - 1
+    # a ball of radius >= 1 holds at least m^2 + m + 1 points, so a small set prices no ball
+    if 2 * (m * m + m + 1) < n - 1 and 2 * ball_size(m, d - 1) < n - 1:
+        present = set(points)
+        if not any(_near(present, rho) for rho in range(1, d)):
+            return None
+    for i, u in enumerate(points):
+        for j in range(i + 1, n):
+            dist = half_manhattan(u, points[j])
+            if dist < d:
+                return i, j, dist
+    return None
 
 
 @dataclass(frozen=True)
@@ -517,15 +514,21 @@ def in_class(
     return [p for p in points if sum(map(mul, weights, p)) % modulus == residue]
 
 
-def sidon_code(m: int, r: int, d: int) -> SimplexCode:
-    """The points of :func:`sidon_class`, a largest congruence class; distance re-verified."""
+def _sidon(m: int, r: int, d: int) -> tuple[tuple[tuple[int, ...], int, int], SimplexCode]:
+    """:func:`sidon_class` and the code of its points, from one count of the classes."""
     if d < 1:
         raise DomainError("distance must be >= 1")
-    code = SimplexCode(m, r, in_class(enumerate_simplex(m, r), *sidon_class(m, r, d)))
-    # distinct points are always at least 1 apart
-    if d > 1 and code.min_half_distance is not None and code.min_half_distance < d:
+    points = enumerate_simplex(m, r)
+    weighting = sidon_class(m, r, d)
+    code = SimplexCode(m, r, in_class(points, *weighting))
+    if _close_pair(code.points, d):
         raise TandemError(f"congruence code has distance {code.min_half_distance} < {d}")
-    return code
+    return weighting, code
+
+
+def sidon_code(m: int, r: int, d: int) -> SimplexCode:
+    """The points of :func:`sidon_class`, a largest congruence class; distance re-verified."""
+    return _sidon(m, r, d)[1]
 
 
 def sidon_code_size(m: int, r: int, d: int) -> int:

@@ -47,16 +47,15 @@ from .errors import (
     WordLengthError,
 )
 from .simplex import (
+    _close_pair,
+    _sidon,
     binom,
     enumerate_simplex,
     exact_max_code,
     greedy_code,
-    half_manhattan,
     in_class,
     max_clique_bitset,
     required_distance,
-    sidon_class,
-    sidon_code,
     sidon_code_size,
 )
 
@@ -78,16 +77,14 @@ ConeIndex = dict[Symbols, list[tuple[Symbols, Symbols]]]
 class _Description(NamedTuple):
     """A Construction-A code: roots of weight at least m_n, and cones of weight r_n.
 
-    ``cones`` holds each root's symbols with its run ends, in the order of
-    :func:`irreducible_words`, walked on first read; ``counts`` maps each cone
-    dimension m that occurs to its number of roots; ``classes`` maps each such
-    m to its congruence class (m + 1 weights, modulus, residue), and
-    ``points`` to the class's points in the (m, r_n)-simplex, in lex order.
+    ``counts`` maps each cone dimension m that occurs to its number of roots;
+    ``classes`` maps each such m to its congruence class (m + 1 weights,
+    modulus, residue), and ``points`` to the class's points in the
+    (m, r_n)-simplex, in lex order.
     """
 
     m_n: int
     r_n: int
-    cones: Sequence[tuple[Symbols, Symbols]]
     counts: dict[int, int]
     classes: dict[int, tuple[Symbols, int, int]]
     points: dict[int, Sequence[Symbols]]
@@ -153,7 +150,7 @@ class UtrCode:
         index = vars(self).get("cone_index")
         if index is not None:
             return tuple(sorted([sym for members in index.values() for sym, _ in members]))
-        return tuple(_grown(self._description, self.params.k, tuple))
+        return tuple(_grown(self, tuple))
 
     def __len__(self) -> int:
         # a listed code holds its symbols, and a described one may have grown them
@@ -161,16 +158,11 @@ class UtrCode:
             return len(self.symbols)
         return sum(size * count for size, count in self.cone_size_counts().items())
 
-    def cone_sizes(self) -> list[int]:
-        """The number of codewords in each cone of ``cone_index``, in its order.
-
-        A described code counts them from its roots without growing its index.
-        """
-        if self._description is None:
-            return list(map(len, self.cone_index.values()))
-        points = self._description.points
-        # a root whose class is empty owns no codeword, so it is no cone of the index
-        return [size for _, ends in self._description.cones if (size := len(points[len(ends) - 1]))]
+    @cached_property
+    def _cones(self) -> list[tuple[Symbols, Symbols]]:
+        """A described code's roots with their run ends, in walk order, walked on first read."""
+        m_n, r_n = self._description[:2]
+        return _roots(self.params, self.n - self.params.k * r_n, m_n)
 
     def cone_size_counts(self) -> dict[int, int]:
         """How many cones of ``cone_index`` hold each number of codewords.
@@ -211,7 +203,7 @@ class UtrCode:
             steps = _steps(self._description.points)
             return {
                 sym: _members(sym, k, ends, members)
-                for sym, ends in self._description.cones
+                for sym, ends in self._cones
                 if (members := steps[len(ends) - 1])
             }
         index: ConeIndex = defaultdict(list)
@@ -225,7 +217,7 @@ class UtrCode:
         head = {"q": self.params.q, "k": self.params.k, "n": self.n, "N": self.N, "t": self.t}
         if self._description is None:
             return {**head, "codewords": [w.text() for w in self.codewords]}
-        m_n, r_n, _, _, classes, _ = self._description
+        m_n, r_n, _, classes, _ = self._description
         dimensions = [
             {"m": m, "weights": list(weights), "modulus": modulus, "residue": residue}
             for m, (weights, modulus, residue) in sorted(classes.items())
@@ -264,14 +256,15 @@ def _steps(points: dict[int, Sequence[Symbols]]) -> dict[int, list[tuple[Symbols
     }
 
 
-def _grown(description: _Description, k: int, form: Callable[[Symbols], Symbols | str]) -> list:
-    """Every codeword of a description, each grown from form(root symbols), sorted.
+def _grown(code: UtrCode, form: Callable[[Symbols], Symbols | str]) -> list:
+    """Every codeword of a described code, each grown from form(root symbols), sorted.
 
     ``tuple`` grows symbol tuples and ``_key`` walk keys, which sort alike.
     """
-    steps = _steps(description.points)
+    k = code.params.k
+    steps = _steps(code._description.points)
     grown = []
-    for sym, ends in description.cones:
+    for sym, ends in code._cones:
         root = form(sym)
         grown += [_grow(root, k, ends, g) for _, g in steps[len(ends) - 1]]
     grown.sort()
@@ -329,7 +322,7 @@ def _read_description(params: DupParams, n: int, data) -> _Description:
             f"construction lists dimensions {sorted(classes)}, its roots have {sorted(counts)}"
         )
     points = {m: in_class(enumerate_simplex(m, r_n), *c) for m, c in classes.items()}
-    return _Description(m_n, r_n, _RootList(params, root_len, m_n), counts, classes, points)
+    return _Description(m_n, r_n, counts, classes, points)
 
 
 def _check_budget(n: int, N: int, t: int) -> None:
@@ -419,7 +412,7 @@ def _keys(code: UtrCode) -> list[str]:
     symbol tuple; a listed code keys its symbols.
     """
     if code._description is not None:
-        return _grown(code._description, code.params.k, _key)
+        return _grown(code, _key)
     return list(map(_key, code.symbols))
 
 
@@ -439,32 +432,21 @@ def is_utr_code_reduced(code: UtrCode) -> UtrCheck:
         return _reduced_described(code)
     for members in code.cone_index.values():
         need = required_distance(code.N, code.t, len(members[0][1]) - 1)
-        # psi is injective, so distinct cone mates are always at least 1 apart
-        close = need > 1 and _close_pair([v for _, v in members], need)
+        # psi is injective, so a cone's coordinates are distinct points of one simplex
+        close = _close_pair([v for _, v in members], need)
         if close:
             i, j, dist = close
             return UtrCheck(False, _pair(code, members[i][0], members[j][0]), dist)
     return UtrCheck(True)
 
 
-def _close_pair(coords: Sequence[Symbols], need: int) -> tuple[int, int, int] | None:
-    """The first pair i < j of coords closer than need, with its distance, or None."""
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            dist = half_manhattan(coords[i], coords[j])
-            if dist < need:
-                return i, j, dist
-    return None
-
-
 def _reduced_described(code: UtrCode) -> UtrCheck:
     """:func:`is_utr_code_reduced` on a described code: each dimension's points compared once."""
-    _, _, cones, _, _, points = code._description
+    points = code._description.points
     failing = {}
     for m, coords in points.items():
         need = required_distance(code.N, code.t, m)
-        # psi is injective, so distinct cone mates are always at least 1 apart
-        if need > 1 and _close_pair(coords, need):
+        if _close_pair(coords, need):
             failing[m] = need
     if not failing:
         return UtrCheck(True)
@@ -473,7 +455,7 @@ def _reduced_described(code: UtrCode) -> UtrCheck:
     steps = _steps(points)
     members = min(
         _members(sym, k, ends, steps[len(ends) - 1])
-        for sym, ends in cones
+        for sym, ends in code._cones
         if len(ends) - 1 in failing
     )
     i, j, dist = _close_pair([v for _, v in members], failing[len(members[0][1]) - 1])
@@ -601,30 +583,6 @@ def _root_counts(params: DupParams, root_len: int, m_n: int) -> dict[int, int]:
     return counts
 
 
-class _RootList(Sequence):
-    """The roots that :func:`_root_counts` counts, with their run ends, in walk order.
-
-    Nothing is walked until an item is read; :func:`_roots` then runs once,
-    and its list is kept.
-    """
-
-    def __init__(self, params: DupParams, root_len: int, m_n: int):
-        self._walk = (params, root_len, m_n)
-
-    @cached_property
-    def _listed(self) -> list[tuple[Symbols, Symbols]]:
-        return _roots(*self._walk)
-
-    def __getitem__(self, i):
-        return self._listed[i]
-
-    def __len__(self) -> int:
-        return len(self._listed)
-
-    def __iter__(self):
-        return iter(self._listed)
-
-
 def construction_a(
     params: DupParams,
     n: int,
@@ -664,11 +622,9 @@ def construction_a(
     # described by its roots' length and least weight and one congruence class per dimension
     classes, points = {}, {}
     for m in counts:
-        d = required_distance(N, t, m)
-        points[m] = sidon_code(m, r_n, d).points
-        classes[m] = sidon_class(m, r_n, d)
-    roots = _RootList(params, root_len, m_n)
-    description = _Description(m_n, r_n, roots, counts, classes, points)
+        classes[m], code = _sidon(m, r_n, required_distance(N, t, m))
+        points[m] = code.points
+    description = _Description(m_n, r_n, counts, classes, points)
     out = UtrCode._of(params, n, N, t, _description=description)
     check = is_utr_code_reduced(out)
     if not check.ok:
@@ -779,7 +735,7 @@ def _cone_points(code: UtrCode, root: Symbols, m: int) -> Sequence[Symbols]:
     """The cone coordinates of the codewords whose root is root, of cone dimension m."""
     if code._description is None:
         return [v for _, v in code.cone_index.get(root, ())]
-    m_n, r_n, _, _, _, points = code._description
+    m_n, r_n, _, _, points = code._description
     # the roots are every irreducible word of one length with weight at least m_n
     if len(root) != code.n - code.params.k * r_n or m < m_n:
         return ()

@@ -209,7 +209,7 @@ def test_large_code_decode_stays_small(tmp_path, run_optimized, n):
     path = tmp_path / "large.json"
     path.write_text(text)
     code = UtrCode.loads(text)
-    root, ends = code._description.cones[-1]
+    root, ends = code._cones[-1]
     coords = code._description.points[len(ends) - 1]
     sent = psi_inv(Word(root, code.params), coords[len(coords) // 2])
     layer = sorted(descendants(sent, 1), key=lambda w: w.symbols)

@@ -28,7 +28,10 @@ FORCED = {
     "checker": ("checker", "is_utr_code_reduced", lambda code: UtrCheck(False), {"samples": 1}),
     "ball": ("ball", "ball_size", lambda m, d: -1, {}),
     "bounds": ("bounds", "required_distance", lambda N, t, m: 10**9, {"samples": 3}),
-    "sidon": ("sidon", "sidon_code", lambda m, r, d: SimpleNamespace(min_half_distance=d - 1), {}),
+    # two points d - 1 apart: closer than d, which distance 1 never asks of distinct points
+    "sidon": ("sidon", "sidon_code",
+              lambda m, r, d: SimpleNamespace(points=((d - 1, 0), (0, d - 1)),
+                                              min_half_distance=d - 1), {}),
 }
 
 SUMMARIES = {
@@ -90,11 +93,11 @@ SUMMARIES = {
     ),
     "sidon": (
         "sidon: 135 checks, FAIL\n"
-        "  counterexample: sidon_code(1,0,1) has distance 0\n"
         "  counterexample: sidon_code(1,0,2) has distance 1\n"
         "  counterexample: sidon_code(1,0,3) has distance 2\n"
-        "  counterexample: sidon_code(1,1,1) has distance 0\n"
-        "  counterexample: sidon_code(1,1,2) has distance 1"
+        "  counterexample: sidon_code(1,1,2) has distance 1\n"
+        "  counterexample: sidon_code(1,1,3) has distance 2\n"
+        "  counterexample: sidon_code(1,2,2) has distance 1"
     ),
 }
 

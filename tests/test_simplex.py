@@ -89,12 +89,13 @@ def test_half_manhattan_matches_generator_form():
 
 
 @st.composite
-def point_sets(draw):
+def point_sets(draw, defects=True):
     """Sampled congruence classes of a simplex, with optional defects.
 
     Random weights give classes of any distance, the whole simplex among
     them (modulus 1); Sidon weights of order h give classes of distance
     above h.  The sum r skews high so that classes outgrow the probe's ball.
+    Without defects the points are distinct and of one simplex.
     """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     m, r, order = rng.randint(0, 5), max(rng.randint(0, 8), rng.randint(0, 8)), rng.randint(0, 2)
@@ -112,8 +113,8 @@ def point_sets(draw):
     members = [p for p in simplex_points if residue(p) == chosen]
     size = min(len(members), 100)
     points = rng.sample(members, rng.choice([size, rng.randint(0, size)]))
-    defects = st.lists(st.sampled_from(["repeat", "negative", "length", "sum"]), max_size=2)
-    for defect in draw(defects):
+    kinds = st.lists(st.sampled_from(["repeat", "negative", "length", "sum"]), max_size=2)
+    for defect in draw(kinds) if defects else ():
         if defect == "repeat" and points:
             extra = rng.choice(points)
         elif defect == "negative" and m >= 1:
@@ -137,56 +138,105 @@ def _distance_or_error(fn, points):
         return type(err)
 
 
+def _generator_distance(points):
+    """Every pair in order, each distance by a generator; the first mismatched pair's error."""
+    dists = []
+    for u, v in itertools.combinations(points, 2):
+        if len(u) != len(v):
+            return DimensionMismatchError
+        if sum(u) != sum(v):
+            return WeightMismatchError
+        dists.append(sum(abs(a - b) for a, b in zip(u, v)) // 2)
+    return min(dists, default=None)
+
+
 @settings(max_examples=300, deadline=None)
 @given(point_sets())
 def test_min_half_distance_matches_pairwise(points):
     # faces, repeats, one-point sets, negative coordinates, mixed lengths and sums
-    want = _distance_or_error(simplex.min_half_distance_pairwise, points)
-    assert _distance_or_error(min_half_distance, points) == want
+    assert _distance_or_error(min_half_distance, points) == _generator_distance(points)
 
 
-def _refuse_pairs(points):
-    raise AssertionError("compared every pair")
-
-
-def test_distance_one_code_never_compares_pairs(monkeypatch):
-    # the work guard of suite_sidon's distance-1 codes: no quadratic fallback
-    monkeypatch.setattr(simplex, "min_half_distance_pairwise", _refuse_pairs)
-    assert min_half_distance(enumerate_simplex(5, 8)) == 1
-
-
-def test_probe_finds_distances_behind_empty_shells(monkeypatch):
-    # big enough that every shell up to the distance is probed, none compared in pairs
-    cases = [(1, 60, 3), (1, 80, 4), (2, 24, 2), (2, 40, 3), (3, 12, 2)]
-    sets = [list(sidon_code(m, r, d).points) for m, r, d in cases]
-    # the one close pair: either point is the other with a unit moved onto its zero
-    sets.append(sets[3] + [(1, 0, 39), (0, 1, 39)])
-    want = [simplex.min_half_distance_pairwise(points) for points in sets]
-    # off the simplex no shell is complete, so a negative coordinate sends the set to pairs
-    member = next(p for p in sets[3] if p[0] == 0)
-    assert min_half_distance(sets[3] + [(-1, member[1] + 1) + member[2:]]) == 1
-    monkeypatch.setattr(simplex, "min_half_distance_pairwise", _refuse_pairs)
-    assert [min_half_distance(points) for points in sets] == want == [3, 4, 2, 3, 2, 1]
+def ordered_close_pair(points, d):
+    """The first pair i < j of points closer than d, with its distance: every pair in order."""
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            dist = sum(abs(a - b) for a, b in zip(points[i], points[j])) // 2
+            if dist < d:
+                return i, j, dist
+    return None
 
 
 @settings(max_examples=300, deadline=None)
-@given(point_sets())
-# distance-2 codes that hold a pair within 2 but cannot afford radius 2 probe no radius
-@example(list(sidon_code(5, 8, 2).points))
-@example(list(sidon_code(5, 7, 2).points))
-@example(list(sidon_code(4, 8, 2).points))
-def test_min_half_distance_never_probes_then_compares_pairs(points):
-    # a probe that runs finds its pair, so no set pays for shells and then for every pair
-    probed, compared = [], []
-    near, pairwise = simplex._near, simplex.min_half_distance_pairwise
+@given(point_sets(defects=False), st.integers(0, 5))
+# Sidon classes whose shells are looked up: cleared at their distance, a pair found one above it
+@example(list(sidon_code(1, 60, 3).points), 3)
+@example(list(sidon_code(1, 60, 3).points), 4)
+@example(list(sidon_code(2, 24, 2).points), 3)
+def test_close_pair_matches_ordered_loop(points, d):
+    got = simplex._close_pair(points, d)
+    assert got == ordered_close_pair(points, d)
+    dist = min_half_distance(points)
+    assert (got is not None) == (dist is not None and dist < d)
+
+
+def _refuse_pairs(*args):
+    raise AssertionError("compared a pair")
+
+
+def test_distance_one_code_never_compares_pairs(monkeypatch):
+    # the work guard of suite_sidon's distance-1 codes: distinct points are always 1 apart
+    from tandemreco import oracles
+
+    monkeypatch.setattr(simplex, "half_manhattan", _refuse_pairs)
+    assert simplex._close_pair(enumerate_simplex(5, 8), 1) is None
+    assert len(sidon_code(5, 8, 1)) == simplex_size(5, 8)
+    # a passing suite reads no code's exact distance, the whole simplices' among them
+    monkeypatch.undo()
+    monkeypatch.setattr(simplex, "min_half_distance", _refuse_pairs)
+    result = oracles.suite_sidon()
+    assert result.ok and result.checks == 135
+
+
+def test_probe_finds_distances_behind_empty_shells(monkeypatch):
+    # big enough that every shell below the distance is looked up, no pair compared
+    cases = [(1, 60, 3), (1, 80, 4), (2, 24, 2), (2, 40, 3), (3, 12, 2)]
+    sets = [list(sidon_code(m, r, d).points) for m, r, d in cases]
+    probed = []
+    near = simplex._near
+    monkeypatch.setattr(simplex, "_near", lambda *args: probed.append(args[1]) or near(*args))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "half_manhattan", _refuse_pairs)
+        cleared = [simplex._close_pair(points, d) for points, (*_, d) in zip(sets, cases)]
+    assert cleared == [None] * 5
+    assert probed == [1, 2, 1, 2, 3, 1, 1, 2, 1]
+    # one above its distance, each set holds a pair behind its empty shells, and the loop names it
+    for points, (*_, d) in zip(sets, cases):
+        probed.clear()
+        got = simplex._close_pair(points, d + 1)
+        assert got == ordered_close_pair(points, d + 1) and got[2] == d
+        assert probed == list(range(1, d + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets(defects=False), st.integers(0, 5))
+@example(list(sidon_code(5, 8, 2).points), 2)
+@example(list(sidon_code(1, 60, 3).points), 4)
+def test_close_pair_never_probes_then_compares_pairs(points, d):
+    # shells that hold no point clear the set, so no set pays for shells and then for pairs
+    probed, compared, priced = [], [], []
+    near, pair, ball = simplex._near, simplex.half_manhattan, simplex.ball_size
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplex, "_near", lambda *args: probed.append(args) or near(*args))
-        patch.setattr(simplex, "min_half_distance_pairwise",
-                      lambda pts: compared.append(pts) or pairwise(pts))
-        got = _distance_or_error(min_half_distance, points)
-    assert not (probed and compared)
+        patch.setattr(simplex, "half_manhattan", lambda *args: compared.append(args) or pair(*args))
+        patch.setattr(simplex, "ball_size", lambda *args: priced.append(args) or ball(*args))
+        got = simplex._close_pair(points, d)
     if probed:
-        assert got == probed[-1][1]
+        assert (got is None) == (not compared)
+    # a radius-1 ball holds m^2 + m + 1 points, so a set that small never prices a ball
+    m = len(points[0]) - 1 if points else 0
+    if len(points) - 1 <= 2 * (m * m + m + 1):
+        assert not priced and not probed
 
 
 def test_near_matches_its_pairwise_twin():

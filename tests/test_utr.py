@@ -43,6 +43,7 @@ from tandemreco import (
     root,
     sidon_class,
     sidon_size,
+    simplex,
     simulate_reconstruction,
     tandem_duplicate,
     utr,
@@ -190,8 +191,8 @@ def test_described_checker_names_the_listed_witness():
             entry.update(weights=[0] * (entry["m"] + 1), modulus=1, residue=0)
     code = UtrCode.from_json(data)
     # the roots reversed, so the first failing cone in their order is not the listed code's first
-    reversed_roots = code._description._replace(cones=code._description.cones[::-1])
-    bad = UtrCode._of(code.params, code.n, code.N, code.t, _description=reversed_roots)
+    bad = UtrCode._of(code.params, code.n, code.N, code.t, _description=code._description)
+    vars(bad)["_cones"] = code._cones[::-1]
     failed = is_utr_code_reduced(bad)
     assert not failed.ok and failed.detail == 1
     assert failed == is_utr_code_reduced(listed_twin(bad))
@@ -209,10 +210,11 @@ def test_symbols_of_a_grown_index_grow_no_codeword(monkeypatch):
 
 def test_cone_sizes_come_from_the_description():
     code = UtrCode.loads(construction_a(P22, 14, 1, 1).dumps())
-    sizes = code.cone_sizes()
-    assert "cone_index" not in vars(code) and "symbols" not in vars(code)
-    assert sizes == [len(v) for v in code.cone_index.values()] and sum(sizes) == len(code)
-    assert sorted(sizes) == sorted(listed_twin(code).cone_sizes())
+    sizes = code.cone_size_counts()
+    assert not {"cone_index", "symbols", "_cones"} & vars(code).keys()
+    assert sizes == Counter(map(len, code.cone_index.values()))
+    assert sum(size * count for size, count in sizes.items()) == len(code)
+    assert sizes == listed_twin(code).cone_size_counts()
 
 
 def test_an_empty_class_leaves_its_roots_out_of_the_index():
@@ -222,10 +224,23 @@ def test_an_empty_class_leaves_its_roots_out_of_the_index():
     assert (entry["m"], entry["weights"], data["construction"]["r_n"]) == (6, list(range(7)), 1)
     entry.update(modulus=8, residue=7)
     code = UtrCode.from_json(data)
-    assert code._description.points[6] == [] and all(code.cone_sizes())
+    assert code._description.points[6] == [] and 0 not in code.cone_size_counts()
     listed = listed_twin(code)
     assert described_view(code) == described_view(listed)
-    assert sorted(code.cone_sizes()) == sorted(listed.cone_sizes())
+    assert code.cone_size_counts() == listed.cone_size_counts()
+    assert code.cone_size_counts() == Counter(map(len, code.cone_index.values()))
+
+
+def test_construction_counts_each_dimension_class_once(monkeypatch):
+    # each dimension's classes are counted for its code and its class alike, so once is enough
+    real, calls = simplex.congruence_class_sizes, []
+    monkeypatch.setattr(
+        simplex, "congruence_class_sizes", lambda *args: calls.append(args[0]) or real(*args)
+    )
+    code = construction_a(P22, 20, 2, 1)
+    # distance 1 takes the whole simplex and counts no class
+    counted = [m for m in code._description.counts if required_distance(1, 2, m) > 1]
+    assert sorted(calls) == sorted(counted) and len(counted) == 5
 
 
 def test_code_keeps_symbols_and_builds_words_on_first_read():
@@ -259,7 +274,7 @@ def test_reduced_checker_skips_distance_one_cones(monkeypatch):
     def refuse(u, v):
         raise AssertionError("compared a pair in a distance-1 cone")
 
-    monkeypatch.setattr(utr, "half_manhattan", refuse)
+    monkeypatch.setattr(simplex, "half_manhattan", refuse)
     assert is_utr_code_reduced(code).ok
     # at N = 0 the cone needs distance 2, so its pairs are still compared
     calls = []
@@ -268,7 +283,7 @@ def test_reduced_checker_skips_distance_one_cones(monkeypatch):
         calls.append((u, v))
         return half_manhattan(u, v)
 
-    monkeypatch.setattr(utr, "half_manhattan", count)
+    monkeypatch.setattr(simplex, "half_manhattan", count)
     failed = is_utr_code_reduced(fixture_code(N=0))
     assert not failed.ok and failed.detail == 1 and calls
 
@@ -353,7 +368,7 @@ def test_reduced_checker_compares_each_coordinate_set_once(monkeypatch):
         calls.append((u, v))
         return half_manhattan(u, v)
 
-    monkeypatch.setattr(utr, "half_manhattan", counted)
+    monkeypatch.setattr(simplex, "half_manhattan", counted)
     assert is_utr_code_reduced(code).ok
     assert len(calls) == 113
 
@@ -766,7 +781,7 @@ BUILT_ROOTS = [(8, 68), (9, 92), (10, 28), (11, 32), (12, 120)]
 @pytest.mark.parametrize("cap", [0, 1, 2, 5, 12, 40])
 def test_described_codes_are_priced_before_the_walk(monkeypatch, cap):
     # the price raises exactly when the walk would, with the walk's message
-    walked = {n: len(construction_a(P22, n, 1, 1)._description.cones) for n, _ in BUILT_ROOTS}
+    walked = {n: len(construction_a(P22, n, 1, 1)._cones) for n, _ in BUILT_ROOTS}
     assert walked == dict(BUILT_ROOTS)
     monkeypatch.setattr(utr, "IRREDUCIBLE_CAP", cap)
     monkeypatch.setattr(utr, "_roots", refuse_walk)
@@ -824,7 +839,7 @@ def test_build_load_size_info_and_decode_walk_no_root(tmp_path, capsys):
         assert size == (len(listed), listed.rate(), code.to_json())
         assert copy.cone_index == listed.cone_index
         assert copy.symbols == code.symbols == listed.symbols
-        assert sorted(copy.cone_sizes()) == sorted(listed.cone_sizes())
+        assert copy.cone_size_counts() == listed.cone_size_counts()
         assert is_utr_code_reduced(copy) == is_utr_code_reduced(listed)
         if literal:
             assert is_utr_code_direct(copy) == is_utr_code_direct(listed)
