@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -102,15 +103,20 @@ def half_manhattan(u: SimplexPoint, v: SimplexPoint) -> int:
 def required_distance(N: int, t: int, m: int) -> int:
     """Smallest code distance that caps shared t-descendant counts at N.
 
-    Scans d = 0, 1, ... until binom(t - d + m, m) <= N.  With the
-    zero-outside-triangle convention, N = 0 yields t + 1.
+    binom(t - d + m, m) does not increase with d and is 0 at d = t + 1, so
+    the least d with binom(t - d + m, m) <= N is found by bisection.  With
+    the zero-outside-triangle convention, N = 0 yields t + 1.
     """
     if N < 0 or t < 0 or m < 0:
         raise DomainError("arguments must be nonnegative")
-    d = 0
-    while binom(t - d + m, m) > N:
-        d += 1
-    return d
+    lo, hi = 0, t + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if binom(t - mid + m, m) > N:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def required_distance_upper_entropy(N: int, t: int, m: int) -> int:
@@ -406,6 +412,9 @@ def bose_chowla_set(h: int, size: int) -> tuple[tuple[int, ...], int]:
     if h < 2 or size < 1:
         raise DomainError("order must be at least 2 and size positive")
     p = _least_prime_at_least(size)
+    # p^h >= 2^h, so from the cap's bit length on it is above the cap without being formed
+    if h >= DEFAULT_ENUM_CAP.bit_length():
+        raise ResourceCapError(f"GF({p}^{h}) has more than {DEFAULT_ENUM_CAP} elements")
     order = p**h - 1
     if order > DEFAULT_ENUM_CAP:
         raise ResourceCapError(f"GF({p}^{h}) has {order + 1} elements, above {DEFAULT_ENUM_CAP}")
@@ -444,20 +453,20 @@ def sidon_set(h: int, size: int) -> tuple[tuple[int, ...], int]:
     """``size`` residues whose h-multiset sums are pairwise distinct, and their modulus.
 
     Order 1 is range(size) mod size; size 1 is (0,) mod 1 and size 2 is
-    (0, 1) mod h + 1 at every order.  A larger set is ``SIDON_TABLE[h, size]``
-    where the table has it, and :func:`bose_chowla_set` elsewhere.  Every
-    result is re-checked and remembered per (h, size).
+    (0, 1) mod h + 1 at every order, whose h-multisets sum to 0 ... h.  A
+    larger set is ``SIDON_TABLE[h, size]`` where the table has it, and
+    :func:`bose_chowla_set` elsewhere; it is re-checked.  Every result is
+    remembered per (h, size).
     """
     if h < 1 or size < 1:
         raise DomainError("order and size must be positive")
     if h == 1:
         return tuple(range(size)), size
     if size == 1:
-        found, modulus = (0,), 1
-    elif size == 2:
-        found, modulus = (0, 1), h + 1
-    else:
-        found, modulus = SIDON_TABLE.get((h, size)) or bose_chowla_set(h, size)
+        return (0,), 1
+    if size == 2:
+        return (0, 1), h + 1
+    found, modulus = SIDON_TABLE.get((h, size)) or bose_chowla_set(h, size)
     if not is_sidon_set(found, h, modulus):
         raise TandemError(f"{found} is not a Sidon set of order {h} mod {modulus}")
     return found, modulus
@@ -467,10 +476,15 @@ def congruence_class_sizes(m: int, r: int, weights: tuple[int, ...], modulus: in
     """Count simplex points by weighted coordinate sum mod ``modulus``.
 
     Dynamic program over coordinates; entry c of the result is the number
-    of points x with sum(weights[i] * x[i]) = c (mod modulus).
+    of points x with sum(weights[i] * x[i]) = c (mod modulus).  Its
+    (m + 1)(r + 1) * modulus cells are priced against ``DEFAULT_ENUM_CAP``
+    before it runs.
     """
     if len(weights) != m + 1:
         raise DimensionMismatchError(f"need {m + 1} weights, got {len(weights)}")
+    cells = (m + 1) * (r + 1) * modulus
+    if cells > DEFAULT_ENUM_CAP:
+        raise ResourceCapError(f"class count of {cells} cells above cap {DEFAULT_ENUM_CAP}")
     dp = [[0] * modulus for _ in range(r + 1)]
     dp[0][0] = 1
     for w in weights:
@@ -488,6 +502,18 @@ def congruence_class_sizes(m: int, r: int, weights: tuple[int, ...], modulus: in
     return dp[r]
 
 
+def _class_sizes(m: int, r: int, d: int) -> tuple[tuple[int, ...], int, list[int]]:
+    """The weights and modulus of the classes at distance d, and each class's size, unlisted."""
+    if d < 1:
+        raise DomainError("distance must be >= 1")
+    if m < 0 or r < 0:
+        raise DomainError("dimension and weight must be nonnegative")
+    if d == 1:
+        return (0,) * (m + 1), 1, [simplex_size(m, r)]
+    weights, modulus = sidon_set(d - 1, m + 1)
+    return weights, modulus, congruence_class_sizes(m, r, weights, modulus)
+
+
 def sidon_class(m: int, r: int, d: int) -> tuple[tuple[int, ...], int, int]:
     """The congruence class :func:`sidon_code` takes: its weights, modulus and residue.
 
@@ -496,14 +522,7 @@ def sidon_class(m: int, r: int, d: int) -> tuple[tuple[int, ...], int, int]:
     residue is the least one of a largest class, counted without listing.
     Order 0 (d = 1) takes the whole simplex: all-zero weights, modulus 1.
     """
-    if d < 1:
-        raise DomainError("distance must be >= 1")
-    if m < 0 or r < 0:
-        raise DomainError("dimension and weight must be nonnegative")
-    if d == 1:
-        return (0,) * (m + 1), 1, 0
-    weights, modulus = sidon_set(d - 1, m + 1)
-    sizes = congruence_class_sizes(m, r, weights, modulus)
+    weights, modulus, sizes = _class_sizes(m, r, d)
     return weights, modulus, sizes.index(max(sizes))
 
 
@@ -514,33 +533,29 @@ def in_class(
     return [p for p in points if sum(map(mul, weights, p)) % modulus == residue]
 
 
-def _sidon(m: int, r: int, d: int) -> tuple[tuple[tuple[int, ...], int, int], SimplexCode]:
-    """:func:`sidon_class` and the code of its points, from one count of the classes."""
+def _sidon(m: int, r: int, d: int) -> tuple[tuple[tuple[int, ...], int, int], list[SimplexPoint]]:
+    """:func:`sidon_class` and its points in lex order, each listed point's residue taken once."""
     if d < 1:
         raise DomainError("distance must be >= 1")
     points = enumerate_simplex(m, r)
-    weighting = sidon_class(m, r, d)
-    code = SimplexCode(m, r, in_class(points, *weighting))
-    if _close_pair(code.points, d):
-        raise TandemError(f"congruence code has distance {code.min_half_distance} < {d}")
-    return weighting, code
+    weights, modulus = ((0,) * (m + 1), 1) if d == 1 else sidon_set(d - 1, m + 1)
+    residues = [sum(map(mul, weights, p)) % modulus for p in points]
+    sizes = Counter(residues)
+    residue = min(sizes, key=lambda a: (-sizes[a], a))
+    chosen = [p for p, a in zip(points, residues) if a == residue]
+    if _close_pair(chosen, d):
+        raise TandemError(f"congruence code has distance {min_half_distance(chosen)} < {d}")
+    return (weights, modulus, residue), chosen
 
 
 def sidon_code(m: int, r: int, d: int) -> SimplexCode:
     """The points of :func:`sidon_class`, a largest congruence class; distance re-verified."""
-    return _sidon(m, r, d)[1]
+    return SimplexCode(m, r, _sidon(m, r, d)[1])
 
 
 def sidon_code_size(m: int, r: int, d: int) -> int:
     """Size of :func:`sidon_code` output, computed by counting instead of listing."""
-    if d < 1:
-        raise DomainError("distance must be >= 1")
-    if m < 0 or r < 0:
-        raise DomainError("dimension and weight must be nonnegative")
-    if d == 1:
-        return simplex_size(m, r)
-    weights, modulus = sidon_set(d - 1, m + 1)
-    return max(congruence_class_sizes(m, r, weights, modulus))
+    return max(_class_sizes(m, r, d)[2])
 
 
 # --- ball sizes and asymptotics ---

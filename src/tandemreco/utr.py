@@ -25,6 +25,7 @@ from typing import Callable, Iterable, NamedTuple
 from .capacity import capacity_profile
 from .duplication import (
     DupParams,
+    WALK_SYMBOL_BUDGET,
     Word,
     _cone,
     _effective_cap,
@@ -47,6 +48,7 @@ from .errors import (
     WordLengthError,
 )
 from .simplex import (
+    DEFAULT_ENUM_CAP,
     _close_pair,
     _sidon,
     binom,
@@ -66,7 +68,6 @@ _CODE_KEYS = (("q", int), ("k", int), ("n", int), ("N", int), ("t", int))
 _CONSTRUCTION_KEYS = (("m_n", int), ("r_n", int), ("dimensions", list))
 _DIMENSION_KEYS = (("m", int), ("modulus", int), ("residue", int), ("weights", list))
 IRREDUCIBLE_CAP = 10**6
-ROOT_ENUM_MAX_LEN = 20
 BRUTEFORCE_MAX_WORDS = 4096
 
 
@@ -196,10 +197,11 @@ class UtrCode:
         """Codewords' symbols grouped by their root's symbols, each with its cone coordinates.
 
         Each root's members are in symbol order.  A described code grows them
-        root by root; a listed code decomposes each codeword.
+        root by root, priced first; a listed code decomposes each codeword.
         """
         k = self.params.k
         if self._description is not None:
+            _price_listing(self)
             steps = _steps(self._description.points)
             return {
                 sym: _members(sym, k, ends, members)
@@ -256,11 +258,23 @@ def _steps(points: dict[int, Sequence[Symbols]]) -> dict[int, list[tuple[Symbols
     }
 
 
+def _price_listing(code: UtrCode) -> None:
+    """Refuse to grow a described code's codewords when they hold too many symbols."""
+    size = len(code)
+    if size * code.n > WALK_SYMBOL_BUDGET:
+        raise ResourceCapError(
+            f"{size} codewords of length {code.n} exceed the budget of "
+            f"{WALK_SYMBOL_BUDGET} symbols"
+        )
+
+
 def _grown(code: UtrCode, form: Callable[[Symbols], Symbols | str]) -> list:
     """Every codeword of a described code, each grown from form(root symbols), sorted.
 
-    ``tuple`` grows symbol tuples and ``_key`` walk keys, which sort alike.
+    ``tuple`` grows symbol tuples and ``_key`` walk keys, which sort alike;
+    the listing is priced first.
     """
+    _price_listing(code)
     k = code.params.k
     steps = _steps(code._description.points)
     grown = []
@@ -462,22 +476,23 @@ def _reduced_described(code: UtrCode) -> UtrCheck:
     return UtrCheck(False, _pair(code, members[i][0], members[j][0]), dist)
 
 
+def _rll_weights(l: int, top: int, params: DupParams) -> list[int]:
+    """Words of length l with no zero run of k, counted by weight 0 ... top in one pass."""
+    q, k = params.q, params.k
+    # rows[j][w]: words so far of weight w that end in a zero run of length j
+    rows = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(k - 1)]
+    for _ in range(l):
+        total = list(map(sum, zip(*rows)))
+        # a nonzero symbol ends every run and adds one to the weight; a zero lengthens the run
+        rows = [[0] + [(q - 1) * c for c in total[:-1]]] + rows[:-1]
+    return list(map(sum, zip(*rows)))
+
+
 def count_rll_weight(l: int, m: int, params: DupParams) -> int:
     """Words of length l, weight m, with every zero run shorter than k."""
     if l < 0 or m < 0:
         raise DomainError("length and weight must be nonnegative")
-    q, k = params.q, params.k
-    # dp keyed by (trailing zero-run length, weight so far)
-    dp: dict[tuple[int, int], int] = {(0, 0): 1}
-    for _ in range(l):
-        ndp: dict[tuple[int, int], int] = defaultdict(int)
-        for (run, w), count in dp.items():
-            if run + 1 < k:
-                ndp[(run + 1, w)] += count
-            if w < m:
-                ndp[(0, w + 1)] += count * (q - 1)
-        dp = dict(ndp)
-    return sum(count for (run, w), count in dp.items() if w == m)
+    return _rll_weights(l, m, params)[m]
 
 
 def irreducible_count(params: DupParams, n: int) -> int:
@@ -485,9 +500,7 @@ def irreducible_count(params: DupParams, n: int) -> int:
     if n < params.k:
         return 0
     l = n - params.k
-    return params.q**params.k * sum(
-        count_rll_weight(l, m, params) for m in range(l + 1)
-    )
+    return params.q**params.k * sum(_rll_weights(l, l, params))
 
 
 SizeFn = Callable[[int, int, int], int]
@@ -517,8 +530,7 @@ def utr_size_formula(
     total = 0
     for r in range(0, n // k):
         l = n - (r + 1) * k
-        for m in range(l + 1):
-            cnt = count_rll_weight(l, m, params)
+        for m, cnt in enumerate(_rll_weights(l, l, params)):
             if cnt:
                 total += code_size_fn(m, r, required_distance(N, t, m)) * q**k * cnt
     return total
@@ -566,18 +578,22 @@ def _root_counts(params: DupParams, root_len: int, m_n: int) -> dict[int, int]:
     """The number of Construction A's roots of each cone dimension m that has one.
 
     The roots are the irreducible words of length root_len and weight m >= m_n:
-    q^k prefixes times ``count_rll_weight``(root_len - k, m) difference strings.
-    Each node of the walk in :func:`_roots` completes to a root, so no layer
-    of it outgrows the result, and the walk passes ``IRREDUCIBLE_CAP``
-    exactly when the total does; that error is raised here, before any walk.
+    q^k prefixes times ``count_rll_weight``(root_len - k, m) difference strings,
+    all m from one :func:`_rll_weights` pass, whose k * l * (l + 1) cells
+    are priced against ``DEFAULT_ENUM_CAP`` before it runs.  Each node of
+    the walk in :func:`_roots` completes to a root, so no layer of it
+    outgrows the result, and the walk passes ``IRREDUCIBLE_CAP`` exactly
+    when the total does; that error is raised here, before any walk.
     """
-    if root_len > ROOT_ENUM_MAX_LEN:
-        raise ResourceCapError(f"root length {root_len} above enumeration limit")
     q, k = params.q, params.k
-    counts = {}
-    for m in range(m_n, root_len - k + 1):
-        if count := q**k * count_rll_weight(root_len - k, m, params):
-            counts[m] = count
+    l = root_len - k
+    if l < m_n:
+        return {}
+    cells = k * l * (l + 1)
+    if cells > DEFAULT_ENUM_CAP:
+        raise ResourceCapError(f"root count of {cells} cells above cap {DEFAULT_ENUM_CAP}")
+    weights = _rll_weights(l, l, params)
+    counts = {m: q**k * weights[m] for m in range(m_n, l + 1) if weights[m]}
     if sum(counts.values()) > IRREDUCIBLE_CAP:
         raise ResourceCapError(f"irreducible enumeration above cap {IRREDUCIBLE_CAP}")
     return counts
@@ -622,8 +638,7 @@ def construction_a(
     # described by its roots' length and least weight and one congruence class per dimension
     classes, points = {}, {}
     for m in counts:
-        classes[m], code = _sidon(m, r_n, required_distance(N, t, m))
-        points[m] = code.points
+        classes[m], points[m] = _sidon(m, r_n, required_distance(N, t, m))
     description = _Description(m_n, r_n, counts, classes, points)
     out = UtrCode._of(params, n, N, t, _description=description)
     check = is_utr_code_reduced(out)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -276,6 +277,28 @@ def test_code_build_above_the_field_cap_exit_2(tmp_path, capsys):
     assert not (tmp_path / "d10.json").exists()
 
 
+def test_large_lengths_and_budgets_answer_at_once(tmp_path, capsys, run_optimized):
+    # (32, 1, 1): 104 772 roots of length 24 and 608 854 200 codewords, built from their counts
+    path = tmp_path / "large.json"
+    build = ["code", "build", "--q", "2", "--k", "2", "--out", str(path)]
+    large = cli_in_child([*build, "--n", "32", "--t", "1", "--N", "1"])
+    status, peak_kb = run_optimized(large).split()[-2:]
+    assert status == "0" and int(peak_kb) / 1024 < 50
+    assert main(["code", "info", "--code", str(path)]) == 0
+    # walking the 104 772 roots gives these counts too
+    info = {"size": 608854200, "rate": 0.9119225484966738, "roots": 104772, "largest_cone": 14950}
+    assert json.loads(capsys.readouterr().out) == {"q": 2, "k": 2, "n": 32, "N": 1, "t": 1, **info}
+    assert main(["code", "simulate", "--code", str(path), "--trials", "1", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: 608854200 codewords of length 32 exceed the budget of 100000000 symbols\n"
+    )
+    # a length or a budget of 10^9 answers or is refused at once
+    for n, t in ((10**9, 1), (12, 10**9), (20, 10**9)):
+        start = time.perf_counter()
+        assert main([*build, "--n", str(n), "--t", str(t), "--N", "1"]) in (0, 2)
+        assert time.perf_counter() - start < 2, (n, t)
+
+
 def test_code_simulate(tmp_path, capsys):
     path = write_fixture(tmp_path)
     assert main(
@@ -425,8 +448,12 @@ COMPACT_FAULTS = {
     "both forms": (
         dict(COMPACT, codewords=["001011010110"]), "code holds both 'codewords' and 'construction'"
     ),
-    # ResourceCapError: roots longer than the walk's limit, a simplex above its cap
-    "root above its limit": (compact(n=30, r_n=0), "root length 30 above enumeration limit"),
+    # ResourceCapError: more roots than their cap (3 328 160 of length 30), a root count
+    # whose weight DP is above its cap, a simplex above its cap
+    "root above its limit": (compact(n=30, r_n=0), "irreducible enumeration above cap 1000000"),
+    "root count above its cap": (
+        compact(n=10**9, r_n=0), "root count of 1999999994000000004 cells above cap 1000000"
+    ),
     "simplex above its cap": (
         compact(n=36, m_n=18, r_n=8, dimensions=[
             {"m": 18, "weights": [0] * 19, "modulus": 1, "residue": 0}

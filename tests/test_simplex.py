@@ -256,6 +256,22 @@ def test_required_distance_examples():
     assert required_distance(0, 3, 2) == 4
 
 
+def scanned_required_distance(N: int, t: int, m: int) -> int:
+    """The least d with binom(t - d + m, m) <= N, scanning d = 0, 1, ...: the bisection's twin."""
+    d = 0
+    while binom(t - d + m, m) > N:
+        d += 1
+    return d
+
+
+def test_required_distance_bisects_as_the_scan():
+    for N, t, m in itertools.product(range(61), repeat=3):
+        assert required_distance(N, t, m) == scanned_required_distance(N, t, m), (N, t, m)
+    # the scan would take t steps here
+    assert required_distance(0, 10**9, 3) == 10**9 + 1
+    assert required_distance(1, 10**9, 3) == 10**9
+
+
 def test_required_distance_monotone():
     for m in (1, 2, 5):
         for t in (1, 3, 7):
@@ -431,6 +447,14 @@ def test_bose_chowla_set_examples_and_limits():
     # GF(1009^2) has more elements than the enumeration cap
     with pytest.raises(ResourceCapError):
         bose_chowla_set(2, 1001)
+    # from order 20 on, 2^h alone is above the cap, so p^h is never formed
+    assert simplex.DEFAULT_ENUM_CAP.bit_length() == 20
+    with pytest.raises(ResourceCapError, match=r"^GF\(3\^19\) has 1162261467 elements"):
+        bose_chowla_set(19, 3)
+    for h in (20, 10**9):
+        message = rf"^GF\(3\^{h}\) has more than 1000000 elements$"
+        with pytest.raises(ResourceCapError, match=message):
+            bose_chowla_set(h, 3)
 
 
 def walked_bose_chowla_set(h: int, size: int) -> tuple[tuple[int, ...], int]:
@@ -540,6 +564,11 @@ def test_sidon_set_never_raises_for_small_orders():
         for size in range(1, 13):
             elems, modulus = sidon_set(h, size)
             assert len(elems) == size and is_sidon_set(elems, h, modulus)
+    # sizes 1 and 2 are closed forms, not re-checked, so their twin is the check
+    for h in range(2, 61):
+        assert sidon_set(h, 1) == ((0,), 1) and sidon_set(h, 2) == ((0, 1), h + 1)
+        assert is_sidon_set((0,), h, 1) and is_sidon_set((0, 1), h, h + 1)
+    assert sidon_set(10**9, 2) == ((0, 1), 10**9 + 1)
     assert sidon_set(2, 7) == bose_chowla_set(2, 7)
 
 
@@ -630,6 +659,8 @@ def test_sidon_class_is_the_class_sidon_code_takes():
         assert residue == want_residue, (m, r, d)
         assert list(sidon_code(m, r, d).points) == want_points
         assert in_class(enumerate_simplex(m, r), weights, modulus, residue) == want_points
+        # the build's class, counted from the listed simplex, is the one the DP counts to
+        assert simplex._sidon(m, r, d) == ((weights, modulus, residue), want_points)
         if d == 1:
             assert (weights, modulus) == ((0,) * (m + 1), 1)
 
@@ -649,6 +680,19 @@ def test_congruence_class_sizes_total():
     sizes = congruence_class_sizes(2, 4, (0, 1, 2), 3)
     assert sum(sizes) == simplex_size(2, 4)
     assert max(sizes) == sidon_code_size(2, 4, 2)
+
+
+def test_congruence_class_sizes_are_priced(monkeypatch):
+    # (m + 1)(r + 1) * modulus cells: 3 * 5 * 3 = 45 here
+    monkeypatch.setattr(simplex, "DEFAULT_ENUM_CAP", 45)
+    assert sum(congruence_class_sizes(2, 4, (0, 1, 2), 3)) == simplex_size(2, 4)
+    monkeypatch.setattr(simplex, "DEFAULT_ENUM_CAP", 44)
+    with pytest.raises(ResourceCapError, match="^class count of 45 cells above cap 44$"):
+        congruence_class_sizes(2, 4, (0, 1, 2), 3)
+    with pytest.raises(ResourceCapError, match="^class count of 45 cells above cap 44$"):
+        sidon_code_size(2, 4, 2)
+    # a distance-1 class is the whole simplex and runs no DP
+    assert sidon_code_size(2, 400, 1) == simplex_size(2, 400)
 
 
 def test_ball_size_examples():

@@ -6,6 +6,7 @@ import os
 import random
 import tracemalloc
 from collections import Counter
+from operator import attrgetter
 from unittest import mock
 
 import pytest
@@ -198,6 +199,24 @@ def test_described_checker_names_the_listed_witness():
     assert failed == is_utr_code_reduced(listed_twin(bad))
 
 
+def test_described_listing_is_priced(monkeypatch):
+    # 120 codewords of length 12: 1 440 symbols
+    code = construction_a(P22, 12, 2, 1)
+    text, sent = code.dumps(), code.codewords[40]
+    reads = sorted(descendants(sent, 2), key=lambda w: w.symbols)[:2]
+    monkeypatch.setattr(utr, "WALK_SYMBOL_BUDGET", 1440)
+    assert len(UtrCode.loads(text).symbols) == 120
+    monkeypatch.setattr(utr, "WALK_SYMBOL_BUDGET", 1439)
+    message = "^120 codewords of length 12 exceed the budget of 1439 symbols$"
+    for read in (attrgetter("symbols"), attrgetter("cone_index"), utr._keys):
+        with pytest.raises(ResourceCapError, match=message):
+            read(UtrCode.loads(text))
+    with pytest.raises(ResourceCapError, match=message):
+        simulate_reconstruction(UtrCode.loads(text), 1, 0)
+    # the decoder grows no listing, so it still answers
+    assert reconstruct(UtrCode.loads(text), reads) == sent
+
+
 def test_symbols_of_a_grown_index_grow_no_codeword(monkeypatch):
     text = construction_a(P22, 16, 3, 11).dumps()
     grown = UtrCode.loads(text).symbols
@@ -232,15 +251,17 @@ def test_an_empty_class_leaves_its_roots_out_of_the_index():
 
 
 def test_construction_counts_each_dimension_class_once(monkeypatch):
-    # each dimension's classes are counted for its code and its class alike, so once is enough
-    real, calls = simplex.congruence_class_sizes, []
-    monkeypatch.setattr(
-        simplex, "congruence_class_sizes", lambda *args: calls.append(args[0]) or real(*args)
-    )
+    # each dimension's classes are counted once, from the simplex its code is drawn from,
+    # so the counting DP and the code wrapper stay off the build path
+    def refuse(*args):
+        raise AssertionError("counted or wrapped a class off the listed simplex")
+
+    for name in ("congruence_class_sizes", "sidon_class", "in_class", "SimplexCode"):
+        monkeypatch.setattr(simplex, name, refuse)
+    monkeypatch.setattr(utr, "in_class", refuse)
     code = construction_a(P22, 20, 2, 1)
-    # distance 1 takes the whole simplex and counts no class
-    counted = [m for m in code._description.counts if required_distance(1, 2, m) > 1]
-    assert sorted(calls) == sorted(counted) and len(counted) == 5
+    # five dimensions need distance 2 and so a class that is not the whole simplex
+    assert len([m for m in code._description.counts if required_distance(1, 2, m) > 1]) == 5
 
 
 def test_code_keeps_symbols_and_builds_words_on_first_read():
@@ -675,20 +696,19 @@ def test_count_rll_weight_examples():
 
 
 def test_count_rll_weight_bruteforce():
-    for q, k in ((2, 2), (3, 2), (2, 3)):
+    for q, k in itertools.product((2, 3), (1, 2, 3)):
         params = DupParams(q, k)
-        for l in range(0, 7):
-            counts = {}
-            for symbols in itertools.product(range(q), repeat=l):
-                run = longest = 0
-                for s in symbols:
-                    run = run + 1 if s == 0 else 0
-                    longest = max(longest, run)
-                if longest < k:
-                    m = sum(1 for s in symbols if s != 0)
-                    counts[m] = counts.get(m, 0) + 1
+        for l in range(0, 11):
+            counts = [0] * (l + 1)
+            for symbols in itertools.product("0123"[:q], repeat=l):
+                text = "".join(symbols)
+                if "0" * k not in text:
+                    counts[l - text.count("0")] += 1
+            # one pass gives every weight up to top, and each count alone agrees
+            assert utr._rll_weights(l, l, params) == counts, (q, k, l)
+            assert utr._rll_weights(l, l // 2, params) == counts[: l // 2 + 1], (q, k, l)
             for m in range(l + 1):
-                assert count_rll_weight(l, m, params) == counts.get(m, 0), (q, k, l, m)
+                assert count_rll_weight(l, m, params) == counts[m], (q, k, l, m)
 
 
 def test_irreducible_enumeration_matches_count():
