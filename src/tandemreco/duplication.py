@@ -32,7 +32,7 @@ from .errors import (
 )
 
 DEFAULT_NODE_CAP = 10**7
-# symbols a priced walk's last layer may hold: the Words descendants returns stay near 1 GB
+# symbols one priced walk (all its layers) or one grown codeword listing may build
 WALK_SYMBOL_BUDGET = 10**8
 # a literal walk keys each symbol by one code point (see _key), so q stops at 0x110000
 MAX_Q = sys.maxunicode + 1
@@ -303,28 +303,39 @@ def _layer(key: str, k: int, t: int, cap: int) -> set[str]:
     return layer
 
 
+def _walk_price(m: int, t: int, length: int, k: int) -> int:
+    """The node count C(t + m, m) of D_t of a word with m + 1 cone coordinates.
+
+    Layer j of the walk holds C(j + m, m) words of length ``length`` + j k,
+    so its layers 0 ... t hold length C(t + m + 1, m + 1) + k (m + 1)
+    C(t + m + 1, m + 2) symbols (the hockey-stick identity).  A walk builds
+    and scans every one of them, so it is refused before it starts when they
+    exceed ``WALK_SYMBOL_BUDGET``.
+    """
+    symbols = length * math.comb(t + m + 1, m + 1) + k * (m + 1) * math.comb(t + m + 1, m + 2)
+    if symbols > WALK_SYMBOL_BUDGET:
+        raise ResourceCapError(
+            f"a walk of {t} duplications from a word of length {length} exceeds the "
+            f"budget of {WALK_SYMBOL_BUDGET} symbols"
+        )
+    return math.comb(t + m, m)
+
+
 def descendants(x: Word, t: int) -> set[Word]:
     """The exact set of words reachable from x by exactly t duplications.
 
-    The walk is priced before it starts: D_t(x) holds C(t + m, m) words of
-    length len(x) + t k, where m + 1 is the number of x's cone coordinates,
-    and the walk raises at once when they exceed the node cap or
-    ``WALK_SYMBOL_BUDGET`` symbols.
+    The walk is priced before it starts (see :func:`_walk_price`), and it
+    raises at once when D_t(x) exceeds the node cap or the walk's layers
+    exceed ``WALK_SYMBOL_BUDGET`` symbols.
     """
     if t < 0:
         raise DomainError("descendant depth must be nonnegative")
     cap, k = _effective_cap(), x.params.k
-    if t and len(x) >= k:
-        m = len(_cone(x.symbols, k)[1]) - 1
-        nodes, length = math.comb(t + m, m), len(x) + t * k
-        if nodes > cap:
-            raise ResourceCapError(f"descendant expansion exceeded cap of {cap} nodes")
-        if nodes * length > WALK_SYMBOL_BUDGET:
-            raise ResourceCapError(
-                f"{nodes} descendants of length {length} exceed the budget of "
-                f"{WALK_SYMBOL_BUDGET} symbols"
-            )
-    layer = _layer(_key(x.symbols), k, t, cap)
+    sym = x.symbols
+    # a word shorter than k walks nothing; its cone dimension counts its zero-run ends but the last
+    if t and len(sym) >= k and _walk_price(sum(map(ne, sym, sym[k:])), t, len(sym), k) > cap:
+        raise ResourceCapError(f"descendant expansion exceeded cap of {cap} nodes")
+    layer = _layer(_key(sym), k, t, cap)
     return {Word._trusted(_symbols(key), x.params) for key in layer}
 
 
@@ -424,17 +435,6 @@ class RootDecomposition:
             raise DimensionMismatchError(
                 f"sigma needs weight+1 = {len(letters) + 1} entries, got {len(self.sigma)}"
             )
-
-    def to_json(self) -> dict:
-        return {"prefix": self.prefix.text(), "mu": self.mu.text(), "sigma": list(self.sigma)}
-
-    @classmethod
-    def from_json(cls, data: dict, params: DupParams) -> "RootDecomposition":
-        return cls(
-            Word.parse(data["prefix"], params),
-            Word.parse(data["mu"], params),
-            tuple(data["sigma"]),
-        )
 
 
 Cone = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -566,8 +566,10 @@ def channel_sample(x: Word, t: int, seed: int) -> Word:
         raise WordLengthError(f"word of length {len(x)} is shorter than k={k}")
     if t < 0:
         raise DomainError("number of duplications must be nonnegative")
-    rng = random.Random(seed)
     sym = x.symbols
+    # the t steps copy the symbols of a walk with one word per layer
+    _walk_price(0, t, len(sym), k)
+    rng = random.Random(seed)
     for _ in range(t):
         i = rng.randrange(len(sym) - k + 1)
         sym = sym[: i + k] + sym[i:]

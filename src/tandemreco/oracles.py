@@ -35,6 +35,7 @@ from .simplex import (
     ball_size,
     ball_size_bruteforce,
     enumerate_simplex,
+    min_half_distance,
     required_distance,
     required_distance_upper_entropy,
     required_distance_upper_log,
@@ -274,7 +275,8 @@ def suite_sidon() -> OracleResult:
                 code = sidon_code(m, r, d)
                 result.checks += 1
                 if _close_pair(code.points, d):
-                    result.fail(f"sidon_code({m},{r},{d}) has distance {code.min_half_distance}")
+                    dist = min_half_distance(code.points)
+                    result.fail(f"sidon_code({m},{r},{d}) has distance {dist}")
     return result
 
 

@@ -10,12 +10,11 @@ codes three ways: exact maximum (branch-and-bound clique search), greedy
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from operator import mul, sub
 
@@ -218,25 +217,6 @@ class SimplexCode:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @cached_property
-    def min_half_distance(self) -> int | None:
-        return min_half_distance(self.points)
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "r": self.r,
-            "d": self.min_half_distance,
-            "points": [list(p) for p in self.points],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SimplexCode":
-        return cls(data["m"], data["r"], data["points"])
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 # --- exact maximum codes via clique search ---

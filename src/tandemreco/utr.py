@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, islice, product, repeat
-from operator import attrgetter, le
+from operator import attrgetter, le, ne
 from typing import Callable, Iterable, NamedTuple
 
 from .capacity import capacity_profile
@@ -33,6 +33,7 @@ from .duplication import (
     _key,
     _layer,
     _symbols,
+    _walk_price,
     channel_sample,
     descendants,
 )
@@ -365,20 +366,23 @@ def is_utr_code_direct(code: UtrCode) -> UtrCheck:
     An index maps each expanded t-descendant's key to the codewords that own
     it.  Words enter it from last to first, so word i counts what it shares
     with every later word j, and the last violation seen is the smallest
-    (i, j).  The descendants together may hold at most the node cap; a
-    described code is priced against it before any codeword is grown, and
-    then grows its walk keys, not its symbols.  Only a violating pair is
-    turned back into symbols and wrapped in ``Word``s.
+    (i, j).  The descendants together may hold at most the node cap: a
+    codeword of cone dimension m has C(t + m, m) of them, and when no single
+    layer can pass the cap but their total does, the walk would surely end
+    on the index error, so it is raised before any codeword is grown.  A
+    described code grows its walk keys, not its symbols.  Only a violating
+    pair is turned back into symbols and wrapped in ``Word``s.
     """
-    cap = _effective_cap()
-    if code._description is not None:
-        _price_direct(code._description, code.t, cap)
+    cap, t = _effective_cap(), code.t
+    dims, largest = _priced_walks(code, t)
+    if largest <= cap < sum(count * math.comb(t + m, m) for m, count in dims):
+        raise ResourceCapError(f"descendant index exceeded cap of {cap} nodes")
     keys, k, N = _keys(code), code.params.k, code.N
     total = 0
     owners: dict[str, tuple[int, ...]] = {}
     found = UtrCheck(True)
     for i in range(len(keys) - 1, -1, -1):
-        desc = _layer(keys[i], k, code.t, cap)
+        desc = _layer(keys[i], k, t, cap)
         total += len(desc)
         if total > cap:
             raise ResourceCapError(f"descendant index exceeded cap of {cap} nodes")
@@ -404,19 +408,25 @@ def is_utr_code_direct(code: UtrCode) -> UtrCheck:
     return found
 
 
-def _price_direct(description: _Description, t: int, cap: int) -> None:
-    """Raise the direct checker's index error before the walk that would surely raise it.
+def _priced_walks(code: UtrCode, t: int) -> tuple[list[tuple[int, int]], int]:
+    """Pairs (cone dimension, number of codewords) that cover the code, and the largest |D_t|.
 
-    Each codeword of cone dimension m has C(t + m, m) t-descendants, so the
-    index's total is known.  When no single layer can pass the cap, the walk
-    would end on the index error, so it is raised here; otherwise the walk
-    runs and raises whichever error it meets first.
+    Every codeword's walk to depth t is priced before any starts: all have
+    length n, so the walk of the largest dimension builds the most symbols
+    (see :func:`_walk_price`).  A described code gives one pair per
+    dimension, from its description; a listed code one pair (m, 1) per
+    word, m counted from the word's zero-run ends.  Words shorter than k
+    walk nothing.
     """
-    counts = description.counts
-    nodes = {m: math.comb(t + m, m) for m in counts}
-    total = sum(count * len(description.points[m]) * nodes[m] for m, count in counts.items())
-    if max(nodes.values(), default=0) <= cap < total:
-        raise ResourceCapError(f"descendant index exceeded cap of {cap} nodes")
+    k = code.params.k
+    if code.n < k:
+        return [], 0
+    if code._description is not None:
+        _, _, counts, _, points = code._description
+        dims = [(m, count * len(points[m])) for m, count in counts.items()]
+    else:
+        dims = [(sum(map(ne, s, s[k:])), 1) for s in code.symbols]
+    return dims, _walk_price(max(dims)[0], t, code.n, k) if dims else 0
 
 
 def _keys(code: UtrCode) -> list[str]:
@@ -660,6 +670,7 @@ def max_utr_code_bruteforce(params: DupParams, n: int, N: int, t: int) -> UtrCod
     if total > BRUTEFORCE_MAX_WORDS:
         raise ResourceCapError(f"{total} words exceed the cap of {BRUTEFORCE_MAX_WORDS}")
     words = [Word(sym, params) for sym in product(range(q), repeat=n)]
+    _priced_walks(UtrCode(params, n, N, t, words), t)
     cap = _effective_cap()
     desc = [_layer(_key(w.symbols), params.k, t, cap) for w in words]
     adjacency = [0] * total
@@ -762,6 +773,7 @@ def reconstruct_scan(code: UtrCode, reads: Iterable[Word]) -> Word:
     read_list = _validated_reads(code, reads)
     extra = (len(read_list[0]) - code.n) // code.params.k
     read_keys = [_key(r.symbols) for r in read_list]
+    _priced_walks(code, extra)
     cap = _effective_cap()
     candidates = []
     for key in _keys(code):

@@ -261,6 +261,27 @@ def test_code_verify_priced_above_the_cap_exit_2(tmp_path, capsys, monkeypatch):
     assert captured.err == "error: descendant index exceeded cap of 10000000 nodes\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate", "build"])
+def test_walks_above_the_symbol_budget_exit_2_at_once(tmp_path, capsys, command):
+    # at t = 10^9 each walk from a word of length 4 would grow its words to 2e9 symbols
+    path = write_fixture(tmp_path, k=2, N=0, t=10**9, codewords=["0000", "0101"])
+    build = ["--method", "exhaustive", "--q", "2", "--k", "2", "--n", "4", "--N", "0"]
+    argv = {
+        "verify": ["code", "verify", "--code", str(path)],
+        "simulate": ["code", "simulate", "--code", str(path), "--trials", "1"],
+        "build": ["code", "build", *build, "--t", str(10**9), "--out", str(tmp_path / "out.json")],
+    }[command]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a walk of 1000000000 duplications from a word of length 4 exceeds the "
+        "budget of 100000000 symbols\n"
+    )
+
+
 def test_code_file_alphabet_above_the_code_points_exit_2(tmp_path, capsys):
     path = write_fixture(tmp_path, q=0x110001)
     assert main(["code", "verify", "--code", str(path)]) == 2

@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from tandemreco import (
     ParamsMismatchError,
     PhiImage,
     ResourceCapError,
-    RootDecomposition,
     Word,
     WordLengthError,
     channel_sample,
@@ -149,10 +149,30 @@ def test_descendants_are_priced_before_the_walk(monkeypatch):
     with pytest.raises(ResourceCapError, match=message):
         descendants(x, 3)
     monkeypatch.delenv("TANDEM_NODE_CAP")
-    # |D_30| = C(30 + 6, 6) is below the node cap, but its words hold 1.3e8 symbols
+    # |D_30| = C(30 + 6, 6) is below the node cap, but D_0 ... D_30 hold 6.2e8 symbols
     big = root(word("0110100110", 2, 2))
-    with pytest.raises(ResourceCapError, match="1947792 descendants of length 68 exceed the budget"):
+    message = (
+        "^a walk of 30 duplications from a word of length 8 exceeds the budget of "
+        "100000000 symbols$"
+    )
+    with pytest.raises(ResourceCapError, match=message):
         descendants(big, 30)
+    # the last layers hold 801 * 1604 and 20 004 symbols, the whole walks 3.4e8 and 1.0e8
+    for text, t in (("0001", 800), ("0000", 10_000)):
+        message = f"^a walk of {t} duplications from a word of length 4 exceeds the budget"
+        with pytest.raises(ResourceCapError, match=message):
+            descendants(word(text, 2, 2), t)
+
+
+def test_walk_price_is_the_sum_of_its_layers(monkeypatch):
+    # layer j holds C(j + m, m) words of length L + jk; the kernel sums them in closed form
+    for m, t, length, k in itertools.product(range(7), range(13), range(11), range(1, 4)):
+        symbols = sum(math.comb(j + m, m) * (length + j * k) for j in range(t + 1))
+        monkeypatch.setattr(duplication, "WALK_SYMBOL_BUDGET", symbols)
+        assert duplication._walk_price(m, t, length, k) == math.comb(t + m, m)
+        monkeypatch.setattr(duplication, "WALK_SYMBOL_BUDGET", symbols - 1)
+        with pytest.raises(ResourceCapError):
+            duplication._walk_price(m, t, length, k)
 
 
 def literal_layers(x: Word, depth: int) -> list[set[str]]:
@@ -306,13 +326,6 @@ def test_is_irreducible_examples():
     assert is_irreducible(word("0110", 2, 2))
     assert not is_irreducible(word("0101", 2, 2))
     assert is_irreducible(word("010", 2, 1))
-
-
-def test_root_decomposition_json():
-    dec = root_decomposition(word("00110", 2, 1))
-    assert dec.to_json() == {"prefix": "0", "mu": "11", "sigma": [1, 1, 0]}
-    back = RootDecomposition.from_json(dec.to_json(), DupParams(2, 1))
-    assert back == dec
 
 
 def test_psi_examples():

@@ -30,8 +30,7 @@ FORCED = {
     "bounds": ("bounds", "required_distance", lambda N, t, m: 10**9, {"samples": 3}),
     # two points d - 1 apart: closer than d, which distance 1 never asks of distinct points
     "sidon": ("sidon", "sidon_code",
-              lambda m, r, d: SimpleNamespace(points=((d - 1, 0), (0, d - 1)),
-                                              min_half_distance=d - 1), {}),
+              lambda m, r, d: SimpleNamespace(points=((d - 1, 0), (0, d - 1))), {}),
 }
 
 SUMMARIES = {

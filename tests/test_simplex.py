@@ -346,7 +346,7 @@ def test_code_size_orderings():
                 assert len(greedy) <= len(exact)
                 assert len(sidon) <= len(exact)
                 for code in (exact, greedy, sidon):
-                    dist = code.min_half_distance
+                    dist = min_half_distance(code.points)
                     assert dist is None or dist >= d
 
 
@@ -354,7 +354,7 @@ def test_greedy_examples():
     assert len(greedy_code(2, 3, 1)) == 10
     assert len(greedy_code(1, 4, 2)) == 3
     code = greedy_code(3, 4, 2)
-    assert code.min_half_distance >= 2
+    assert min_half_distance(code.points) >= 2
     assert len(code) * ball_size(3, 1) >= simplex_size(3, 4)
 
 
@@ -616,9 +616,8 @@ def test_sidon_suite_computes_each_distance_once(monkeypatch):
         return real(points)
 
     monkeypatch.setattr(simplex, "min_half_distance", counted)
-    # a copy imported into oracles would bypass the code's cached distance
-    if hasattr(oracles, "min_half_distance"):
-        monkeypatch.setattr(oracles, "min_half_distance", counted)
+    # oracles imports its own reference to the distance
+    monkeypatch.setattr(oracles, "min_half_distance", counted)
     monkeypatch.setattr(oracles, "SIDON_RANGE", (3, 4, 3))
     result = oracles.suite_sidon()
     assert result.ok and result.checks == 45
@@ -628,7 +627,8 @@ def test_sidon_suite_computes_each_distance_once(monkeypatch):
 def test_sidon_code_examples():
     assert len(sidon_code(2, 3, 1)) == 10
     code = sidon_code(2, 4, 2)
-    assert code.min_half_distance >= 2
+    assert code.points == ((0, 2, 2), (1, 0, 3), (1, 3, 0), (2, 1, 1), (4, 0, 0))
+    assert min_half_distance(code.points) == 2
     _, modulus = sidon_set(1, 3)
     assert len(code) * modulus >= simplex_size(2, 4)
 
@@ -747,25 +747,15 @@ def test_asymptotic_rate_examples():
         asymptotic_simplex_rate(1.5, 0.2)
 
 
-def test_simplex_code_json_roundtrip():
-    code = sidon_code(2, 4, 2)
-    back = SimplexCode.from_json(code.to_json())
-    assert back == code
-
-
 def test_simplex_code_distance_is_lazy(monkeypatch):
     real = simplex.min_half_distance
 
     def eager(points):
-        raise AssertionError("minimum distance computed before it was read")
+        raise AssertionError("minimum distance computed before it was asked for")
 
     monkeypatch.setattr(simplex, "min_half_distance", eager)
     codes = [sidon_code(3, 4, 1), exact_max_code(2, 3, 1), SimplexCode(1, 2, [(2, 0), (0, 2)])]
-    calls = []
-    monkeypatch.setattr(simplex, "min_half_distance", lambda pts: calls.append(pts) or real(pts))
-    assert [c.min_half_distance for c in codes] == [1, 1, 2]
-    assert [c.min_half_distance for c in codes] == [1, 1, 2]
-    assert len(calls) == 3
+    assert [real(c.points) for c in codes] == [1, 1, 2]
 
 
 def test_simplex_code_normalises_points():
@@ -775,13 +765,6 @@ def test_simplex_code_normalises_points():
     assert hash(code) == hash(SimplexCode(1, 2, ((2, 0), (0, 2))))
     with pytest.raises(DomainError):
         SimplexCode(1, 2, [(1, 0)])
-
-
-def test_simplex_code_dumps_literal():
-    assert sidon_code(2, 4, 2).dumps() == (
-        '{"d": 2, "m": 2, '
-        '"points": [[0, 2, 2], [1, 0, 3], [1, 3, 0], [2, 1, 1], [4, 0, 0]], "r": 4}'
-    )
 
 
 def test_sidon_code_distance_guard(monkeypatch):

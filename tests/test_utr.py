@@ -582,7 +582,7 @@ def test_direct_checker_prices_a_described_code(monkeypatch, n, t, N, total):
 
 
 def test_priced_checker_raises_what_the_walk_raises(monkeypatch):
-    # listed codes are not priced, so the listed twin raises whatever its walk meets first
+    # both kinds of code are priced before their walks, and each must still end as its walk would
     code = construction_a(P22, 12, 1, 1)  # 6 488 descendants, at most 9 per codeword
     listed = listed_twin(code)
     for cap in (0, 1, 5, 8, 9, 10, 100, 6487, 6488):
