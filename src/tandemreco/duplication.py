@@ -312,8 +312,12 @@ def _walk_price(m: int, t: int, length: int, k: int) -> int:
     and scans every one of them, so it is refused before it starts when they
     exceed ``WALK_SYMBOL_BUDGET``.
     """
-    symbols = length * math.comb(t + m + 1, m + 1) + k * (m + 1) * math.comb(t + m + 1, m + 2)
-    if symbols > WALK_SYMBOL_BUDGET:
+    # each of the t + 1 layers holds a word at least length > m long, so past this first
+    # test min(m, t) is below the budget's square root and the binomials are quick
+    if length * (t + 1) > WALK_SYMBOL_BUDGET or (
+        length * math.comb(t + m + 1, m + 1) + k * (m + 1) * math.comb(t + m + 1, m + 2)
+        > WALK_SYMBOL_BUDGET
+    ):
         raise ResourceCapError(
             f"a walk of {t} duplications from a word of length {length} exceeds the "
             f"budget of {WALK_SYMBOL_BUDGET} symbols"

@@ -514,7 +514,10 @@ def in_class(
 
 
 def _sidon(m: int, r: int, d: int) -> tuple[tuple[tuple[int, ...], int, int], list[SimplexPoint]]:
-    """:func:`sidon_class` and its points in lex order, each listed point's residue taken once."""
+    """:func:`sidon_class` and its points in lex order, each listed point's residue taken once.
+
+    It only chooses; each caller checks the distance once.
+    """
     if d < 1:
         raise DomainError("distance must be >= 1")
     points = enumerate_simplex(m, r)
@@ -522,15 +525,15 @@ def _sidon(m: int, r: int, d: int) -> tuple[tuple[tuple[int, ...], int, int], li
     residues = [sum(map(mul, weights, p)) % modulus for p in points]
     sizes = Counter(residues)
     residue = min(sizes, key=lambda a: (-sizes[a], a))
-    chosen = [p for p, a in zip(points, residues) if a == residue]
-    if _close_pair(chosen, d):
-        raise TandemError(f"congruence code has distance {min_half_distance(chosen)} < {d}")
-    return (weights, modulus, residue), chosen
+    return (weights, modulus, residue), [p for p, a in zip(points, residues) if a == residue]
 
 
 def sidon_code(m: int, r: int, d: int) -> SimplexCode:
-    """The points of :func:`sidon_class`, a largest congruence class; distance re-verified."""
-    return SimplexCode(m, r, _sidon(m, r, d)[1])
+    """The points of :func:`sidon_class`, a largest congruence class, checked d apart or more."""
+    points = _sidon(m, r, d)[1]
+    if _close_pair(points, d):
+        raise TandemError(f"congruence code has distance {min_half_distance(points)} < {d}")
+    return SimplexCode(m, r, points)
 
 
 def sidon_code_size(m: int, r: int, d: int) -> int:

@@ -135,6 +135,11 @@ class UtrCode:
     # a described code's _Description; not a field, so equality skips it
     _description = None
 
+    def __repr__(self) -> str:
+        # a described code prints its size, so printing it grows no codeword
+        last = f"symbols={self.symbols!r}" if self._description is None else f"size={len(self)}"
+        return f"UtrCode(params={self.params!r}, n={self.n!r}, N={self.N!r}, t={self.t!r}, {last})"
+
     @classmethod
     def _of(
         cls, params: DupParams, n: int, N: int, t: int, _description: _Description
@@ -622,7 +627,8 @@ def construction_a(
     that length with enough nonzero difference symbols are counted by cone
     dimension, and each cone is filled with a congruence-class code at the
     required distance, mapped back to words.  The roots are walked only when
-    codewords are read.  The result is re-verified.
+    codewords are read.  The result is re-verified by :func:`is_utr_code_reduced`,
+    the one distance check each dimension's class gets.
     """
     if params.k < 2:
         raise DomainError("construction needs k >= 2 (rate analysis is undefined at k = 1)")
@@ -683,45 +689,30 @@ def max_utr_code_bruteforce(params: DupParams, n: int, N: int, t: int) -> UtrCod
     return UtrCode(params, n, N, t, tuple(words[i] for i in chosen))
 
 
-def _validated_reads(code: UtrCode, reads: Iterable[Word]) -> list[Word]:
-    out = sorted(set(reads), key=lambda w: w.symbols)
-    if not out:
-        raise NoCandidateError("no reads given")
-    for r in out:
-        if r.params != code.params:
-            raise ParamsMismatchError(f"mixed parameters: {code.params} vs {r.params}")
-    lengths = {len(r) for r in out}
-    if len(lengths) != 1:
-        raise NoCandidateError(f"reads have mixed lengths {sorted(lengths)}")
-    (length,) = lengths
-    extra = length - code.n
-    if extra < 0 or extra % code.params.k != 0:
-        raise NoCandidateError(
-            f"read length {length} unreachable from codeword length {code.n}"
-        )
-    return out
-
-
 def _read_symbols(code: UtrCode, reads: Iterable[Word]) -> list[Symbols]:
-    """The distinct reads' symbols in order, as :func:`_validated_reads` checks them.
+    """The distinct reads' symbols in order, checked once for both decoders.
 
-    Reads that all carry the code's params are deduplicated and checked by
-    their symbol tuples; any other input goes to the validator, so it raises
-    what it always has.
+    The first distinct read in symbol order whose params are not the code's
+    is named; an item that is not a ``Word`` raises from the sort that seeks it.
     """
     reads = list(reads)
-    try:
-        # list.count tests identity before equality, so one shared params object is quick
-        same = list(map(_PARAMS, reads)).count(code.params) == len(reads)
-        syms = sorted(set(map(_SYMBOLS, reads)))
-    except (AttributeError, TypeError):  # an item that is not a Word
-        same = False
-    if same and syms:
-        lengths = list(map(len, syms))
-        extra = lengths[0] - code.n
-        if lengths.count(lengths[0]) == len(lengths) and extra >= 0 and not extra % code.params.k:
-            return syms
-    return [r.symbols for r in _validated_reads(code, reads)]
+    # list.count tests identity before equality, so one shared params object is quick
+    if list(map(getattr, reads, repeat("params"), repeat(None))).count(code.params) != len(reads):
+        for r in sorted(set(reads), key=_SYMBOLS):
+            if r.params != code.params:
+                raise ParamsMismatchError(f"mixed parameters: {code.params} vs {r.params}")
+    syms = sorted(set(map(_SYMBOLS, reads)))
+    if not syms:
+        raise NoCandidateError("no reads given")
+    lengths = set(map(len, syms))
+    if len(lengths) != 1:
+        raise NoCandidateError(f"reads have mixed lengths {sorted(lengths)}")
+    extra = len(syms[0]) - code.n
+    if extra < 0 or extra % code.params.k:
+        raise NoCandidateError(
+            f"read length {len(syms[0])} unreachable from codeword length {code.n}"
+        )
+    return syms
 
 
 def reconstruct(code: UtrCode, reads: Iterable[Word]) -> Word:
@@ -770,9 +761,9 @@ def _cone_points(code: UtrCode, root: Symbols, m: int) -> Sequence[Symbols]:
 
 def reconstruct_scan(code: UtrCode, reads: Iterable[Word]) -> Word:
     """Oracle decoder: test read containment in literally expanded descendant sets."""
-    read_list = _validated_reads(code, reads)
-    extra = (len(read_list[0]) - code.n) // code.params.k
-    read_keys = [_key(r.symbols) for r in read_list]
+    syms = _read_symbols(code, reads)
+    extra = (len(syms[0]) - code.n) // code.params.k
+    read_keys = list(map(_key, syms))
     _priced_walks(code, extra)
     cap = _effective_cap()
     candidates = []

@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -173,6 +174,15 @@ def test_walk_price_is_the_sum_of_its_layers(monkeypatch):
         monkeypatch.setattr(duplication, "WALK_SYMBOL_BUDGET", symbols - 1)
         with pytest.raises(ResourceCapError):
             duplication._walk_price(m, t, length, k)
+
+
+def test_walk_price_refuses_a_long_walk_before_its_binomials():
+    # the t + 1 layers hold at least 1e14 symbols; the exact count needs 3 s of binomials
+    start = time.perf_counter()
+    message = "^a walk of 1000000000 duplications from a word of length 100001 exceeds"
+    with pytest.raises(ResourceCapError, match=message):
+        duplication._walk_price(10**5, 10**9, 10**5 + 1, 1)
+    assert time.perf_counter() - start < 0.1
 
 
 def literal_layers(x: Word, depth: int) -> list[set[str]]:

@@ -937,6 +937,52 @@ def test_construction_a_rejects_invalid_result(monkeypatch):
         construction_a(P22, 10, 1, 1)
 
 
+def test_construction_a_checks_each_class_once(monkeypatch):
+    # the reduced re-verify is the one distance check that each dimension's class gets
+    close_pair, calls = utr._close_pair, []
+    counted = lambda points, d: calls.append(d) or close_pair(points, d)
+    monkeypatch.setattr(simplex, "_close_pair", counted)
+    monkeypatch.setattr(utr, "_close_pair", counted)
+    code = construction_a(P22, 20, 2, 1)
+    assert len(code._description.counts) == len(calls) == 5 and min(calls) >= 2
+
+
+def test_construction_a_rejects_a_class_below_its_distance(monkeypatch, run_optimized):
+    # a weighting that is not Sidon puts a dimension's whole simplex in one class, whose
+    # points are 1 apart; the re-verify stops it, under python -O as well
+    want = (
+        "construction produced an invalid code: UtrCheck(ok=False, witness=(Word('0000011001',"
+        " q=2, k=2), Word('0001011001', q=2, k=2)), detail=1)"
+    )
+    monkeypatch.setattr(simplex, "sidon_set", lambda h, size: ((0,) * size, 1))
+    with pytest.raises(TandemError) as err:
+        construction_a(P22, 10, 2, 1)
+    assert str(err.value) == want
+    script = (
+        "import sys\n"
+        "from tandemreco import DupParams, TandemError, construction_a, simplex\n"
+        "simplex.sidon_set = lambda h, size: ((0,) * size, 1)\n"
+        "try:\n"
+        "    construction_a(DupParams(2, 2), 10, 2, 1)\n"
+        "except TandemError as err:\n"
+        "    print(sys.flags.optimize, err)\n"
+    )
+    assert run_optimized(script).strip() == f"1 {want}"
+
+
+def test_repr_of_a_described_code_reads_no_codeword():
+    # growing these 608 854 200 codewords would exceed a cap
+    code = construction_a(P22, 32, 1, 1)
+    assert repr(code) == "UtrCode(params=DupParams(q=2, k=2), n=32, N=1, t=1, size=608854200)"
+    assert "symbols" not in vars(code) and "cone_index" not in vars(code)
+    # a listed code keeps the dataclass form, its symbols in full
+    listed = fixture_code()
+    assert repr(listed) == (
+        "UtrCode(params=DupParams(q=2, k=1), n=4, N=1, t=1, "
+        "symbols=((0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 0)))"
+    )
+
+
 def test_code_from_json_names_bad_key():
     from tandemreco import DomainError
 
@@ -1085,36 +1131,61 @@ def caught(make_reads, fn, code):
         return type(err), str(err)
 
 
-def test_read_check_matches_the_validator():
+def test_read_check_matches_its_pinned_table():
+    # both decoders check their reads in _read_symbols: the symbols it returns, or the
+    # type and message of what it raises, are pinned for each input
     code = construction_a(P22, 12, 1, 1)
     a, b = code.codewords[5], code.codewords[9]
     reads = sorted(descendants(a, 1), key=lambda w: w.symbols)
+    assert (a.text(), b.text()) == ("000001101100", "000010011000")
     twin = Word(reads[0].symbols, DupParams(2, 2))  # equal, but its params are another object
+    dp23, dp32 = DupParams(2, 3), DupParams(3, 2)
+    foreign = lambda other: (ParamsMismatchError, f"mixed parameters: {P22} vs {other}")
+    unreachable = lambda length: (
+        NoCandidateError, f"read length {length} unreachable from codeword length 12"
+    )
+    no_symbols = lambda kind: (AttributeError, f"'{kind}' object has no attribute 'symbols'")
     cases = {
-        "descendants": lambda: reads,
-        "duplicates": lambda: [reads[1], Word(reads[1].symbols, P22), reads[0], reads[1]],
-        "equal params": lambda: [twin, reads[2]],
-        "foreign params": lambda: [reads[0], Word(reads[1].symbols, DupParams(2, 3))],
-        "foreign code": lambda: [Word(reads[0].symbols, DupParams(3, 2))],
-        "mixed lengths": lambda: [reads[0], b],
-        "unreachable length": lambda: [Word(reads[0].symbols[:-1], P22)],
-        "shorter than n": lambda: [Word(a.symbols[:-2], P22)],
-        "codeword": lambda: [a],
-        "no reads": lambda: [],
-        "generator": lambda: (r for r in reads[:3]),
-        "empty generator": lambda: iter(()),
-        "str items": lambda: [r.text() for r in reads],
-        "list items": lambda: [list(r.symbols) for r in reads],
-        "a Word and a str": lambda: [reads[0], "0101"],
-        "a str": lambda: "0101",
+        "descendants": (lambda: reads, [
+            "00000001101100", "00000101101100", "00000110101100", "00000110110000",
+            "00000110110100", "00000110111100", "00000111101100",
+        ]),
+        "duplicates": (
+            lambda: [reads[1], Word(reads[1].symbols, P22), reads[0], reads[1]],
+            ["00000001101100", "00000101101100"],
+        ),
+        "equal params": (lambda: [twin, reads[2]], ["00000001101100", "00000110101100"]),
+        "foreign params": (lambda: [reads[0], Word(reads[1].symbols, dp23)], foreign(dp23)),
+        "foreign code": (lambda: [Word(reads[0].symbols, dp32)], foreign(dp32)),
+        "foreign first": (lambda: [Word(reads[0].symbols, dp23), reads[1]], foreign(dp23)),
+        "foreign, mixed lengths": (lambda: [b, Word(reads[0].symbols, dp32)], foreign(dp32)),
+        "mixed lengths": (
+            lambda: [reads[0], b], (NoCandidateError, "reads have mixed lengths [12, 14]")
+        ),
+        "unreachable length": (lambda: [Word(reads[0].symbols[:-1], P22)], unreachable(13)),
+        "shorter than n": (lambda: [Word(a.symbols[:-2], P22)], unreachable(10)),
+        "codeword": (lambda: [a], ["000001101100"]),
+        "no reads": (lambda: [], (NoCandidateError, "no reads given")),
+        "generator": (
+            lambda: (r for r in reads[:3]),
+            ["00000001101100", "00000101101100", "00000110101100"],
+        ),
+        "empty generator": (lambda: iter(()), (NoCandidateError, "no reads given")),
+        "str items": (lambda: [r.text() for r in reads], no_symbols("str")),
+        "list items": (
+            lambda: [list(r.symbols) for r in reads], (TypeError, "unhashable type: 'list'")
+        ),
+        "a Word and a str": (lambda: [reads[0], "0101"], no_symbols("str")),
+        "a str": (lambda: "0101", no_symbols("str")),
+        "a None": (lambda: [reads[0], None], no_symbols("NoneType")),
     }
-    validated = lambda code, reads: [r.symbols for r in utr._validated_reads(code, reads)]
-    for name, make in cases.items():
-        want = caught(make, validated, code)
-        assert caught(make, utr._read_symbols, code) == want, name
+    texts = lambda code, reads: ["".join(map(str, s)) for s in utr._read_symbols(code, reads)]
+    for name, (make, want) in cases.items():
+        assert caught(make, texts, code) == want, name
         # the decoder agrees with its scanning twin on the same input
-        assert caught(make, reconstruct, code) == caught(make, reconstruct_scan, code), name
-    assert caught(cases["equal params"], reconstruct, code) == a
+        got = caught(make, reconstruct, code)
+        assert got == caught(make, reconstruct_scan, code), name
+        assert got == (a if isinstance(want, list) else want), name
 
 
 def test_simulate_grows_no_cone_index():
