@@ -127,10 +127,12 @@ def cmd_rate_curve(args) -> int:
 
 
 def _load_code(path: str) -> UtrCode:
+    # bad text or JSON, deep nesting or a long number; from_json's DomainError is a ValueError
     try:
-        return UtrCode.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        data = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as err:
         raise DomainError(f"{path} is not JSON: {err}") from err
+    return UtrCode.from_json(data)
 
 
 def cmd_code_build(args) -> int:

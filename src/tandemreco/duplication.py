@@ -144,7 +144,12 @@ class Word:
         # a symbol is ASCII digits with one spelling: no leading zero
         if not all(f.isascii() and f.isdigit() and not (f[0] == "0" and f != "0") for f in fields):
             raise DomainError(f"not a word over {params.q} symbols: {text!r}")
-        return cls(tuple(map(int, fields)), params)
+        digits = len(str(params.q - 1))
+        # a field with more digits than q - 1 is outside the alphabet, named unconverted
+        for f in fields:
+            if len(f) > digits or int(f) >= params.q:
+                raise DomainError(f"symbol {f} outside alphabet of size {params.q}")
+        return cls._trusted(tuple(map(int, fields)), params)
 
     def hamming_weight(self) -> int:
         return sum(1 for s in self.symbols if s != 0)

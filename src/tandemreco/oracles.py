@@ -274,8 +274,8 @@ def suite_sidon() -> OracleResult:
             for d in range(1, max_d + 1):
                 code = sidon_code(m, r, d)
                 result.checks += 1
-                if _close_pair(code.points, d):
-                    dist = min_half_distance(code.points)
+                if _close_pair(code, d):
+                    dist = min_half_distance(code)
                     result.fail(f"sidon_code({m},{r},{d}) has distance {dist}")
     return result
 

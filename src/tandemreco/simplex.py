@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from operator import mul, sub
@@ -75,18 +74,18 @@ def enumerate_simplex(m: int, r: int, cap: int | None = None) -> list[SimplexPoi
     if total > cap:
         raise ResourceCapError(f"simplex has {total} points, above cap {cap}")
 
-    out: list[SimplexPoint] = []
-
-    def rec(prefix: list[int], remaining: int, parts_left: int):
-        if parts_left == 1:
-            out.append(tuple(prefix) + (remaining,))
-            return
-        for first in range(remaining + 1):
-            prefix.append(first)
-            rec(prefix, remaining - first, parts_left - 1)
-            prefix.pop()
-
-    rec([], r, m + 1)
+    # each next point moves one unit from the last nonzero coordinate to the one
+    # before it and the rest of that coordinate to the end
+    point = [0] * m + [r]
+    out = [tuple(point)]
+    last = m if r else 0
+    while last:
+        rest = point[last] - 1
+        point[last] = 0
+        point[last - 1] += 1
+        point[m] = rest
+        last = m if rest else last - 1
+        out.append(tuple(point))
     return out
 
 
@@ -201,24 +200,6 @@ def _close_pair(points: Sequence[SimplexPoint], d: int) -> tuple[int, int, int] 
     return None
 
 
-@dataclass(frozen=True)
-class SimplexCode:
-    """A set of equal-weight points, sorted and distinct; its distance is derived."""
-
-    m: int
-    r: int
-    points: tuple[SimplexPoint, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(sorted(set(tuple(p) for p in self.points))))
-        for p in self.points:
-            if len(p) != self.m + 1 or sum(p) != self.r or any(c < 0 for c in p):
-                raise DomainError(f"point {p} not in the ({self.m},{self.r})-simplex")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 # --- exact maximum codes via clique search ---
 
 def max_clique_bitset(adjacency: list[int]) -> list[int]:
@@ -277,7 +258,7 @@ def max_clique_bitset(adjacency: list[int]) -> list[int]:
     return sorted(best)
 
 
-def exact_max_code(m: int, r: int, d: int) -> SimplexCode:
+def exact_max_code(m: int, r: int, d: int) -> list[SimplexPoint]:
     """A maximum code of the requested distance, by exhaustive clique search.
 
     Exactness is only offered while the simplex has at most
@@ -288,7 +269,7 @@ def exact_max_code(m: int, r: int, d: int) -> SimplexCode:
         raise DomainError("distance must be nonnegative")
     pts = enumerate_simplex(m, r, cap=EXACT_MAX_POINTS)
     if d <= 1:
-        return SimplexCode(m, r, pts)
+        return pts
     n = len(pts)
     adjacency = [0] * n
     for i in range(n):
@@ -297,10 +278,10 @@ def exact_max_code(m: int, r: int, d: int) -> SimplexCode:
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
     chosen = max_clique_bitset(adjacency)
-    return SimplexCode(m, r, [pts[i] for i in chosen])
+    return [pts[i] for i in chosen]
 
 
-def greedy_code(m: int, r: int, d: int) -> SimplexCode:
+def greedy_code(m: int, r: int, d: int) -> list[SimplexPoint]:
     """Lexicographic greedy code; meets the covering lower bound by construction."""
     if d < 0:
         raise DomainError("distance must be nonnegative")
@@ -311,7 +292,7 @@ def greedy_code(m: int, r: int, d: int) -> SimplexCode:
     # every point sits within d-1 of some chosen point
     if d >= 1 and m >= 1 and len(chosen) * ball_size(m, d - 1) < simplex_size(m, r):
         raise TandemError(f"greedy code of {len(chosen)} points leaves simplex points uncovered")
-    return SimplexCode(m, r, chosen)
+    return chosen
 
 
 # --- Sidon sets and congruence codes ---
@@ -528,12 +509,12 @@ def _sidon(m: int, r: int, d: int) -> tuple[tuple[tuple[int, ...], int, int], li
     return (weights, modulus, residue), [p for p, a in zip(points, residues) if a == residue]
 
 
-def sidon_code(m: int, r: int, d: int) -> SimplexCode:
+def sidon_code(m: int, r: int, d: int) -> list[SimplexPoint]:
     """The points of :func:`sidon_class`, a largest congruence class, checked d apart or more."""
     points = _sidon(m, r, d)[1]
     if _close_pair(points, d):
         raise TandemError(f"congruence code has distance {min_half_distance(points)} < {d}")
-    return SimplexCode(m, r, points)
+    return points
 
 
 def sidon_code_size(m: int, r: int, d: int) -> int:

@@ -65,6 +65,7 @@ from .simplex import (
 
 _SYMBOLS = attrgetter("symbols")
 _PARAMS = attrgetter("params")
+_BUDGET = attrgetter("params", "n", "N", "t")
 _CODE_KEYS = (("q", int), ("k", int), ("n", int), ("N", int), ("t", int))
 _CONSTRUCTION_KEYS = (("m_n", int), ("r_n", int), ("dimensions", list))
 _DIMENSION_KEYS = (("m", int), ("modulus", int), ("residue", int), ("weights", list))
@@ -103,7 +104,8 @@ class UtrCode:
     and writes only that description to its file.  It walks its roots once,
     when codewords are first read, and grows ``symbols`` and ``cone_index``
     on first read.  ``codewords`` wraps the symbols in ``Word``s on first
-    read.  Equality and hash read the symbols.
+    read.  Described codes of one budget and description are equal without
+    growing a codeword; other codes compare symbols.  Hash reads the size.
     """
 
     params: DupParams
@@ -134,6 +136,18 @@ class UtrCode:
 
     # a described code's _Description; not a field, so equality skips it
     _description = None
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self._description, other._description
+        # (params, n, m_n) fix the roots and their counts, and the classes fix the points
+        same = a is not None and b is not None and a[:2] == b[:2] and a.classes == b.classes
+        return _BUDGET(self) == _BUDGET(other) and (same or self.symbols == other.symbols)
+
+    def __hash__(self) -> int:
+        # a listed code and its described twin have one size
+        return hash((*_BUDGET(self), len(self)))
 
     def __repr__(self) -> str:
         # a described code prints its size, so printing it grows no codeword
@@ -451,44 +465,34 @@ def is_utr_code_reduced(code: UtrCode) -> UtrCheck:
     Words shorter than k never duplicate, and words with different roots
     never share descendants; within one root's cone the shared-descendant
     bound is equivalent to a minimum distance on the coordinate images.
-    A listed code compares the coordinates of each cone of ``cone_index``
-    in turn and reports the first close pair of the first failing cone.  A
-    described code gives every cone of one dimension the same points, so it
-    compares each dimension's points once and names the pair the listed
-    code would.  Must agree with :func:`is_utr_code_direct`.
+    One loop compares cones in order of their least member and reports the
+    first close pair of the first failing cone.  A listed code gives it
+    every cone of ``cone_index``; a described code compares each dimension's
+    points once and gives it only the failing cone with the least member,
+    grown one cone at a time.  Must agree with :func:`is_utr_code_direct`.
     """
-    if code._description is not None:
-        return _reduced_described(code)
-    for members in code.cone_index.values():
-        need = required_distance(code.N, code.t, len(members[0][1]) - 1)
+    N, t, k = code.N, code.t, code.params.k
+    if code._description is None:
+        cones = code.cone_index.values()
+    else:
+        points = code._description.points
+        failing = [m for m, vs in points.items() if _close_pair(vs, required_distance(N, t, m))]
+        steps = _steps({m: points[m] for m in failing})
+        cones = [
+            min(
+                _members(sym, k, ends, steps[len(ends) - 1])
+                for sym, ends in code._cones
+                if len(ends) - 1 in steps
+            )
+        ] if failing else []
+    for members in cones:
+        need = required_distance(N, t, len(members[0][1]) - 1)
         # psi is injective, so a cone's coordinates are distinct points of one simplex
         close = _close_pair([v for _, v in members], need)
         if close:
             i, j, dist = close
             return UtrCheck(False, _pair(code, members[i][0], members[j][0]), dist)
     return UtrCheck(True)
-
-
-def _reduced_described(code: UtrCode) -> UtrCheck:
-    """:func:`is_utr_code_reduced` on a described code: each dimension's points compared once."""
-    points = code._description.points
-    failing = {}
-    for m, coords in points.items():
-        need = required_distance(code.N, code.t, m)
-        if _close_pair(coords, need):
-            failing[m] = need
-    if not failing:
-        return UtrCheck(True)
-    # the listed code orders its cones by their least member and reports the first failing one
-    k = code.params.k
-    steps = _steps(points)
-    members = min(
-        _members(sym, k, ends, steps[len(ends) - 1])
-        for sym, ends in code._cones
-        if len(ends) - 1 in failing
-    )
-    i, j, dist = _close_pair([v for _, v in members], failing[len(members[0][1]) - 1])
-    return UtrCheck(False, _pair(code, members[i][0], members[j][0]), dist)
 
 
 def _rll_weights(l: int, top: int, params: DupParams) -> list[int]:

@@ -372,6 +372,62 @@ def test_code_file_not_json_exit(tmp_path, capsys):
     assert err.startswith(f"error: {reads} is not text") and err.count("\n") == 1
 
 
+def input_files(tmp_path) -> list[tuple[list[str], int]]:
+    """Input files that once crashed the CLI with a traceback, each with its command and exit code."""
+
+    def write(name: str, text: str) -> str:
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    head = {"q": 2, "k": 1, "N": 0, "t": 1}
+    # json's limits: nesting depth and the digits of an int
+    nested = write("nested.json", "[" * 100_000)
+    long_n = write("long_n.json", '{"n": %s, %s' % ("1" * 5000, json.dumps(head)[1:]))
+    wide = write("wide.json", json.dumps(dict(head, q=11, n=1, codewords=["1" * 5000])))
+    q11 = write("q11.json", json.dumps(dict(head, q=11, n=2, codewords=["1,10"])))
+    reads = write("reads.txt", "1" * 5000 + "\n")
+    # a simplex of 1000 parts, one point at cone weight 0
+    dimension = {"m": 999, "weights": [0] * 1000, "modulus": 1, "residue": 0}
+    construction = {"m_n": 0, "r_n": 0, "dimensions": [dimension]}
+    deep = write("deep.json", json.dumps(dict(head, n=1000, construction=construction)))
+    return [
+        (["code", "info", "--code", nested], 2),
+        (["code", "info", "--code", long_n], 2),
+        (["code", "info", "--code", wide], 2),
+        (["code", "decode", "--code", q11, "--reads", reads], 2),
+        (["code", "info", "--code", deep], 0),
+    ]
+
+
+def check_input_file_outcome(status: int, want: int, out: str, err: str) -> None:
+    assert status == want and "Traceback" not in err
+    if want:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == "" and json.loads(out)["size"] == json.loads(out)["roots"] == 2
+
+
+def test_input_files_exit_2_without_a_traceback(tmp_path, capsys, run_optimized):
+    cases = input_files(tmp_path)
+    for argv, want in cases:
+        status = main(argv)
+        check_input_file_outcome(status, want, *capsys.readouterr())
+    script = (
+        "import contextlib, io, json\n"
+        "from tandemreco.cli import main\n"
+        f"for argv in {[argv for argv, _ in cases]!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        status = main(argv)\n"
+        "    print(json.dumps([status, out.getvalue(), err.getvalue()]))\n"
+    )
+    lines = run_optimized(script).splitlines()
+    assert len(lines) == len(cases)
+    for line, (_, want) in zip(lines, cases):
+        status, out, err = json.loads(line)
+        check_input_file_outcome(status, want, out, err)
+
+
 @pytest.mark.parametrize("key", ["q", "k", "n", "N", "t"])
 def test_code_file_bool_for_integer_exit(tmp_path, capsys, key):
     # JSON true is a bool, which Python counts as the integer 1

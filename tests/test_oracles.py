@@ -6,8 +6,6 @@ the whole ``summary()`` text.  A suite counts every comparison but keeps only
 its first ``MAX_REPORTED`` counterexamples.
 """
 
-from types import SimpleNamespace
-
 import pytest
 
 from tandemreco import ResourceCapError, oracles
@@ -30,7 +28,7 @@ FORCED = {
     "bounds": ("bounds", "required_distance", lambda N, t, m: 10**9, {"samples": 3}),
     # two points d - 1 apart: closer than d, which distance 1 never asks of distinct points
     "sidon": ("sidon", "sidon_code",
-              lambda m, r, d: SimpleNamespace(points=((d - 1, 0), (0, d - 1))), {}),
+              lambda m, r, d: [(d - 1, 0), (0, d - 1)], {}),
 }
 
 SUMMARIES = {

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,6 @@ from tandemreco import (
     DimensionMismatchError,
     DomainError,
     ResourceCapError,
-    SimplexCode,
     TandemError,
     WeightMismatchError,
     asymptotic_simplex_rate,
@@ -56,6 +56,36 @@ def test_enumerate_simplex_examples():
     assert len(pts) == 10 == simplex_size(2, 3)
     assert pts == sorted(pts)
     assert all(sum(p) == 3 for p in pts)
+
+
+def recursive_simplex(m: int, r: int) -> list:
+    """The simplex as a recursion lists it: each part ascending, the parts after it recursed."""
+    out = []
+
+    def rec(prefix, remaining, parts_left):
+        if parts_left == 1:
+            out.append(tuple(prefix) + (remaining,))
+            return
+        for first in range(remaining + 1):
+            prefix.append(first)
+            rec(prefix, remaining - first, parts_left - 1)
+            prefix.pop()
+
+    rec([], r, m + 1)
+    return out
+
+
+def test_enumerate_simplex_matches_the_recursion():
+    for m, r in itertools.product(range(9), range(9)):
+        assert enumerate_simplex(m, r) == recursive_simplex(m, r), (m, r)
+    # the recursion takes one frame per part, so only a raised limit lets it reach m = 2000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2100)
+    try:
+        want = recursive_simplex(2000, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert enumerate_simplex(2000, 1) == want
 
 
 def test_enumeration_caps():
@@ -170,9 +200,9 @@ def ordered_close_pair(points, d):
 @settings(max_examples=300, deadline=None)
 @given(point_sets(defects=False), st.integers(0, 5))
 # Sidon classes whose shells are looked up: cleared at their distance, a pair found one above it
-@example(list(sidon_code(1, 60, 3).points), 3)
-@example(list(sidon_code(1, 60, 3).points), 4)
-@example(list(sidon_code(2, 24, 2).points), 3)
+@example(sidon_code(1, 60, 3), 3)
+@example(sidon_code(1, 60, 3), 4)
+@example(sidon_code(2, 24, 2), 3)
 def test_close_pair_matches_ordered_loop(points, d):
     got = simplex._close_pair(points, d)
     assert got == ordered_close_pair(points, d)
@@ -201,7 +231,7 @@ def test_distance_one_code_never_compares_pairs(monkeypatch):
 def test_probe_finds_distances_behind_empty_shells(monkeypatch):
     # big enough that every shell below the distance is looked up, no pair compared
     cases = [(1, 60, 3), (1, 80, 4), (2, 24, 2), (2, 40, 3), (3, 12, 2)]
-    sets = [list(sidon_code(m, r, d).points) for m, r, d in cases]
+    sets = [sidon_code(m, r, d) for m, r, d in cases]
     probed = []
     near = simplex._near
     monkeypatch.setattr(simplex, "_near", lambda *args: probed.append(args[1]) or near(*args))
@@ -220,8 +250,8 @@ def test_probe_finds_distances_behind_empty_shells(monkeypatch):
 
 @settings(max_examples=300, deadline=None)
 @given(point_sets(defects=False), st.integers(0, 5))
-@example(list(sidon_code(5, 8, 2).points), 2)
-@example(list(sidon_code(1, 60, 3).points), 4)
+@example(sidon_code(5, 8, 2), 2)
+@example(sidon_code(1, 60, 3), 4)
 def test_close_pair_never_probes_then_compares_pairs(points, d):
     # shells that hold no point clear the set, so no set pays for shells and then for pairs
     probed, compared, priced = [], [], []
@@ -346,7 +376,7 @@ def test_code_size_orderings():
                 assert len(greedy) <= len(exact)
                 assert len(sidon) <= len(exact)
                 for code in (exact, greedy, sidon):
-                    dist = min_half_distance(code.points)
+                    dist = min_half_distance(code)
                     assert dist is None or dist >= d
 
 
@@ -354,7 +384,7 @@ def test_greedy_examples():
     assert len(greedy_code(2, 3, 1)) == 10
     assert len(greedy_code(1, 4, 2)) == 3
     code = greedy_code(3, 4, 2)
-    assert min_half_distance(code.points) >= 2
+    assert min_half_distance(code) >= 2
     assert len(code) * ball_size(3, 1) >= simplex_size(3, 4)
 
 
@@ -627,7 +657,7 @@ def test_sidon_suite_computes_each_distance_once(monkeypatch):
 def test_sidon_code_examples():
     assert len(sidon_code(2, 3, 1)) == 10
     code = sidon_code(2, 4, 2)
-    assert min_half_distance(code.points) >= 2
+    assert min_half_distance(code) >= 2
     _, modulus = sidon_set(1, 3)
     assert len(code) * modulus >= simplex_size(2, 4)
 
@@ -656,7 +686,7 @@ def test_sidon_class_is_the_class_sidon_code_takes():
         weights, modulus, residue = sidon_class(m, r, d)
         want_residue, want_points = bucket_twin(m, r, d)
         assert residue == want_residue, (m, r, d)
-        assert list(sidon_code(m, r, d).points) == want_points
+        assert sidon_code(m, r, d) == want_points
         assert in_class(enumerate_simplex(m, r), weights, modulus, residue) == want_points
         # the build's class, counted from the listed simplex, is the one the DP counts to
         assert simplex._sidon(m, r, d) == ((weights, modulus, residue), want_points)
@@ -753,24 +783,14 @@ def test_simplex_code_distance_is_lazy(monkeypatch):
         raise AssertionError("minimum distance computed before it was asked for")
 
     monkeypatch.setattr(simplex, "min_half_distance", eager)
-    codes = [sidon_code(3, 4, 1), exact_max_code(2, 3, 1), SimplexCode(1, 2, [(2, 0), (0, 2)])]
-    assert [real(c.points) for c in codes] == [1, 1, 2]
-
-
-def test_simplex_code_normalises_points():
-    code = SimplexCode(1, 2, [(2, 0), (0, 2), (2, 0)])
-    assert code.points == ((0, 2), (2, 0))
-    assert code == SimplexCode(1, 2, [[0, 2], [2, 0]])
-    assert hash(code) == hash(SimplexCode(1, 2, ((2, 0), (0, 2))))
-    with pytest.raises(DomainError):
-        SimplexCode(1, 2, [(1, 0)])
+    codes = [sidon_code(3, 4, 1), exact_max_code(2, 3, 1)]
+    assert [real(c) for c in codes] == [1, 1]
 
 
 def test_sidon_code_literal():
     code = sidon_code(2, 4, 2)
-    assert (code.m, code.r) == (2, 4)
-    assert code.points == ((0, 2, 2), (1, 0, 3), (1, 3, 0), (2, 1, 1), (4, 0, 0))
-    assert min_half_distance(code.points) == 2
+    assert code == [(0, 2, 2), (1, 0, 3), (1, 3, 0), (2, 1, 1), (4, 0, 0)]
+    assert min_half_distance(code) == 2
 
 
 def test_sidon_code_distance_guard(monkeypatch):

@@ -252,11 +252,11 @@ def test_an_empty_class_leaves_its_roots_out_of_the_index():
 
 def test_construction_counts_each_dimension_class_once(monkeypatch):
     # each dimension's classes are counted once, from the simplex its code is drawn from,
-    # so the counting DP and the code wrapper stay off the build path
+    # so the counting DP stays off the build path
     def refuse(*args):
-        raise AssertionError("counted or wrapped a class off the listed simplex")
+        raise AssertionError("counted a class off the listed simplex")
 
-    for name in ("congruence_class_sizes", "sidon_class", "in_class", "SimplexCode"):
+    for name in ("congruence_class_sizes", "sidon_class", "in_class"):
         monkeypatch.setattr(simplex, name, refuse)
     monkeypatch.setattr(utr, "in_class", refuse)
     code = construction_a(P22, 20, 2, 1)
@@ -273,6 +273,19 @@ def test_code_keeps_symbols_and_builds_words_on_first_read():
     assert all(w.params is code.params for w in words)
     loaded = UtrCode.loads(code.dumps())
     assert loaded == code and hash(loaded) == hash(code) and "codewords" not in vars(loaded)
+
+
+def test_described_codes_compare_without_growing_codewords():
+    # (32, 1, 1) has 608 854 200 codewords, more than growing them may hold
+    a, b = construction_a(P22, 32, 1, 1), construction_a(P22, 32, 1, 1)
+    assert a == b and hash(a) == hash(b) and a != construction_a(P22, 32, 1, 0)
+    assert not {"symbols", "cone_index", "_cones"} & (vars(a).keys() | vars(b).keys())
+    # another class is another description, so the symbols decide
+    data = construction_a(P22, 12, 2, 1).to_json()
+    data["construction"]["dimensions"][0].update(modulus=8, residue=7)
+    code, other = construction_a(P22, 12, 2, 1), UtrCode.from_json(data)
+    assert code != other and "symbols" in vars(other)
+    assert other == UtrCode(P22, 12, 1, 2, other.codewords)
 
 
 def test_reduced_checker_reads_dimension_from_coordinates(monkeypatch):
