@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .duplication import DupParams, Word
 from .entropy import cal_H, q_ary_entropy
@@ -372,17 +372,10 @@ class CapacityProfile:
     rate_at_gamma0: float
 
     def to_json(self) -> dict:
-        return {
-            "q": self.params.q,
-            "k": self.params.k,
-            "lambda": self.lambda_,
-            "cap_irr": self.cap_irr,
-            "pi1": self.pi1,
-            "theta": self.theta,
-            "x0": self.x0,
-            "gamma0": self.gamma0,
-            "rate_at_gamma0": self.rate_at_gamma0,
-        }
+        data = asdict(self)
+        # the field is lambda_ only because lambda is a Python keyword
+        data["lambda"] = data.pop("lambda_")
+        return {**data.pop("params"), **data}
 
 
 def capacity_profile(

@@ -127,12 +127,11 @@ def cmd_rate_curve(args) -> int:
 
 
 def _load_code(path: str) -> UtrCode:
-    # bad text or JSON, deep nesting or a long number; from_json's DomainError is a ValueError
     try:
-        data = json.loads(Path(path).read_text())
-    except (ValueError, RecursionError) as err:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as err:
         raise DomainError(f"{path} is not JSON: {err}") from err
-    return UtrCode.from_json(data)
+    return UtrCode.loads(text)
 
 
 def cmd_code_build(args) -> int:

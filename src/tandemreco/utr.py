@@ -16,7 +16,7 @@ import math
 import random
 from collections import Counter, defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import accumulate, islice, product, repeat
 from operator import attrgetter, le, ne
@@ -268,7 +268,12 @@ class UtrCode:
 
     @classmethod
     def loads(cls, text: str) -> "UtrCode":
-        return cls.from_json(json.loads(text))
+        # bad JSON, deep nesting or a long number; from_json's DomainError is a ValueError
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as err:
+            raise DomainError(f"code text is not JSON: {err}") from err
+        return cls.from_json(data)
 
 
 def _steps(points: dict[int, Sequence[Symbols]]) -> dict[int, list[tuple[Symbols, list]]]:
@@ -798,15 +803,7 @@ class SimulationReport:
         return self.successes / self.trials if self.trials else 0.0
 
     def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "wrong": self.wrong,
-            "ambiguous": self.ambiguous,
-            "undecodable": self.undecodable,
-            "short_cone_trials": self.short_cone_trials,
-            "success_rate": self.success_rate,
-        }
+        return {**asdict(self), "success_rate": self.success_rate}
 
 
 def simulate_reconstruction(code: UtrCode, trials: int, seed: int) -> SimulationReport:

@@ -6,14 +6,16 @@ built-ins when every word carries its params and length.  The per-symbol
 versions they replaced are kept here as written, and the two must agree: the
 same word, or the same exception type and message.  ``UtrCode.from_json``
 parses a listed file's codewords one by one with ``Word.parse`` and hands
-them to the public constructor; a plain per-word loader is its twin, and the
-outcomes of a few odd files are pinned.  The benchmark's codes are pinned by
-hash in both file forms, the compact description that ``dumps`` writes for a
-built code and the listing of its codewords, so a codec change that alters a
-stored file fails here.
+them to the public constructor; ``UtrCode.loads`` gives what ``from_json``
+gives on the parsed text and refuses text json cannot read with a
+``DomainError``, and the outcomes of a few odd files are pinned.  The
+benchmark's codes are pinned by hash in both file forms, the compact
+description that ``dumps`` writes for a built code and the listing of its
+codewords, so a codec change that alters a stored file fails here.
 """
 
 import hashlib
+import json
 import operator
 
 import pytest
@@ -167,13 +169,6 @@ def test_code_normalisation_accepts_a_generator():
     assert [w.text() for w in UtrCode(params, 3, 1, 1, words).codewords] == ["011", "101"]
 
 
-def parse_each(data: dict) -> UtrCode:
-    """The per-word loader: every codeword through ``Word.parse``, then the public constructor."""
-    params = DupParams(data["q"], data["k"])
-    words = [Word.parse(s, params) for s in data["codewords"]]
-    return UtrCode(params, data["n"], data["N"], data["t"], words)
-
-
 @st.composite
 def code_files(draw):
     """Code file objects whose codewords are mostly fine, with up to two odd ones mixed in.
@@ -229,12 +224,27 @@ def code_file(q: int, n: int, *codewords: str) -> dict:
 @example(code_file(3, 2, "02", "10", "21"))  # a list as written
 @example(code_file(11, 2, "1,10", "0,3", "1,10"))  # the comma form
 @example(code_file(11, 2, "03,4"))  # a leading zero
-def test_loader_matches_per_word_path(data):
-    got, want = outcome(UtrCode.from_json, data), outcome(parse_each, data)
+def test_code_text_reads_as_its_object_and_writes_back(data):
+    got, want = outcome(UtrCode.loads, json.dumps(data)), outcome(UtrCode.from_json, data)
     assert got == want
-    if isinstance(want, UtrCode):
-        assert got.codewords == want.codewords and got.dumps() == want.dumps()
+    if isinstance(got, UtrCode):
+        text = got.dumps()
+        assert UtrCode.loads(text).dumps() == text
         assert all(type(s) is int for sym in got.symbols for s in sym)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000,  # deeper than json's recursion limit
+        '{"n": %s, "q": 2, "k": 1, "N": 0, "t": 1, "codewords": []}' % ("1" * 5000),
+        "this is not JSON",
+    ],
+    ids=["nested", "long-int", "prose"],
+)
+def test_code_text_json_cannot_read_is_a_domain_error(text):
+    with pytest.raises(DomainError, match="^code text is not JSON: "):
+        UtrCode.loads(text)
 
 
 # each file: its code (params, n, N, t, codeword texts) or its exception's type and message

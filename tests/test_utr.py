@@ -107,26 +107,6 @@ def test_cone_index_keyed_by_root_symbols():
 INDEX_TWIN_RANGE = [(2, 16, 12), (3, 9, 8)]
 
 
-def test_construction_index_matches_listed_code():
-    built = 0
-    for q, top, literal in INDEX_TWIN_RANGE:
-        for n, t, N in itertools.product(range(1, top + 1), (1, 2, 3), (0, 1, 11)):
-            try:
-                code = construction_a(DupParams(q, 2), n, t, N)
-            except TandemError:
-                continue
-            built += 1
-            # the listed code has no index yet, so it derives one codeword by codeword
-            listed = UtrCode(code.params, n, N, t, code.codewords)
-            assert listed == code and "cone_index" not in vars(listed)
-            assert listed.cone_index == code.cone_index, (q, n, t, N)
-            verdict = is_utr_code_reduced(code)
-            assert is_utr_code_reduced(listed) == verdict
-            if n <= literal:
-                assert is_utr_code_direct(listed).ok == verdict.ok
-    assert built == 124
-
-
 def described_code(params: DupParams, root_len: int, r: int, N: int, t: int) -> UtrCode:
     """Construction A's description of every root of one length at weight r, read from its file."""
     roots = irreducible_words(params, root_len)
@@ -164,21 +144,35 @@ def compact_round_trip(code: UtrCode) -> UtrCode:
 
 def test_described_code_matches_its_listed_twin():
     built = 0
-    for q, top, _ in INDEX_TWIN_RANGE:
+    for q, top, literal in INDEX_TWIN_RANGE:
         for n, t, N in itertools.product(range(1, top + 1), (1, 2, 3), (0, 1, 11)):
             try:
                 code = construction_a(DupParams(q, 2), n, t, N)
             except TandemError:
                 continue
             built += 1
-            # the described side first, before it lists its symbols for the twin
-            got = described_view(compact_round_trip(code))
-            assert got == described_view(listed_twin(code)), (q, n, t, N)
+            # keys first: grown from the description, they list no symbols
+            loaded = UtrCode.loads(code.dumps())
+            grown = [utr._keys(code), utr._keys(loaded)]
+            assert "symbols" not in vars(code) and "symbols" not in vars(loaded)
+            listed = listed_twin(code)
+            assert grown == [utr._keys(listed)] * 2, (q, n, t, N)
+            # the twin has no index yet, so it derives one codeword by codeword
+            assert listed == code and "cone_index" not in vars(listed)
+            twin = described_view(listed)
+            assert described_view(compact_round_trip(code)) == twin, (q, n, t, N)
+            _, _, verdict, index, _ = twin
+            assert code.cone_index == index and is_utr_code_reduced(code) == verdict
+            if n <= literal:
+                assert is_utr_code_direct(listed).ok == verdict.ok
     assert built == 124
-    # construction_a reaches no length at q = 11, so the comma form is described here
+    # construction_a reaches no length at q = 11, so the comma form is described here;
+    # symbols 0-10 are code points 0-10
     wide = described_code(DupParams(11, 2), 3, 2, 1, 1)
-    got = described_view(compact_round_trip(wide))
+    keys = utr._keys(wide)
     listed = listed_twin(wide)
+    assert keys == utr._keys(listed)
+    got = described_view(compact_round_trip(wide))
     assert got == described_view(listed)
     # 121 roots of one cone coordinate take 1 point, 1 210 of two take 3
     assert '"10,10,10,10,10,10,10"' in listed.dumps() and got[0] == 121 + 1210 * 3
@@ -604,25 +598,6 @@ def test_priced_checker_raises_what_the_walk_raises(monkeypatch):
         assert outcome(is_utr_code_direct, fresh) == outcome(is_utr_code_direct, listed)
         # the walk grows walk keys, so whichever check ends it, no symbol tuple is grown
         assert "symbols" not in vars(fresh)
-
-
-def test_keys_grown_from_the_description_match_the_listed_twin():
-    built = 0
-    for q, top, _ in INDEX_TWIN_RANGE:
-        for n, t, N in itertools.product(range(1, top + 1), (1, 2, 3), (0, 1, 11)):
-            try:
-                code = construction_a(DupParams(q, 2), n, t, N)
-            except TandemError:
-                continue
-            built += 1
-            loaded = UtrCode.loads(code.dumps())
-            grown = [utr._keys(code), utr._keys(loaded)]
-            assert "symbols" not in vars(code) and "symbols" not in vars(loaded)
-            assert grown == [utr._keys(listed_twin(code))] * 2, (q, n, t, N)
-    assert built == 124
-    # the comma form's alphabet: symbols 0-10 are code points 0-10
-    wide = described_code(DupParams(11, 2), 3, 2, 1, 1)
-    assert utr._keys(wide) == utr._keys(listed_twin(wide))
 
 
 def test_scan_of_a_described_code_grows_no_symbols():
