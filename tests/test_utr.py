@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from collections import Counter
 from operator import attrgetter
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -142,40 +143,69 @@ def compact_round_trip(code: UtrCode) -> UtrCode:
     return loaded
 
 
-def test_described_code_matches_its_listed_twin():
-    built = 0
+@pytest.fixture(scope="module")
+def construction_twins():
+    """Each Construction-A code of INDEX_TWIN_RANGE and its listed twin, built once.
+
+    What needs a fresh object is read here, in the order the three twin tests need:
+    the keys before any symbols are listed, and the twin's equality before its index.
+    """
+    rows = []
     for q, top, literal in INDEX_TWIN_RANGE:
         for n, t, N in itertools.product(range(1, top + 1), (1, 2, 3), (0, 1, 11)):
             try:
                 code = construction_a(DupParams(q, 2), n, t, N)
             except TandemError:
                 continue
-            built += 1
-            # keys first: grown from the description, they list no symbols
             loaded = UtrCode.loads(code.dumps())
             grown = [utr._keys(code), utr._keys(loaded)]
-            assert "symbols" not in vars(code) and "symbols" not in vars(loaded)
+            unlisted = "symbols" not in vars(code) and "symbols" not in vars(loaded)
             listed = listed_twin(code)
-            assert grown == [utr._keys(listed)] * 2, (q, n, t, N)
+            twin_keys = utr._keys(listed)
             # the twin has no index yet, so it derives one codeword by codeword
-            assert listed == code and "cone_index" not in vars(listed)
-            twin = described_view(listed)
-            assert described_view(compact_round_trip(code)) == twin, (q, n, t, N)
-            _, _, verdict, index, _ = twin
-            assert code.cone_index == index and is_utr_code_reduced(code) == verdict
-            if n <= literal:
-                assert is_utr_code_direct(listed).ok == verdict.ok
-    assert built == 124
-    # construction_a reaches no length at q = 11, so the comma form is described here;
-    # symbols 0-10 are code points 0-10
+            equal = listed == code and "cone_index" not in vars(listed)
+            rows.append(
+                SimpleNamespace(
+                    where=(q, n, t, N), literal=n <= literal, code=code, listed=listed,
+                    grown=grown, unlisted=unlisted, twin_keys=twin_keys, equal=equal,
+                    twin=described_view(listed),
+                )
+            )
+    return rows
+
+
+def test_keys_grown_from_the_description_match_the_listed_twin(construction_twins):
+    for row in construction_twins:
+        assert row.unlisted, row.where
+        assert row.grown == [row.twin_keys] * 2, row.where
+    assert len(construction_twins) == 124
+    # the comma form's alphabet: symbols 0-10 are code points 0-10
     wide = described_code(DupParams(11, 2), 3, 2, 1, 1)
-    keys = utr._keys(wide)
-    listed = listed_twin(wide)
-    assert keys == utr._keys(listed)
+    assert utr._keys(wide) == utr._keys(listed_twin(wide))
+
+
+def test_described_code_matches_its_listed_twin(construction_twins):
+    for row in construction_twins:
+        assert described_view(compact_round_trip(row.code)) == row.twin, row.where
+    assert len(construction_twins) == 124
+    # construction_a reaches no length at q = 11, so the comma form is described here
+    wide = described_code(DupParams(11, 2), 3, 2, 1, 1)
     got = described_view(compact_round_trip(wide))
+    listed = listed_twin(wide)
     assert got == described_view(listed)
     # 121 roots of one cone coordinate take 1 point, 1 210 of two take 3
     assert '"10,10,10,10,10,10,10"' in listed.dumps() and got[0] == 121 + 1210 * 3
+
+
+def test_construction_index_matches_listed_code(construction_twins):
+    for row in construction_twins:
+        assert row.equal, row.where
+        _, _, verdict, index, _ = row.twin
+        assert row.code.cone_index == index, row.where
+        assert is_utr_code_reduced(row.code) == verdict
+        if row.literal:
+            assert is_utr_code_direct(row.listed).ok == verdict.ok
+    assert len(construction_twins) == 124
 
 
 def test_described_checker_names_the_listed_witness():
