@@ -14,12 +14,12 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import accumulate, islice, product, repeat
-from operator import attrgetter, le, ne
+from operator import attrgetter, le
 from typing import Callable, Iterable, NamedTuple
 
 from .capacity import capacity_profile
@@ -74,7 +74,6 @@ BRUTEFORCE_MAX_WORDS = 4096
 
 
 Symbols = tuple[int, ...]
-ConeIndex = dict[Symbols, list[tuple[Symbols, Symbols]]]
 
 
 class _Description(NamedTuple):
@@ -180,24 +179,50 @@ class UtrCode:
         return sum(size * count for size, count in self.cone_size_counts().items())
 
     @cached_property
-    def _cones(self) -> list[tuple[Symbols, Symbols]]:
-        """A described code's roots with their run ends, in walk order, walked on first read."""
-        m_n, r_n = self._description[:2]
-        return _roots(self.params, self.n - self.params.k * r_n, m_n)
+    def _groups(self) -> list[tuple[Sequence[Symbols], int]]:
+        """Each list of cone coordinates with the number of cones (roots) that hold it.
 
-    def cone_size_counts(self) -> dict[int, int]:
-        """How many cones of ``cone_index`` hold each number of codewords.
+        A described code has one group per cone dimension, read from its
+        description without walking a root; a listed code has one per root,
+        and fills its ``_cones`` in the same pass, one ``_cone`` per codeword.
+        """
+        if self._description is not None:
+            _, _, counts, _, points = self._description
+            return [(points[m], count) for m, count in counts.items()]
+        k = self.params.k
+        cones: dict[Symbols, tuple[Symbols, list[int], list[Symbols]]] = {}
+        for sym in self.symbols if self.n >= k else ():
+            r, sigma, ends = _cone(sym, k)
+            cone = cones.get(r)
+            if cone is None:
+                # as in reconstruct: a root's run ends k symbols earlier per k-block grown
+                cone = cones[r] = (r, [e - k * s for e, s in zip(ends, accumulate(sigma))], [])
+            cone[2].append(sigma)
+        vars(self)["_cones"] = [(r, ends, _steps(points)) for r, ends, points in cones.values()]
+        return [(points, 1) for _, _, points in cones.values()]
 
-        A described code counts them from its root counts, walking no root.
+    @cached_property
+    def _cones(self) -> list[tuple[Symbols, Sequence[int], list[tuple[Symbols, list]]]]:
+        """Each root with its run ends and its members' :func:`_steps`, built on first read.
+
+        A described code walks its roots, and the cones of one dimension
+        share one steps list; a listed code's come with its ``_groups``.
         """
         if self._description is None:
-            return Counter(map(len, self.cone_index.values()))
-        points = self._description.points
+            self._groups
+            return vars(self)["_cones"]
+        m_n, r_n, _, _, points = self._description
+        steps = {m: _steps(vs) for m, vs in points.items()}
+        roots = _roots(self.params, self.n - self.params.k * r_n, m_n)
+        return [(sym, ends, steps[len(ends) - 1]) for sym, ends in roots]
+
+    def cone_size_counts(self) -> dict[int, int]:
+        """How many cones of ``cone_index`` hold each number of codewords, from ``_groups``."""
         sizes: Counter[int] = Counter()
-        for m, count in self._description.counts.items():
-            # a dimension whose class is empty owns no cone
-            if points[m]:
-                sizes[len(points[m])] += count
+        for points, count in self._groups:
+            # a group whose class is empty owns no cone
+            if points:
+                sizes[len(points)] += count
         return sizes
 
     @cached_property
@@ -213,27 +238,15 @@ class UtrCode:
         return math.log(size, self.params.q) / self.n
 
     @cached_property
-    def cone_index(self) -> ConeIndex:
+    def cone_index(self) -> dict[Symbols, list[tuple[Symbols, Symbols]]]:
         """Codewords' symbols grouped by their root's symbols, each with its cone coordinates.
 
-        Each root's members are in symbol order.  A described code grows them
-        root by root, priced first; a listed code decomposes each codeword.
+        Each root's members are in symbol order, grown cone by cone from
+        ``_cones``, priced first.
         """
+        _price_listing(self)
         k = self.params.k
-        if self._description is not None:
-            _price_listing(self)
-            steps = _steps(self._description.points)
-            return {
-                sym: _members(sym, k, ends, members)
-                for sym, ends in self._cones
-                if (members := steps[len(ends) - 1])
-            }
-        index: ConeIndex = defaultdict(list)
-        if self.n >= k:
-            for sym in self.symbols:
-                r, sigma, _ = _cone(sym, k)
-                index[r].append((sym, sigma))
-        return dict(index)
+        return {sym: _members(sym, k, ends, steps) for sym, ends, steps in self._cones if steps}
 
     def to_json(self) -> dict:
         head = {"q": self.params.q, "k": self.params.k, "n": self.n, "N": self.N, "t": self.t}
@@ -276,11 +289,9 @@ class UtrCode:
         return cls.from_json(data)
 
 
-def _steps(points: dict[int, Sequence[Symbols]]) -> dict[int, list[tuple[Symbols, list]]]:
-    """Each dimension's points, each with its nonzero coordinates (i, v[i]): the runs that grow."""
-    return {
-        m: [(v, [(i, s) for i, s in enumerate(v) if s]) for v in vs] for m, vs in points.items()
-    }
+def _steps(points: Sequence[Symbols]) -> list[tuple[Symbols, list]]:
+    """Each point with its nonzero coordinates (i, v[i]): the runs that grow."""
+    return [(v, [(i, s) for i, s in enumerate(v) if s]) for v in points]
 
 
 def _price_listing(code: UtrCode) -> None:
@@ -294,18 +305,17 @@ def _price_listing(code: UtrCode) -> None:
 
 
 def _grown(code: UtrCode, form: Callable[[Symbols], Symbols | str]) -> list:
-    """Every codeword of a described code, each grown from form(root symbols), sorted.
+    """Every codeword, each grown from form(root symbols) along ``_cones``, sorted.
 
     ``tuple`` grows symbol tuples and ``_key`` walk keys, which sort alike;
     the listing is priced first.
     """
     _price_listing(code)
     k = code.params.k
-    steps = _steps(code._description.points)
     grown = []
-    for sym, ends in code._cones:
+    for sym, ends, steps in code._cones:
         root = form(sym)
-        grown += [_grow(root, k, ends, g) for _, g in steps[len(ends) - 1]]
+        grown += [_grow(root, k, ends, g) for _, g in steps]
     grown.sort()
     return grown
 
@@ -437,31 +447,22 @@ def _priced_walks(code: UtrCode, t: int) -> tuple[list[tuple[int, int]], int]:
 
     Every codeword's walk to depth t is priced before any starts: all have
     length n, so the walk of the largest dimension builds the most symbols
-    (see :func:`_walk_price`).  A described code gives one pair per
-    dimension, from its description; a listed code one pair (m, 1) per
-    word, m counted from the word's zero-run ends.  Words shorter than k
-    walk nothing.
+    (see :func:`_walk_price`).  Each group of ``_groups`` that holds a
+    point gives one pair; words shorter than k have no cone and walk nothing.
     """
-    k = code.params.k
-    if code.n < k:
-        return [], 0
-    if code._description is not None:
-        _, _, counts, _, points = code._description
-        dims = [(m, count * len(points[m])) for m, count in counts.items()]
-    else:
-        dims = [(sum(map(ne, s, s[k:])), 1) for s in code.symbols]
-    return dims, _walk_price(max(dims)[0], t, code.n, k) if dims else 0
+    dims = [(len(vs[0]) - 1, count * len(vs)) for vs, count in code._groups if vs]
+    return dims, _walk_price(max(dims)[0], t, code.n, code.params.k) if dims else 0
 
 
 def _keys(code: UtrCode) -> list[str]:
     """The walk key of each codeword, in symbol order.
 
-    A described code grows each key from its root's key, so it lists no
-    symbol tuple; a listed code keys its symbols.
+    A code that holds its symbols keys them; any other grows each key from
+    its root's key, so it lists no symbol tuple.
     """
-    if code._description is not None:
-        return _grown(code, _key)
-    return list(map(_key, code.symbols))
+    if "symbols" in vars(code):
+        return list(map(_key, code.symbols))
+    return _grown(code, _key)
 
 
 def is_utr_code_reduced(code: UtrCode) -> UtrCheck:
@@ -470,34 +471,26 @@ def is_utr_code_reduced(code: UtrCode) -> UtrCheck:
     Words shorter than k never duplicate, and words with different roots
     never share descendants; within one root's cone the shared-descendant
     bound is equivalent to a minimum distance on the coordinate images.
-    One loop compares cones in order of their least member and reports the
-    first close pair of the first failing cone.  A listed code gives it
-    every cone of ``cone_index``; a described code compares each dimension's
-    points once and gives it only the failing cone with the least member,
-    grown one cone at a time.  Must agree with :func:`is_utr_code_direct`.
+    Each group of ``_groups`` is compared once; the failing groups' cones are
+    grown one at a time, and the one with the least member names its first
+    close pair.  Must agree with :func:`is_utr_code_direct`.
     """
     N, t, k = code.N, code.t, code.params.k
-    if code._description is None:
-        cones = code.cone_index.values()
-    else:
-        points = code._description.points
-        failing = [m for m, vs in points.items() if _close_pair(vs, required_distance(N, t, m))]
-        steps = _steps({m: points[m] for m in failing})
-        cones = [
-            min(
-                _members(sym, k, ends, steps[len(ends) - 1])
-                for sym, ends in code._cones
-                if len(ends) - 1 in steps
-            )
-        ] if failing else []
-    for members in cones:
-        need = required_distance(N, t, len(members[0][1]) - 1)
-        # psi is injective, so a cone's coordinates are distinct points of one simplex
-        close = _close_pair([v for _, v in members], need)
-        if close:
-            i, j, dist = close
-            return UtrCheck(False, _pair(code, members[i][0], members[j][0]), dist)
-    return UtrCheck(True)
+    # a cone of one codeword holds no pair; the distance each dimension needs is found once
+    coords = [vs for vs, _ in code._groups if len(vs) > 1]
+    need = {m: required_distance(N, t, m) for m in {len(vs[0]) - 1 for vs in coords}}
+    # psi is injective, so a cone's coordinates are distinct points of one simplex
+    failing = {tuple(vs) for vs in coords if _close_pair(vs, need[len(vs[0]) - 1])}
+    if not failing:
+        return UtrCheck(True)
+    members = min(
+        _members(sym, k, ends, steps)
+        for sym, ends, steps in code._cones
+        if tuple(v for v, _ in steps) in failing
+    )
+    points = [v for _, v in members]
+    i, j, dist = _close_pair(points, need[len(points[0]) - 1])
+    return UtrCheck(False, _pair(code, members[i][0], members[j][0]), dist)
 
 
 def _rll_weights(l: int, top: int, params: DupParams) -> list[int]:
@@ -663,7 +656,7 @@ def construction_a(
     # described by its roots' length and least weight and one congruence class per dimension
     classes, points = {}, {}
     for m in counts:
-        classes[m], points[m] = _sidon(m, r_n, required_distance(N, t, m))
+        classes[m], points[m] = _sidon(m, r_n, max(required_distance(N, t, m), 1))
     description = _Description(m_n, r_n, counts, classes, points)
     out = UtrCode._of(params, n, N, t, _description=description)
     check = is_utr_code_reduced(out)

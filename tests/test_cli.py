@@ -164,6 +164,14 @@ def test_code_build_at_distance_three(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "VALID"
 
 
+def test_code_build_below_distance_one(tmp_path, capsys):
+    # at N = 8 every dimension of t = 1 needs distance 0 or 1, so each takes its whole simplex
+    out = tmp_path / "d0.json"
+    build = ["code", "build", "--q", "2", "--k", "2", "--n", "12", "--t", "1", "--N", "8"]
+    assert main([*build, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote 880 codewords to {out}")
+
+
 # SHA-256 of the (24, 2, 1) code's listed file, as written when codes were still listed while built
 LARGE_BUILD_DIGEST = "7ba52827c671d805641dbeba7f7c2c8bac5e6f9e0534105a4559a51322e97976"
 # SHA-256 of the (24, 2, 1) code file that code build writes, its compact description
@@ -210,7 +218,7 @@ def test_large_code_decode_stays_small(tmp_path, run_optimized, n):
     path = tmp_path / "large.json"
     path.write_text(text)
     code = UtrCode.loads(text)
-    root, ends = code._cones[-1]
+    root, ends, _ = code._cones[-1]
     coords = code._description.points[len(ends) - 1]
     sent = psi_inv(Word(root, code.params), coords[len(coords) // 2])
     layer = sorted(descendants(sent, 1), key=lambda w: w.symbols)

@@ -178,7 +178,7 @@ def test_keys_grown_from_the_description_match_the_listed_twin(construction_twin
     for row in construction_twins:
         assert row.unlisted, row.where
         assert row.grown == [row.twin_keys] * 2, row.where
-    assert len(construction_twins) == 124
+    assert len(construction_twins) == 144
     # the comma form's alphabet: symbols 0-10 are code points 0-10
     wide = described_code(DupParams(11, 2), 3, 2, 1, 1)
     assert utr._keys(wide) == utr._keys(listed_twin(wide))
@@ -187,7 +187,7 @@ def test_keys_grown_from_the_description_match_the_listed_twin(construction_twin
 def test_described_code_matches_its_listed_twin(construction_twins):
     for row in construction_twins:
         assert described_view(compact_round_trip(row.code)) == row.twin, row.where
-    assert len(construction_twins) == 124
+    assert len(construction_twins) == 144
     # construction_a reaches no length at q = 11, so the comma form is described here
     wide = described_code(DupParams(11, 2), 3, 2, 1, 1)
     got = described_view(compact_round_trip(wide))
@@ -205,7 +205,7 @@ def test_construction_index_matches_listed_code(construction_twins):
         assert is_utr_code_reduced(row.code) == verdict
         if row.literal:
             assert is_utr_code_direct(row.listed).ok == verdict.ok
-    assert len(construction_twins) == 124
+    assert len(construction_twins) == 144
 
 
 def test_described_checker_names_the_listed_witness():
@@ -361,6 +361,16 @@ def test_reduced_checker_computes_each_dimension_need_once(monkeypatch):
     assert len(dims) < len(code.cone_index)
 
 
+def assert_index_decomposes_the_code(code: UtrCode) -> None:
+    """A listed code's index, grown from its cones, holds each codeword once, under its root."""
+    index, k = code.cone_index, code.params.k
+    members = sorted(sym for cone in index.values() for sym, _ in cone)
+    assert members == list(code.symbols if code.n >= k else ())
+    for r, cone in index.items():
+        for sym, v in cone:
+            assert _cone(sym, k)[:2] == (r, v)
+
+
 def all_pairs_reduced_checker(code: UtrCode) -> UtrCheck:
     """The cone reduction, every pair of every cone compared: the listed checker's twin."""
     for members in code.cone_index.values():
@@ -415,6 +425,7 @@ def test_reduced_checker_matches_all_pairs_loop(code):
     want = all_pairs_reduced_checker(code)
     assert is_utr_code_reduced(code) == want
     assert is_utr_code_direct(code).ok == want.ok
+    assert_index_decomposes_the_code(code)
 
 
 def test_reduced_checker_compares_each_coordinate_set_once(monkeypatch):
@@ -582,6 +593,7 @@ def capped(cap: int | None):
 def test_keyed_direct_checker_matches_tuple_twin(code, cap):
     with capped(cap):
         assert outcome(is_utr_code_direct, code) == outcome(tuple_direct_checker, code)
+    assert_index_decomposes_the_code(code)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1071,6 +1083,29 @@ def test_construction_a_at_distance_three():
     code = construction_a(P22, 16, 3, 1)
     assert len(code) == 188
     assert is_utr_code_reduced(code).ok and is_utr_code_direct(code).ok
+
+
+def test_construction_a_takes_whole_simplices_below_distance_one():
+    # a required distance of 1 or less asks nothing of distinct points, so such a
+    # dimension takes its whole simplex, as sidon_size counts it
+    loose = []
+    for n, t, N in itertools.product(range(1, 17), (1, 2, 3), range(21)):
+        try:
+            code = construction_a(P22, n, t, N)
+        except TandemError:
+            continue
+        if min(required_distance(N, t, m) for m in code._description.counts) < 1:
+            loose.append(code)
+    assert len(loose) == 254
+    for code in loose:
+        m_n, r_n = code._description[:2]
+        l, N, t = code.n - (r_n + 1) * 2, code.N, code.t
+        sizes = [count_rll_weight(l, m, P22) * sidon_size(m, r_n, required_distance(N, t, m))
+                 for m in range(m_n, l + 1)]
+        assert len(code) == 4 * sum(sizes), (code.n, t, N)
+        assert UtrCode.loads(code.dumps()) == code
+    literal = [code for code in loose if code.n <= 12]
+    assert len(literal) == 204 and all(is_utr_code_direct(code).ok for code in literal)
 
 
 def test_meet_decoder_agrees_with_scan():
