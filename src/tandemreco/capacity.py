@@ -2,10 +2,11 @@
 
 Irreducible words correspond, through the prefix/difference transform, to
 strings whose zero runs are shorter than k.  That constrained system has a
-k-state transfer graph; its dominant eigenvalue fixes the growth rate of
-irreducible words, and the stationary Markov chain on the graph fixes the
-typical density of nonzero symbols.  On top of those two numbers sits a
-one-parameter rate curve for reconstruction codes, maximized here by a
+k-state transfer graph; its dominant eigenvalue lambda fixes the growth rate
+of irreducible words, and the stationary Markov chain on the graph fixes the
+typical density of nonzero symbols.  Both follow from the deficit
+delta = q - lambda, solved in logarithms with no power of lambda or q.  On top
+sits a one-parameter rate curve for reconstruction codes, maximized here by a
 contraction fixed point with an independent bisection cross-check.
 """
 
@@ -28,8 +29,24 @@ from .errors import (
 from .simplex import required_distance, required_distance_upper_log
 
 
-def _char_poly(x: float, q: int, k: int) -> float:
-    return x ** (k + 1) - q * x**k + (q - 1)
+def _deficit(params: DupParams) -> float:
+    """delta = q - lambda, where delta * (q - delta)^k = q - 1 (1 at k = 1).
+
+    Newton in u = log delta on u - log(q-1) + k*log(q - e^u), which rises and
+    is concave while k*delta < lambda, climbs from delta = (q-1)/q^k, below the
+    root, until a step no longer rises.  delta underflows to 0.0 at huge k.
+    """
+    q, k = params.q, params.k
+    if k == 1:
+        return 1.0
+    c = math.log(q - 1) - k * math.log(q)
+    u = c
+    while True:
+        d = math.exp(u)
+        nxt = u - (u - c + k * math.log1p(-d / q)) / (1.0 - k * d / (q - d))
+        if not nxt > u:
+            return d
+        u = nxt
 
 
 def perron_lambda(params: DupParams) -> float:
@@ -37,42 +54,23 @@ def perron_lambda(params: DupParams) -> float:
 
     For k = 1 the graph has a single state and the eigenvalue is q - 1
     exactly (degenerate when q = 2: the constrained system then holds one
-    word per length).  For k >= 2, bisection on the sign change of
-    x^(k+1) - q x^k + (q-1) between max(1, q-1) and q.
+    word per length).  For k >= 2 it is the largest root of
+    x^(k+1) - q x^k + (q-1), read as q - delta from the deficit solver.
     """
-    q, k = params.q, params.k
-    if k == 1:
-        return float(q - 1)
-    lo, hi = max(1.0, float(q - 1)), float(q)
-    while hi - lo > 1e-13:
-        mid = (lo + hi) / 2.0
-        if _char_poly(mid, q, k) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    # Newton polish to machine precision (the root is simple and well away
-    # from the derivative's zeros on this bracket)
-    lam = (lo + hi) / 2.0
-    for _ in range(4):
-        slope = (k + 1) * lam**k - q * k * lam ** (k - 1)
-        step = _char_poly(lam, q, k) / slope
-        lam -= step
-        if abs(step) < 1e-15 * lam:
-            break
-    return lam
+    return params.q - _deficit(params)
 
 
 def irr_capacity(params: DupParams) -> float:
     """Growth exponent (base-q) of the number of irreducible words."""
-    return math.log(perron_lambda(params)) / math.log(params.q)
+    return 1.0 + math.log1p(-_deficit(params) / params.q) / math.log(params.q)
 
 
 def pi1(params: DupParams) -> float:
     """Stationary probability of the zero-run-reset state; in (1/2, 1)."""
     if params.k < 2:
         raise DegenerateParamsError("stationary weight density needs k >= 2")
-    lam = perron_lambda(params)
-    return (lam - 1.0) / (lam - params.k * (params.q - lam))
+    delta, lam = _deficit(params), perron_lambda(params)
+    return (lam - 1.0) / (lam - params.k * delta)
 
 
 def default_theta(params: DupParams) -> float:
@@ -203,8 +201,9 @@ def fixed_point_map(z: float, theta: float, params: DupParams) -> float:
     if params.k * theta <= 1.0:
         raise DomainError(f"need k*theta > 1, got {params.k * theta}")
     e = params.k * theta - 1.0
-    a = perron_lambda(params) ** (-params.k)
-    return a / (1.0 + a / (1.0 + z) ** e) ** e
+    a = _deficit(params) / (params.q - 1)  # lambda^(-k)
+    # a / (1 + a/(1+z)^e)^e through log1p, so a tiny z or a keeps its digits
+    return a * math.exp(-e * math.log1p(a * math.exp(-e * math.log1p(z))))
 
 
 def x0_solve(
@@ -238,10 +237,10 @@ def x0_bisect(theta: float, params: DupParams) -> float:
     kt = params.k * theta
     if kt <= 1.0:
         raise DomainError(f"need k*theta > 1, got {kt}")
-    a = perron_lambda(params) ** (-params.k)
+    a = _deficit(params) / (params.q - 1)  # lambda^(-k)
 
-    def residual(x: float) -> float:
-        return (1.0 + x / kt) ** (kt - 1.0) * (x / kt) - a
+    def residual(x: float) -> float:  # (1 + x/kt)^(kt-1) * x/kt - a, in sign
+        return x / kt - a * (1.0 + x / kt) ** (1.0 - kt)
 
     lo, hi = 0.0, kt
     while hi - lo > 1e-13:
@@ -260,15 +259,15 @@ def x0_bounds(theta: float, params: DupParams) -> tuple[float, float]:
     kt = params.k * theta
     if kt <= 1.0:
         raise DomainError(f"need k*theta > 1, got {kt}")
-    q, k = params.q, params.k
-    cap = irr_capacity(params)
-    a = perron_lambda(params) ** (-k)  # equals q**(-cap*k)
-    lower = kt / ((2.0**theta * q**cap) ** k - 1.0)
-    upper_root = 0.5 * (
-        math.sqrt((1.0 - a) ** 2 + kt * q**2 * a) - (1.0 - a)
-    )
-    upper_coarse = kt * q**2 / (4.0 * (q ** (cap * k) - 1.0))
-    return lower, min(upper_root, upper_coarse)
+    a = _deficit(params) / (params.q - 1)  # lambda^(-k)
+    b = a * 2.0**-kt  # (2^theta * lambda)^(-k)
+    lower = kt * b / (1.0 - b)
+    # the root of x^2 + (1-a) x = kt q^2 a / 4, in the form that does not cancel
+    spread = kt * params.q**2 * a
+    upper_root = 0.5 * spread / (math.sqrt((1.0 - a) ** 2 + spread) + (1.0 - a))
+    upper_coarse = spread / (4.0 * (1.0 - a))
+    # a few ulps wider: at q = 2 the root bound meets x0 to second order in a
+    return lower, min(upper_root, upper_coarse) * (1.0 + 2.0**-50)
 
 
 def refine_bounds(
@@ -383,28 +382,27 @@ def capacity_profile(
 ) -> CapacityProfile:
     """Run the whole engine: eigenvalue, stationary density, rate maximum."""
     q, k = params.q, params.k
-    lam = perron_lambda(params)
-    cap = irr_capacity(params)
-    p1 = pi1(params)
+    p1, delta = pi1(params), _deficit(params)
     theta = default_theta(params) if theta is None else theta
     if not 0.0 < theta < 1.0:
         raise DomainError(f"theta must be in (0,1), got {theta}")
     if k * theta <= 1.0:
         raise DomainError(f"need k*theta > 1, got {k * theta}")
+    # delta in (0, min(q/(k+1), 1/k)) is pi1 in (1/2, 1); beyond double precision
+    # delta underflows, pi1 rounds to 1/2 or gamma0 rounds to 1
+    beyond = f"q={q}, k={k} lies beyond double precision"
+    if p1 == 0.5 or not 0.0 < delta < min(q / (k + 1), 1.0 / k):
+        raise DomainError(f"{beyond}: q - lambda = {delta}, pi1 = {p1}")
     x0, gamma0, _ = x0_solve(theta, params, tol)
-
-    # positivity of pi1 gives lam > q*k/(k+1); pi1 < 1 gives lam > q - 1/k
-    if not max(q - q / (k + 1), q - 1.0 / k) < lam < q:
-        raise TandemError(f"eigenvalue {lam} outside its bracket below q={q}")
-    if not 0.5 < p1 < 1.0:
-        raise TandemError(f"pi1 = {p1} outside (1/2, 1)")
     if not 0.0 < x0 < k * theta:
         raise TandemError(f"x0 = {x0} outside (0, k*theta) = (0, {k * theta})")
+    if gamma0 == 1.0:
+        raise DomainError(f"{beyond}: gamma0 = 1 - {x0:.3g} rounds to 1")
 
     return CapacityProfile(
         params=params,
-        lambda_=lam,
-        cap_irr=cap,
+        lambda_=q - delta,
+        cap_irr=irr_capacity(params),
         pi1=p1,
         theta=theta,
         x0=x0,

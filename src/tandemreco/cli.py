@@ -35,6 +35,7 @@ EXIT_OK = 0
 EXIT_ORACLE = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
+MAX_CURVE_POINTS = 10**5  # rows one rate-curve run may write, priced before any is computed
 
 
 def _print_json(data: dict) -> None:
@@ -107,8 +108,8 @@ def _svg_rate_curve(
 
 def cmd_rate_curve(args) -> int:
     params = DupParams(args.q, args.k)
-    if args.points < 1:
-        raise DomainError(f"--points must be at least 1, got {args.points}")
+    if not 1 <= args.points <= MAX_CURVE_POINTS:
+        raise DomainError(f"--points must be in [1, {MAX_CURVE_POINTS}], got {args.points}")
     profile = capacity_profile(params, args.theta)
     step = 1.0 / (args.points + 1)
     gammas = [step * i for i in range(1, args.points + 1)]

@@ -639,7 +639,7 @@ def construction_a(
     r_n = round((1.0 - profile.gamma0) * n / k - 1.0)
     if r_n < 0:
         raise InfeasibleGeometryError(
-            f"n={n} leaves no duplication budget at gamma0={profile.gamma0:.4f}"
+            f"n={n} leaves no duplication budget at q={params.q}, k={k}, gamma0={profile.gamma0:.4f}"
         )
     root_len = n - r_n * k
     if root_len < k:

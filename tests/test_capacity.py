@@ -1,6 +1,8 @@
 """Capacity engine: eigenvalues, the stationary chain, and the rate curve."""
 
+import decimal
 import math
+import sys
 
 import pytest
 
@@ -41,6 +43,31 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 # regression value frozen from the first bisection run on the stationarity
 # equation (theta = 0.7236, q = k = 2)
 X0_REGRESSION = 0.48568059810038
+
+# at q = 2 the root bound meets x0 to second order in lambda^(-k); at large k it is tiny
+BOUNDS_GRID = [(DupParams(q, k), 0.9) for q in (2, 3, 4) for k in range(2, 201)]
+
+
+def _twin(q: int, k: int) -> tuple[decimal.Decimal, ...]:
+    """(delta, lambda, capacity, pi1) at 50 digits, by bisection on log delta.
+
+    delta * (q - delta)^k = q - 1 has its root on (0, min(q/(k+1), 1/k)), where
+    log delta + k*log(q - delta) rises; delta = (q-1)/q^k lies below the root.
+    """
+    with decimal.localcontext(prec=50):
+        q_ = decimal.Decimal(q)
+        target = (q_ - 1).ln()
+        lo = target - k * q_.ln()
+        hi = min(q_ / (k + 1), 1 / decimal.Decimal(k)).ln()
+        while hi - lo > decimal.Decimal("1e-45") * max(1, abs(lo)):
+            mid = (lo + hi) / 2
+            if mid + k * (q_ - mid.exp()).ln() < target:
+                lo = mid
+            else:
+                hi = mid
+        delta = ((lo + hi) / 2).exp()
+        lam = q_ - delta
+        return delta, lam, lam.ln() / q_.ln(), (lam - 1) / (lam - k * delta)
 
 
 def test_entropy_examples():
@@ -184,6 +211,10 @@ def test_x0_solver_examples():
 
 
 def test_x0_bounds_and_refine():
+    for params, theta in BOUNDS_GRID:
+        x0, _, _ = x0_solve(theta, params)
+        lower, upper = x0_bounds(theta, params)
+        assert 0 < lower <= x0 <= upper, params
     for params, theta in ((P22, 0.7236), (P42, 0.8273)):
         x0, _, _ = x0_solve(theta, params)
         lower, upper = x0_bounds(theta, params)
@@ -259,6 +290,19 @@ def test_capacity_profile_fields():
     assert capacity_profile(P22).theta == pytest.approx(pi1(P22) - 0.01)
     with pytest.raises(DegenerateParamsError):
         capacity_profile(DupParams(2, 1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 16, 256])
+def test_deficit_matches_the_decimal_twin(q):
+    # lambda rounds to q from (2, 53) on: only delta keeps the digits there
+    for k in (2, 3, 5, 10, 27, 53, 100, 250, 1000, 10**4):
+        params = DupParams(q, k)
+        delta, lam, cap, p1 = _twin(q, k)
+        got = [(perron_lambda(params), lam), (irr_capacity(params), cap), (pi1(params), p1)]
+        if delta >= sys.float_info.min:  # a subnormal delta keeps fewer digits
+            got.append((capacity._deficit(params), delta))
+        for value, exact in got:
+            assert abs(decimal.Decimal(value) - exact) <= decimal.Decimal("1e-12") * exact, (q, k)
 
 
 def test_capacity_profile_guard(monkeypatch):

@@ -19,6 +19,7 @@ from tandemreco import (
     utr,
 )
 from tandemreco.cli import build_parser, main
+from tandemreco.duplication import MAX_Q
 
 FIXTURE = {
     "q": 2,
@@ -46,6 +47,36 @@ def test_capacity_command(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["cap_irr"] == pytest.approx(0.9613, abs=5e-4)
     assert data["pi1"] == pytest.approx(0.8273, abs=5e-4)
+
+
+# (q, k) where lambda rounds to q, up to the largest alphabet; where delta underflows or
+# pi1 rounds to 1/2, and where q^(k+1) overflows a double; and where gamma0 alone rounds to 1
+ANSWERED = [(2, 53), (4, 27), (16, 14), (MAX_Q, 2)]
+REFUSED = [(2, 1030), (1000, 200), (2, 10**6), (1000, 7)]
+
+
+def _capacity_argv(q, k):
+    return ["capacity", "--q", str(q), "--k", str(k)]
+
+
+def _build_argv(q, k):
+    return ["code", "build", "--q", str(q), "--k", str(k), "--n", "12", "--t", "1", "--N", "1",
+            "--method", "construction", "--out", "{tmp}/o.json"]
+
+
+# construction A leaves no duplication budget where gamma0 is this close to 1
+SWEEP_REFUSALS = [_capacity_argv(q, k) for q, k in REFUSED] + [
+    _build_argv(q, k) for q, k in ANSWERED + REFUSED
+]
+
+
+@pytest.mark.parametrize("q, k", ANSWERED)
+def test_capacity_answers_where_lambda_rounds_to_q(capsys, q, k):
+    assert main(_capacity_argv(q, k)) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["q"], data["k"]) == (q, k)
+    assert data["lambda"] <= q and 0.5 < data["pi1"] < 1.0
+    assert 0.0 < data["x0"] and 0.0 < data["gamma0"] < 1.0
 
 
 def test_capacity_degenerate_exit(capsys):
@@ -671,9 +702,15 @@ def test_usage_error_exit():
          "--method", "exhaustive", "--out", "{tmp}/o.json"],
         ["code", "build", "--q", "2", "--k", "2", "--n", "4", "--t", "-1", "--N", "1",
          "--method", "exhaustive", "--out", "{tmp}/o.json"],
+        ["rate-curve", "--q", "2", "--k", "2", "--points", "100000000", "--out", "{tmp}/c.csv"],
+        *SWEEP_REFUSALS,
     ],
 )
 def test_bad_arguments_exit_2(tmp_path, capsys, argv):
     # a bad value is a usage error: exit 2 and one error line, never a traceback
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    if argv in SWEEP_REFUSALS:
+        q, k = argv[argv.index("--q") + 1], argv[argv.index("--k") + 1]
+        assert f"q={q}, k={k}" in err
