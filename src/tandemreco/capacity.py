@@ -17,7 +17,7 @@ import random
 from dataclasses import asdict, dataclass
 
 from .duplication import DupParams, Word
-from .entropy import cal_H, q_ary_entropy
+from .entropy import q_ary_entropy
 from .errors import (
     DegenerateParamsError,
     DomainError,
@@ -95,15 +95,11 @@ def build_chain(params: DupParams) -> ConstraintGraph:
 
     State i remembers a running block of i zeros; from state i one of the
     q-1 nonzero symbols returns to state 0 and the zero symbol advances to
-    state i+1 (impossible from state k-1).
+    state i+1 (impossible from state k-1).  Where the stationary weights pass
+    the largest double, the chain is refused before any of them is formed.
     """
     q, k = params.q, params.k
     lam = perron_lambda(params)
-
-    adjacency = tuple(
-        tuple((q - 1 if j == 0 else (1 if j == i + 1 else 0)) for j in range(k))
-        for i in range(k)
-    )
     # right eigenvector by the stable backward recurrence
     # v[k-1] = (q-1)/lambda, v[j] = (v[j+1] + q - 1)/lambda (v[0] comes out 1);
     # the equivalent closed form lam^j - (q-1)(lam^j-1)/(lam-1) cancels badly
@@ -112,8 +108,22 @@ def build_chain(params: DupParams) -> ConstraintGraph:
     right[k - 1] = (q - 1) / lam
     for j in range(k - 2, -1, -1):
         right[j] = (right[j + 1] + (q - 1)) / lam
+    # the stationary weights sum to lam^(k-1) * s, s = sum_j right[j] / lam^j; from
+    # 2^1024 on, past the largest double, the powers overflow or their sum does
+    s = 0.0
+    for v in reversed(right):
+        s = s / lam + v
+    top = (k - 1) * math.log2(lam) + math.log2(s)
+    if top >= 1024:
+        raise DomainError(
+            f"q={q}, k={k} lies beyond double precision: the stationary weights sum to 2^{top:.1f}"
+        )
     left = [lam ** (k - 1 - j) for j in range(k)]
 
+    adjacency = tuple(
+        tuple((q - 1 if j == 0 else (1 if j == i + 1 else 0)) for j in range(k))
+        for i in range(k)
+    )
     transition = tuple(
         tuple(adjacency[i][j] * right[j] / (lam * right[i]) for j in range(k))
         for i in range(k)
@@ -171,9 +181,10 @@ def rate_R(gamma: float, theta: float, params: DupParams) -> float:
     """Rate of root-fraction gamma: entropy of roots plus in-cone code rate."""
     _check_rate_domain(gamma, theta, params)
     cap = irr_capacity(params)
-    k = params.k
-    arg = 1.0 + (1.0 - gamma) / (k * theta * gamma)
-    return gamma * cap + theta * gamma / math.log2(params.q) * cal_H(arg)
+    u = (1.0 - gamma) / (params.k * theta * gamma)
+    # (1 + u) ln(1 + u) - u ln u, with no 1 + u formed, so a tiny u keeps its digits
+    in_cone = math.log1p(u) + u * math.log1p(1.0 / u)
+    return gamma * cap + theta * gamma * in_cone / math.log(params.q)
 
 
 def rate_R_alt(gamma: float, theta: float, params: DupParams) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -97,14 +97,15 @@ class UtrCode:
     """An (N, t) reconstruction code: equal-length codewords plus its budget.
 
     A listed code keeps its codewords as one sorted tuple of distinct symbol
-    tuples.  A described code, as :func:`construction_a` builds it, keeps the
-    number of its roots of each cone dimension and one congruence class per
-    dimension instead, takes its size, rate and cone size counts from them,
-    and writes only that description to its file.  It walks its roots once,
-    when codewords are first read, and grows ``symbols`` and ``cone_index``
-    on first read.  ``codewords`` wraps the symbols in ``Word``s on first
-    read.  Described codes of one budget and description are equal without
-    growing a codeword; other codes compare symbols.  Hash reads the size.
+    tuples, and derives its cones from one root table (``_groups``).  A
+    described code, as :func:`construction_a` builds it, keeps the number of
+    its roots of each cone dimension and one congruence class per dimension
+    instead, takes its size, rate and cone size counts from them, and writes
+    only that description to its file.  It walks its roots once, when
+    codewords are first read, and grows ``symbols`` and ``cone_index`` on
+    first read.  ``codewords`` wraps the symbols in ``Word``s on first read.
+    Described codes of one budget and description are equal without growing
+    a codeword; other codes compare symbols.  Hash reads the size.
     """
 
     params: DupParams
@@ -179,38 +180,35 @@ class UtrCode:
         return sum(size * count for size, count in self.cone_size_counts().items())
 
     @cached_property
-    def _groups(self) -> list[tuple[Sequence[Symbols], int]]:
+    def _groups(self) -> dict[int | Symbols, tuple[Sequence[Symbols], int]]:
         """Each list of cone coordinates with the number of cones (roots) that hold it.
 
-        A described code has one group per cone dimension, read from its
-        description without walking a root; a listed code has one per root,
-        and fills its ``_cones`` in the same pass, one ``_cone`` per codeword.
+        A described code has one group per cone dimension m, keyed by m and
+        read from its description without walking a root.  A listed code has
+        one per root, keyed by the root's symbols: its root table, one
+        ``_cone`` per codeword, each root's coordinates in symbol order.
         """
         if self._description is not None:
             _, _, counts, _, points = self._description
-            return [(points[m], count) for m, count in counts.items()]
+            return {m: (points[m], count) for m, count in counts.items()}
         k = self.params.k
-        cones: dict[Symbols, tuple[Symbols, list[int], list[Symbols]]] = {}
+        table: defaultdict[Symbols, list[Symbols]] = defaultdict(list)
         for sym in self.symbols if self.n >= k else ():
-            r, sigma, ends = _cone(sym, k)
-            cone = cones.get(r)
-            if cone is None:
-                # as in reconstruct: a root's run ends k symbols earlier per k-block grown
-                cone = cones[r] = (r, [e - k * s for e, s in zip(ends, accumulate(sigma))], [])
-            cone[2].append(sigma)
-        vars(self)["_cones"] = [(r, ends, _steps(points)) for r, ends, points in cones.values()]
-        return [(points, 1) for _, _, points in cones.values()]
+            r, sigma, _ = _cone(sym, k)
+            table[r].append(sigma)
+        return {r: (vs, 1) for r, vs in table.items()}
 
     @cached_property
     def _cones(self) -> list[tuple[Symbols, Sequence[int], list[tuple[Symbols, list]]]]:
         """Each root with its run ends and its members' :func:`_steps`, built on first read.
 
         A described code walks its roots, and the cones of one dimension
-        share one steps list; a listed code's come with its ``_groups``.
+        share one steps list; a listed code takes its roots from its root
+        table in ``_groups`` and decomposes each root once for its run ends.
         """
         if self._description is None:
-            self._groups
-            return vars(self)["_cones"]
+            k = self.params.k
+            return [(r, _cone(r, k)[2], _steps(vs)) for r, (vs, _) in self._groups.items()]
         m_n, r_n, _, _, points = self._description
         steps = {m: _steps(vs) for m, vs in points.items()}
         roots = _roots(self.params, self.n - self.params.k * r_n, m_n)
@@ -219,7 +217,7 @@ class UtrCode:
     def cone_size_counts(self) -> dict[int, int]:
         """How many cones of ``cone_index`` hold each number of codewords, from ``_groups``."""
         sizes: Counter[int] = Counter()
-        for points, count in self._groups:
+        for points, count in self._groups.values():
             # a group whose class is empty owns no cone
             if points:
                 sizes[len(points)] += count
@@ -450,7 +448,7 @@ def _priced_walks(code: UtrCode, t: int) -> tuple[list[tuple[int, int]], int]:
     (see :func:`_walk_price`).  Each group of ``_groups`` that holds a
     point gives one pair; words shorter than k have no cone and walk nothing.
     """
-    dims = [(len(vs[0]) - 1, count * len(vs)) for vs, count in code._groups if vs]
+    dims = [(len(vs[0]) - 1, count * len(vs)) for vs, count in code._groups.values() if vs]
     return dims, _walk_price(max(dims)[0], t, code.n, code.params.k) if dims else 0
 
 
@@ -477,7 +475,7 @@ def is_utr_code_reduced(code: UtrCode) -> UtrCheck:
     """
     N, t, k = code.N, code.t, code.params.k
     # a cone of one codeword holds no pair; the distance each dimension needs is found once
-    coords = [vs for vs, _ in code._groups if len(vs) > 1]
+    coords = [vs for vs, _ in code._groups.values() if len(vs) > 1]
     need = {m: required_distance(N, t, m) for m in {len(vs[0]) - 1 for vs in coords}}
     # psi is injective, so a cone's coordinates are distinct points of one simplex
     failing = {tuple(vs) for vs in coords if _close_pair(vs, need[len(vs[0]) - 1])}
@@ -752,13 +750,11 @@ def reconstruct(code: UtrCode, reads: Iterable[Word]) -> Word:
 
 def _cone_points(code: UtrCode, root: Symbols, m: int) -> Sequence[Symbols]:
     """The cone coordinates of the codewords whose root is root, of cone dimension m."""
-    if code._description is None:
-        return [v for _, v in code.cone_index.get(root, ())]
-    m_n, r_n, _, _, points = code._description
-    # the roots are every irreducible word of one length with weight at least m_n
-    if len(root) != code.n - code.params.k * r_n or m < m_n:
+    described = code._description
+    # a described code's roots are every irreducible word of one length, its groups keyed by m
+    if described is not None and len(root) != code.n - code.params.k * described.r_n:
         return ()
-    return points.get(m, ())
+    return code._groups.get(root if described is None else m, ((),))[0]
 
 
 def reconstruct_scan(code: UtrCode, reads: Iterable[Word]) -> Word:

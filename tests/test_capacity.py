@@ -1,12 +1,14 @@
 """Capacity engine: eigenvalues, the stationary chain, and the rate curve."""
 
 import decimal
+import itertools
 import math
 import sys
 
 import pytest
 
 from tandemreco import capacity
+from tandemreco.duplication import MAX_Q
 from tandemreco import (
     DegenerateParamsError,
     DomainError,
@@ -143,6 +145,20 @@ def test_sample_rll_contracts():
     assert sample_rll(DupParams(2, 1), 30, seed=4).hamming_weight() == 30
 
 
+def test_chain_beyond_double_precision_is_refused():
+    # lambda^(k-1) overflows at (2, 1100); at (3, 647) only the weights' sum did, and
+    # every stationary weight read 0
+    for q, k, top in ((2, 1100, "1100.0"), (3, 647, "1024.5"), (MAX_Q, 52, "1024.5")):
+        message = f"^q={q}, k={k} lies beyond double precision: .* sum to 2\\^{top}$"
+        with pytest.raises(DomainError, match=message):
+            build_chain(DupParams(q, k))
+    with pytest.raises(DomainError, match="^q=2, k=1100 lies beyond double precision"):
+        sample_rll(DupParams(2, 1100), 10, 0)
+    # the k just below still builds, and its law sums to 1
+    for q, k in ((3, 646), (MAX_Q, 51)):
+        assert sum(build_chain(DupParams(q, k)).stationary) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_sample_rll_weight_density():
     w = sample_rll(P22, 20000, seed=101)
     assert abs(w.hamming_weight() / 20000 - pi1(P22)) < 0.02
@@ -164,6 +180,18 @@ def test_rate_limits():
         rate_R(0.5, 0.9, DupParams(2, 1))
     with pytest.raises(DomainError):
         rate_R(0.5, 0.4, P22)  # k*theta < 1
+
+
+def test_rate_at_gamma0_is_at_most_one():
+    # at (2, 53) u = (1 - gamma0)/(k*theta*gamma0) is 1.1e-16, which 1 + u would round to 2.2e-16
+    assert capacity_profile(DupParams(2, 53)).rate_at_gamma0 <= 1.0
+    for q in (2, 3, 4, 5):
+        for k in itertools.count(2):
+            try:
+                profile = capacity_profile(DupParams(q, k))
+            except DomainError:
+                break
+            assert profile.rate_at_gamma0 <= 1.0, (q, k)
 
 
 def test_rate_derivative_matches_finite_difference():

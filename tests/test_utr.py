@@ -321,6 +321,8 @@ def test_reduced_checker_reads_dimension_from_coordinates(monkeypatch):
     # utr binds no cone_dimension; the patch also refuses one imported later
     monkeypatch.setattr(utr, "cone_dimension", refuse, raising=False)
     assert is_utr_code_reduced(ok).ok
+    # a passing check of a listed code reads only its root table: no cone is grown
+    assert not {"_cones", "cone_index"} & vars(ok).keys()
     failed = is_utr_code_reduced(broken)
     assert not failed.ok and failed.detail == 1
 
@@ -1171,7 +1173,8 @@ def test_decoder_matches_listed_twin_and_scan():
                     seen["root of another length"] += 1
                 elif len(_cone(shared, k)[2]) - 1 < m_n:
                     seen["root below the weight threshold"] += 1
-        assert "cone_index" not in vars(code)
+        # both decoders read a cone's points, the listed one from its root table
+        assert "cone_index" not in vars(code) and "cone_index" not in vars(listed)
     assert {Word, NoCandidateError, AmbiguityError, ConeMismatchError} <= seen.keys()
     assert {"root of another length", "root below the weight threshold"} <= seen.keys()
 
