@@ -12,6 +12,7 @@ contraction fixed point with an independent bisection cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import asdict, dataclass
@@ -29,12 +30,14 @@ from .errors import (
 from .simplex import required_distance, required_distance_upper_log
 
 
+@functools.cache
 def _deficit(params: DupParams) -> float:
     """delta = q - lambda, where delta * (q - delta)^k = q - 1 (1 at k = 1).
 
     Newton in u = log delta on u - log(q-1) + k*log(q - e^u), which rises and
     is concave while k*delta < lambda, climbs from delta = (q-1)/q^k, below the
     root, until a step no longer rises.  delta underflows to 0.0 at huge k.
+    Solved once per parameter pair; every quantity below reads it from here.
     """
     q, k = params.q, params.k
     if k == 1:
@@ -90,13 +93,11 @@ class ConstraintGraph:
     stationary: tuple[float, ...]
 
 
-def build_chain(params: DupParams) -> ConstraintGraph:
-    """Adjacency matrix, eigenvectors, transition matrix and stationary law.
+def _chain(params: DupParams) -> tuple[float, tuple, tuple, tuple]:
+    """lambda, the right and left eigenvectors and the stationary law, in O(k) memory.
 
-    State i remembers a running block of i zeros; from state i one of the
-    q-1 nonzero symbols returns to state 0 and the zero symbol advances to
-    state i+1 (impossible from state k-1).  Where the stationary weights pass
-    the largest double, the chain is refused before any of them is formed.
+    Where the stationary weights pass the largest double, the chain is refused
+    before any of them is formed.
     """
     q, k = params.q, params.k
     lam = perron_lambda(params)
@@ -118,8 +119,21 @@ def build_chain(params: DupParams) -> ConstraintGraph:
         raise DomainError(
             f"q={q}, k={k} lies beyond double precision: the stationary weights sum to 2^{top:.1f}"
         )
-    left = [lam ** (k - 1 - j) for j in range(k)]
+    left = tuple(lam ** (k - 1 - j) for j in range(k))
+    unnormalized = [left[j] * right[j] for j in range(k)]
+    total = sum(unnormalized)
+    return lam, tuple(right), left, tuple(p / total for p in unnormalized)
 
+
+def build_chain(params: DupParams) -> ConstraintGraph:
+    """Adjacency matrix, eigenvectors, transition matrix and stationary law.
+
+    State i remembers a running block of i zeros; from state i one of the
+    q-1 nonzero symbols returns to state 0 and the zero symbol advances to
+    state i+1 (impossible from state k-1).
+    """
+    q, k = params.q, params.k
+    lam, right, left, stationary = _chain(params)
     adjacency = tuple(
         tuple((q - 1 if j == 0 else (1 if j == i + 1 else 0)) for j in range(k))
         for i in range(k)
@@ -128,19 +142,19 @@ def build_chain(params: DupParams) -> ConstraintGraph:
         tuple(adjacency[i][j] * right[j] / (lam * right[i]) for j in range(k))
         for i in range(k)
     )
-    unnormalized = [left[j] * right[j] for j in range(k)]
-    total = sum(unnormalized)
-    stationary = tuple(p / total for p in unnormalized)
-    return ConstraintGraph(
-        params, adjacency, tuple(right), tuple(left), transition, stationary
-    )
+    return ConstraintGraph(params, adjacency, right, left, transition, stationary)
 
 
 def sample_rll(params: DupParams, length: int, seed: int) -> Word:
-    """Walk the stationary chain to emit a zero-run-limited word; seeded."""
+    """Walk the stationary chain to emit a zero-run-limited word; seeded.
+
+    From state i a zero advances with probability right[i+1] / (lambda right[i]),
+    read off the chain's law: no k x k table is formed.
+    """
     if length < 0:
         raise DomainError("length must be nonnegative")
-    chain = build_chain(params)
+    lam, right, _, stationary = _chain(params)
+    advance = [right[i + 1] / (lam * right[i]) for i in range(params.k - 1)]
     rng = random.Random(seed)
     q, k = params.q, params.k
 
@@ -148,7 +162,7 @@ def sample_rll(params: DupParams, length: int, seed: int) -> Word:
     u = rng.random()
     state = 0
     acc = 0.0
-    for j, p in enumerate(chain.stationary):
+    for j, p in enumerate(stationary):
         acc += p
         if u < acc:
             state = j
@@ -157,7 +171,7 @@ def sample_rll(params: DupParams, length: int, seed: int) -> Word:
     symbols = []
     for _ in range(length):
         u = rng.random()
-        if state + 1 < k and u < chain.transition[state][state + 1]:
+        if state + 1 < k and u < advance[state]:
             symbols.append(0)
             state += 1
         else:
@@ -166,53 +180,53 @@ def sample_rll(params: DupParams, length: int, seed: int) -> Word:
     return Word(tuple(symbols), params)
 
 
-def _check_rate_domain(gamma: float, theta: float, params: DupParams) -> None:
+def _rate_terms(theta: float, params: DupParams, *guards: tuple) -> tuple[float, float]:
+    """k*theta and lambda^(-k) = delta/(q - 1), once k >= 2, the guards and k*theta > 1 hold.
+
+    A caller's guard (holds, message, value) that fails raises
+    DomainError(message.format(value)).
+    """
     if params.k < 2:
         raise DegenerateParamsError("rate analysis needs k >= 2")
-    if not 0.0 < gamma < 1.0:
-        raise DomainError(f"gamma must be in (0,1), got {gamma}")
-    if not 0.0 < theta < 1.0:
-        raise DomainError(f"theta must be in (0,1), got {theta}")
-    if params.k * theta <= 1.0:
-        raise DomainError(f"need k*theta > 1, got {params.k * theta}")
+    for holds, message, value in guards:
+        if not holds:
+            raise DomainError(message.format(value))
+    kt = params.k * theta
+    if kt <= 1.0:
+        raise DomainError(f"need k*theta > 1, got {kt}")
+    return kt, _deficit(params) / (params.q - 1)
+
+
+def _check_rate_domain(gamma: float, theta: float, params: DupParams) -> float:
+    """k*theta, once gamma and theta lie in (0, 1) on the rate analysis's domain."""
+    return _rate_terms(
+        theta,
+        params,
+        (0.0 < gamma < 1.0, "gamma must be in (0,1), got {}", gamma),
+        (0.0 < theta < 1.0, "theta must be in (0,1), got {}", theta),
+    )[0]
 
 
 def rate_R(gamma: float, theta: float, params: DupParams) -> float:
     """Rate of root-fraction gamma: entropy of roots plus in-cone code rate."""
-    _check_rate_domain(gamma, theta, params)
-    cap = irr_capacity(params)
-    u = (1.0 - gamma) / (params.k * theta * gamma)
+    u = (1.0 - gamma) / (_check_rate_domain(gamma, theta, params) * gamma)
     # (1 + u) ln(1 + u) - u ln u, with no 1 + u formed, so a tiny u keeps its digits
     in_cone = math.log1p(u) + u * math.log1p(1.0 / u)
-    return gamma * cap + theta * gamma * in_cone / math.log(params.q)
-
-
-def rate_R_alt(gamma: float, theta: float, params: DupParams) -> float:
-    """Same curve written with base-q logarithms; must agree with :func:`rate_R`."""
-    _check_rate_domain(gamma, theta, params)
-    cap = irr_capacity(params)
-    lq = math.log(params.q)
-    u = (1.0 - gamma) / gamma / (params.k * theta)
-    bracket = (1.0 + u) * math.log(1.0 + u) / lq - u * math.log(u) / lq
-    return gamma * cap + theta * gamma * bracket
+    return gamma * irr_capacity(params) + theta * gamma * in_cone / math.log(params.q)
 
 
 def rate_R_prime(gamma: float, theta: float, params: DupParams) -> float:
     """Closed-form derivative of the rate curve."""
-    _check_rate_domain(gamma, theta, params)
-    cap = irr_capacity(params)
-    k = params.k
-    lq = math.log(params.q)
-    u = (1.0 - gamma) / gamma / (k * theta)
-    return cap + ((k * theta - 1.0) * math.log(1.0 + u) + math.log(u)) / (k * lq)
+    kt = _check_rate_domain(gamma, theta, params)
+    u = (1.0 - gamma) / gamma / kt
+    slope = ((kt - 1.0) * math.log(1.0 + u) + math.log(u)) / (params.k * math.log(params.q))
+    return irr_capacity(params) + slope
 
 
 def fixed_point_map(z: float, theta: float, params: DupParams) -> float:
     """One step of the contraction whose fixed point maximizes the rate curve."""
-    if params.k * theta <= 1.0:
-        raise DomainError(f"need k*theta > 1, got {params.k * theta}")
-    e = params.k * theta - 1.0
-    a = _deficit(params) / (params.q - 1)  # lambda^(-k)
+    kt, a = _rate_terms(theta, params)
+    e = kt - 1.0
     # a / (1 + a/(1+z)^e)^e through log1p, so a tiny z or a keeps its digits
     return a * math.exp(-e * math.log1p(a * math.exp(-e * math.log1p(z))))
 
@@ -226,16 +240,13 @@ def x0_solve(
     iteration starts at 1/2 and is a contraction, so the convergence guard
     never fires for valid parameters.
     """
-    if params.k < 2:
-        raise DegenerateParamsError("rate analysis needs k >= 2")
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
+    kt, _ = _rate_terms(theta, params, (not tol <= 0.0, "tolerance must be positive", tol))
     z = 0.5
     for iteration in range(1, 501):
         nxt = fixed_point_map(z, theta, params)
         if abs(nxt - z) < tol:
             z = nxt
-            x0 = params.k * theta * z
+            x0 = kt * z
             return x0, 1.0 / (1.0 + x0), iteration
         z = nxt
     raise NonConvergenceError("fixed-point iteration did not settle in 500 steps")
@@ -243,12 +254,7 @@ def x0_solve(
 
 def x0_bisect(theta: float, params: DupParams) -> float:
     """Independent root of the stationarity equation; cross-check for the solver."""
-    if params.k < 2:
-        raise DegenerateParamsError("rate analysis needs k >= 2")
-    kt = params.k * theta
-    if kt <= 1.0:
-        raise DomainError(f"need k*theta > 1, got {kt}")
-    a = _deficit(params) / (params.q - 1)  # lambda^(-k)
+    kt, a = _rate_terms(theta, params)
 
     def residual(x: float) -> float:  # (1 + x/kt)^(kt-1) * x/kt - a, in sign
         return x / kt - a * (1.0 + x / kt) ** (1.0 - kt)
@@ -265,12 +271,7 @@ def x0_bisect(theta: float, params: DupParams) -> float:
 
 def x0_bounds(theta: float, params: DupParams) -> tuple[float, float]:
     """A priori sandwich around the maximizing point."""
-    if params.k < 2:
-        raise DegenerateParamsError("rate analysis needs k >= 2")
-    kt = params.k * theta
-    if kt <= 1.0:
-        raise DomainError(f"need k*theta > 1, got {kt}")
-    a = _deficit(params) / (params.q - 1)  # lambda^(-k)
+    kt, a = _rate_terms(theta, params)
     b = a * 2.0**-kt  # (2^theta * lambda)^(-k)
     lower = kt * b / (1.0 - b)
     # the root of x^2 + (1-a) x = kt q^2 a / 4, in the form that does not cancel
@@ -395,18 +396,16 @@ def capacity_profile(
     q, k = params.q, params.k
     p1, delta = pi1(params), _deficit(params)
     theta = default_theta(params) if theta is None else theta
-    if not 0.0 < theta < 1.0:
-        raise DomainError(f"theta must be in (0,1), got {theta}")
-    if k * theta <= 1.0:
-        raise DomainError(f"need k*theta > 1, got {k * theta}")
+    in_unit = (0.0 < theta < 1.0, "theta must be in (0,1), got {}", theta)
+    kt, _ = _rate_terms(theta, params, in_unit)
     # delta in (0, min(q/(k+1), 1/k)) is pi1 in (1/2, 1); beyond double precision
     # delta underflows, pi1 rounds to 1/2 or gamma0 rounds to 1
     beyond = f"q={q}, k={k} lies beyond double precision"
     if p1 == 0.5 or not 0.0 < delta < min(q / (k + 1), 1.0 / k):
         raise DomainError(f"{beyond}: q - lambda = {delta}, pi1 = {p1}")
     x0, gamma0, _ = x0_solve(theta, params, tol)
-    if not 0.0 < x0 < k * theta:
-        raise TandemError(f"x0 = {x0} outside (0, k*theta) = (0, {k * theta})")
+    if not 0.0 < x0 < kt:
+        raise TandemError(f"x0 = {x0} outside (0, k*theta) = (0, {kt})")
     if gamma0 == 1.0:
         raise DomainError(f"{beyond}: gamma0 = 1 - {x0:.3g} rounds to 1")
 

@@ -250,6 +250,8 @@ def _children(key: str, k: int) -> list[str]:
     last = len(key) - k
     if last < 0:
         return []
+    if key.startswith(key[k:]):  # k-periodic: every offset gives the one child, found in C
+        return [key + key[last:]]
     # a filtered range beats compress on the short words the checkers expand
     kids = [key[: i + k] + key[i:] for i in range(last) if key[i] != key[i + k]]
     kids.append(key + key[last:])
@@ -308,20 +310,26 @@ def _layer(key: str, k: int, t: int, cap: int) -> set[str]:
     return layer
 
 
-def _walk_price(m: int, t: int, length: int, k: int) -> int:
-    """The node count C(t + m, m) of D_t of a word with m + 1 cone coordinates.
+def _walk_symbols(m: int, t: int, length: int, k: int) -> int:
+    """The symbols of D_0 ... D_t of a word of this length with m + 1 cone coordinates.
 
     Layer j of the walk holds C(j + m, m) words of length ``length`` + j k,
     so its layers 0 ... t hold length C(t + m + 1, m + 1) + k (m + 1)
-    C(t + m + 1, m + 2) symbols (the hockey-stick identity).  A walk builds
-    and scans every one of them, so it is refused before it starts when they
-    exceed ``WALK_SYMBOL_BUDGET``.
+    C(t + m + 1, m + 2) symbols (the hockey-stick identity).
+    """
+    return length * math.comb(t + m + 1, m + 1) + k * (m + 1) * math.comb(t + m + 1, m + 2)
+
+
+def _walk_price(m: int, t: int, length: int, k: int) -> int:
+    """The node count C(t + m, m) of D_t of a word with m + 1 cone coordinates.
+
+    A walk builds and scans every symbol of its layers (:func:`_walk_symbols`),
+    so it is refused before it starts when they exceed ``WALK_SYMBOL_BUDGET``.
     """
     # each of the t + 1 layers holds a word at least length > m long, so past this first
     # test min(m, t) is below the budget's square root and the binomials are quick
     if length * (t + 1) > WALK_SYMBOL_BUDGET or (
-        length * math.comb(t + m + 1, m + 1) + k * (m + 1) * math.comb(t + m + 1, m + 2)
-        > WALK_SYMBOL_BUDGET
+        _walk_symbols(m, t, length, k) > WALK_SYMBOL_BUDGET
     ):
         raise ResourceCapError(
             f"a walk of {t} duplications from a word of length {length} exceeds the "

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from .duplication import (
+    WALK_SYMBOL_BUDGET,
     Word,
     _cone,
     _decomposed,
@@ -21,7 +22,7 @@ from .duplication import (
     _same_params,
     cone_dimension,
 )
-from .errors import ConeMismatchError, DomainError, WordLengthError
+from .errors import ConeMismatchError, DomainError, ResourceCapError, WordLengthError
 from .simplex import binom, half_manhattan
 
 
@@ -49,10 +50,19 @@ def duplication_distance_bfs(x: Word, y: Word, t_max: int) -> int | None:
         raise WordLengthError(f"length mismatch: {len(x)} vs {len(y)}")
     if t_max < 0:
         raise DomainError("search depth must be nonnegative")
-    cap = _effective_cap()
+    cap, k = _effective_cap(), x.params.k
+    built = 0  # symbols of the layers of both walks so far
     for t, lx, ly in zip(range(t_max + 1), _layers(x, cap), _layers(y, cap)):
         if lx & ly:
             return t
+        # the search ends at the first layer where the walks meet, so it is priced layer by
+        # layer: a price over t_max up front would refuse answers found at small t
+        built += (len(lx) + len(ly)) * (len(x) + t * k)
+        if built > WALK_SYMBOL_BUDGET:
+            raise ResourceCapError(
+                f"a search to depth {t} from words of length {len(x)} built {built} symbols,"
+                f" above the budget of {WALK_SYMBOL_BUDGET}"
+            )
     return None
 
 

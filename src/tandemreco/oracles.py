@@ -22,6 +22,7 @@ from .duplication import (
     _shared_expansion,
     _symbols,
     _walk,
+    _walk_symbols,
 )
 from .errors import ResourceCapError
 from .metric import (
@@ -44,6 +45,7 @@ from .simplex import (
 from .utr import (
     IRREDUCIBLE_CAP,
     UtrCode,
+    _rll_weights,
     irreducible_count,
     irreducible_words,
     is_utr_code_direct,
@@ -55,9 +57,14 @@ QS = (2, 3)
 KS = (1, 2)
 MAX_S = 2
 CHECKER_RANGE = (6, (1, 2), 3)  # (max_n, ts, max_N)
+CODE_WORDS = 5  # most words in one random code of the checker suite
 TRIV_SAMPLES = 1_000
+BOUNDS_MAX_T = 50  # the bounds suite draws t in 1 ... BOUNDS_MAX_T
 BALL_RANGE = (4, 3)  # (max_m, max_d)
 SIDON_RANGE = (5, 8, 3)  # (max_m, max_r, max_d)
+# steps one suite run may take, priced before its first check: a symbol that its walks
+# build or one comparison it makes (0.15-0.35 us a step on a shared 2-vCPU machine)
+ORACLE_BUDGET = 10**8
 
 
 @dataclass
@@ -100,6 +107,35 @@ def _price_roots(max_len: int) -> None:
             )
 
 
+def _charge(suite: str, steps: int) -> None:
+    """Refuse a suite run whose price passes ``ORACLE_BUDGET``."""
+    if steps > ORACLE_BUDGET:
+        raise ResourceCapError(f"{suite} suite costs {steps} steps, above cap {ORACLE_BUDGET}")
+
+
+def _price_cones(suite: str, max_len: int, max_t: int, pairs: bool) -> None:
+    """Refuse a walk suite above ``ORACLE_BUDGET`` steps, before its first walk.
+
+    The roots of length n are counted by cone dimension m, as
+    ``irreducible_count`` counts them.  Layer s of a root's cone holds
+    C(s + m, m) members.  The suite walks every member of layers s <= MAX_S
+    (with ``pairs``; of layer 0 alone without) to depth max_t, building the
+    symbols ``_walk_symbols`` counts, and with ``pairs`` compares every two
+    members of a layer at each depth.
+    """
+    _price_roots(max_len)
+    steps = 0
+    for q in QS:
+        for k in KS:
+            for n in range(k, max_len + 1):
+                for m, count in enumerate(_rll_weights(n - k, n - k, DupParams(q, k))):
+                    for s in range(MAX_S + 1 if pairs else 1):
+                        members = math.comb(s + m, m)
+                        walks = members * _walk_symbols(m, max_t, n + s * k, k)
+                        steps += q**k * count * (walks + math.comb(members, 2) * (max_t + 1))
+    _charge(suite, steps)
+
+
 def _all_roots(q: int, k: int, max_len: int) -> list[Word]:
     params = DupParams(q, k)
     return [x for length in range(k, max_len + 1) for x in irreducible_words(params, length)]
@@ -107,7 +143,7 @@ def _all_roots(q: int, k: int, max_len: int) -> list[Word]:
 
 def suite_cone_count(max_root_len: int = 6, max_t: int = 3) -> OracleResult:
     """Descendant-layer sizes against the balls-in-bins closed form."""
-    _price_roots(max_root_len)
+    _price_cones("cone-count", max_root_len, max_t, pairs=False)
     result = OracleResult("cone-count")
     cap = _effective_cap()
     for q in QS:
@@ -124,7 +160,7 @@ def suite_cone_count(max_root_len: int = 6, max_t: int = 3) -> OracleResult:
 
 def suite_intersection(max_root_len: int = 6, max_t: int = 3) -> OracleResult:
     """Pairwise intersection sizes against the shifted-cone closed form."""
-    _price_roots(max_root_len)
+    _price_cones("intersection", max_root_len, max_t, pairs=True)
     result = OracleResult("intersection")
     cap = _effective_cap()
     for q in QS:
@@ -153,7 +189,8 @@ def suite_intersection(max_root_len: int = 6, max_t: int = 3) -> OracleResult:
 
 def suite_distance(max_root_len: int = 5) -> OracleResult:
     """Closed-form distance against layered search, plus cross-cone pairs."""
-    _price_roots(max_root_len)
+    # each root is walked to MAX_S here; every search prices its own layers
+    _price_cones("distance", max_root_len, MAX_S, pairs=False)
     result = OracleResult("distance")
     cap = _effective_cap()
     for q in QS:
@@ -189,7 +226,7 @@ def suite_distance(max_root_len: int = 5) -> OracleResult:
 def _random_code(
     rng: random.Random, space: list[tuple[int, ...]], params: DupParams, N: int, t: int
 ) -> UtrCode:
-    size = rng.randint(1, min(5, len(space)))
+    size = rng.randint(1, min(CODE_WORDS, len(space)))
     picks = rng.sample(range(len(space)), size)
     words = [Word(space[value], params) for value in picks]
     return UtrCode(params, len(space[0]), N, t, tuple(words))
@@ -197,9 +234,19 @@ def _random_code(
 
 def suite_checker(samples: int = 100, seed: int = 20240) -> OracleResult:
     """Direct and reduced validity checkers must agree on random codes."""
+    max_n, ts, max_N = CHECKER_RANGE
+    # a sample draws a code for each (q, k, n, t, N); the direct checker walks each word
+    # to depth t, and a word of length n has at most n - k + 1 cone coordinates
+    sample = (max_N + 1) * sum(
+        min(CODE_WORDS, q**n) * _walk_symbols(n - k, t, n, k)
+        for q in QS
+        for k in KS
+        for n in range(k, max_n + 1)
+        for t in ts
+    )
+    _charge("checker", samples * sample)
     result = OracleResult("checker")
     rng = random.Random(seed)
-    max_n, ts, max_N = CHECKER_RANGE
     for q in QS:
         for k in KS:
             params = DupParams(q, k)
@@ -242,11 +289,13 @@ def suite_ball() -> OracleResult:
 
 def suite_bounds(samples: int = 10_000, seed: int = 51423) -> OracleResult:
     """Distance-requirement bound ordering and the small-N collapse."""
+    # a sample's longest loop is the entropy bound's, one step per d up to t
+    _charge("bounds", (samples + TRIV_SAMPLES) * BOUNDS_MAX_T)
     result = OracleResult("bounds")
     rng = random.Random(seed)
     for _ in range(samples):
         m = rng.randint(1, 40)
-        t = rng.randint(1, 50)
+        t = rng.randint(1, BOUNDS_MAX_T)
         big_n = rng.randint(m + 1, 2**20)
         exact = required_distance(big_n, t, m)
         ent = required_distance_upper_entropy(big_n, t, m)
@@ -256,7 +305,7 @@ def suite_bounds(samples: int = 10_000, seed: int = 51423) -> OracleResult:
             result.fail(f"(N={big_n}, t={t}, m={m}): exact {exact}, entropy {ent}, log {log}")
     for _ in range(TRIV_SAMPLES):
         m = rng.randint(1, 60)
-        t = rng.randint(1, 50)
+        t = rng.randint(1, BOUNDS_MAX_T)
         big_n = rng.randint(1, m)
         exact = required_distance(big_n, t, m)
         result.checks += 1

@@ -469,9 +469,9 @@ def is_utr_code_reduced(code: UtrCode) -> UtrCheck:
     Words shorter than k never duplicate, and words with different roots
     never share descendants; within one root's cone the shared-descendant
     bound is equivalent to a minimum distance on the coordinate images.
-    Each group of ``_groups`` is compared once; the failing groups' cones are
-    grown one at a time, and the one with the least member names its first
-    close pair.  Must agree with :func:`is_utr_code_direct`.
+    Each group of ``_groups`` is compared once; of the failing groups' cones
+    only the one with the least root is grown, and it names its first close
+    pair in symbol order.  Must agree with :func:`is_utr_code_direct`.
     """
     N, t, k = code.N, code.t, code.params.k
     # a cone of one codeword holds no pair; the distance each dimension needs is found once
@@ -481,11 +481,9 @@ def is_utr_code_reduced(code: UtrCode) -> UtrCheck:
     failing = {tuple(vs) for vs in coords if _close_pair(vs, need[len(vs[0]) - 1])}
     if not failing:
         return UtrCheck(True)
-    members = min(
-        _members(sym, k, ends, steps)
-        for sym, ends, steps in code._cones
-        if tuple(v for v, _ in steps) in failing
-    )
+    # roots are distinct, so the least of the failing cones is the one with the least root
+    sym, ends, steps = min(cone for cone in code._cones if tuple(v for v, _ in cone[2]) in failing)
+    members = _members(sym, k, ends, steps)
     points = [v for _, v in members]
     i, j, dist = _close_pair(points, need[len(points[0]) - 1])
     return UtrCheck(False, _pair(code, members[i][0], members[j][0]), dist)

@@ -3,7 +3,9 @@
 import decimal
 import itertools
 import math
+import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -27,7 +29,6 @@ from tandemreco import (
     pi1,
     q_ary_entropy,
     rate_R,
-    rate_R_alt,
     rate_R_prime,
     refine_bounds,
     regime_distance,
@@ -145,6 +146,48 @@ def test_sample_rll_contracts():
     assert sample_rll(DupParams(2, 1), 30, seed=4).hamming_weight() == 30
 
 
+def _sample_from_graph(graph, length: int, seed: int) -> tuple[int, ...]:
+    """The reference sampler: the same walk, read off build_chain's k x k transition table."""
+    rng = random.Random(seed)
+    q, k = graph.params.q, graph.params.k
+    u, state, acc = rng.random(), 0, 0.0
+    for j, p in enumerate(graph.stationary):
+        acc += p
+        if u < acc:
+            state = j
+            break
+    symbols = []
+    for _ in range(length):
+        u = rng.random()
+        if state + 1 < k and u < graph.transition[state][state + 1]:
+            symbols.append(0)
+            state += 1
+        else:
+            symbols.append(rng.randrange(1, q))
+            state = 0
+    return tuple(symbols)
+
+
+def test_sample_rll_draws_the_words_of_the_transition_table():
+    for q, ks in ((2, (1, 2, 3, 5, 17, 200, 1000)), (3, (1, 2, 4, 120)), (4, (2, 3, 27))):
+        for k in ks:
+            graph = build_chain(DupParams(q, k))
+            for seed in range(3):
+                got = sample_rll(DupParams(q, k), 200, seed).symbols
+                assert got == _sample_from_graph(graph, 200, seed), (q, k, seed)
+
+
+def test_sample_rll_forms_no_k_by_k_table():
+    # at the guard's edge the two dense tables would hold 2 * 1023^2 entries
+    tracemalloc.start()
+    try:
+        sample_rll(DupParams(2, 1023), 10, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
 def test_chain_beyond_double_precision_is_refused():
     # lambda^(k-1) overflows at (2, 1100); at (3, 647) only the weights' sum did, and
     # every stationary weight read 0
@@ -165,10 +208,59 @@ def test_sample_rll_weight_density():
 
 
 def test_rate_forms_agree():
+    # rate_R against its formula at 50 digits, on the twin's capacity and the floats' exact values
     for params, theta in ((P22, 0.7236), (P42, 0.8273)):
-        for i in range(1, 1000):
-            g = i / 1000.0
-            assert abs(rate_R(g, theta, params) - rate_R_alt(g, theta, params)) < 1e-12
+        cap = _twin(params.q, params.k)[2]
+        with decimal.localcontext(prec=50):
+            th, lq = decimal.Decimal(theta), decimal.Decimal(params.q).ln()
+            for i in range(1, 1000):
+                g = i / 1000.0
+                gd = decimal.Decimal(g)
+                u = (1 - gd) / (params.k * th * gd)
+                exact = gd * cap + th * gd * ((1 + u) * (1 + u).ln() - u * u.ln()) / lq
+                error = abs(decimal.Decimal(rate_R(g, theta, params)) - exact)
+                assert error <= exact * decimal.Decimal("1e-12"), (params, g)
+
+
+def test_capacity_profile_solves_the_deficit_once():
+    # every function of the engine reads delta from the one cached solve of its (q, k)
+    capacity._deficit.cache_clear()
+    capacity_profile(P22)
+    assert capacity._deficit.cache_info().misses == 1
+
+
+# (call, error type, message) on inputs that break two checks at once, so the first one speaks
+P21, P31 = DupParams(2, 1), DupParams(3, 1)
+NEEDS_K2 = (DegenerateParamsError, "rate analysis needs k >= 2")
+KT_08 = (DomainError, "need k*theta > 1, got 0.8")
+PI1_NEEDS_K2 = "stationary weight density needs k >= 2"
+RATE_REFUSALS = [
+    (lambda: rate_R(0.0, 0.4, P21), *NEEDS_K2),
+    (lambda: rate_R(0.0, 1.5, P22), DomainError, "gamma must be in (0,1), got 0.0"),
+    (lambda: rate_R_prime(0.5, 1.5, P22), DomainError, "theta must be in (0,1), got 1.5"),
+    (lambda: rate_R(0.5, 0.4, P22), *KT_08),
+    (lambda: x0_solve(0.4, P21, 0.0), *NEEDS_K2),
+    (lambda: x0_solve(0.4, P22, 0.0), DomainError, "tolerance must be positive"),
+    (lambda: x0_solve(0.4, P22, 1e-12), *KT_08),
+    (lambda: x0_bisect(0.4, P21), *NEEDS_K2),
+    (lambda: x0_bounds(0.4, P42), *KT_08),
+    (lambda: fixed_point_map(0.5, 0.4, P22), *KT_08),
+    (lambda: fixed_point_map(0.5, 1.5, P21), *NEEDS_K2),
+    (lambda: refine_bounds(0.0, 0.6, 0.7, P31, 2), *NEEDS_K2),
+    # pi1 checks k first, with its own message
+    (lambda: capacity_profile(P21, 1.5, 0.0), DegenerateParamsError, PI1_NEEDS_K2),
+    (lambda: capacity_profile(P22, 1.5, 0.0), DomainError, "theta must be in (0,1), got 1.5"),
+    (lambda: capacity_profile(P22, 0.4, 0.0), *KT_08),
+    (lambda: capacity_profile(P22, 0.7, 0.0), DomainError, "tolerance must be positive"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(RATE_REFUSALS)))
+def test_rate_domain_refusals_keep_their_order(case):
+    call, error, message = RATE_REFUSALS[case]
+    with pytest.raises(error) as excinfo:
+        call()
+    assert type(excinfo.value) is error and str(excinfo.value) == message
 
 
 def test_rate_limits():

@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import math
+import time
 
 import pytest
 
@@ -213,3 +214,25 @@ def test_join_generates_common_cone():
                     expected = descendants(join, extra)
                     got = descendants(y, gap + extra) & descendants(y2, gap + extra)
                     assert got == expected
+
+
+def test_distance_bfs_prices_each_layer(monkeypatch):
+    from tandemreco import metric
+
+    # two length-k roots never meet, so only the layer price ends the search
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="above the budget of 100000000$"):
+        duplication_distance_bfs(word("00", 2, 2), word("01", 2, 2), 10**9)
+    assert time.perf_counter() - start < 2
+    # the budget binds on the layers built before the one where the walks meet
+    x, y = word("01010110", 2, 2), word("01101010", 2, 2)
+    d = duplication_distance(x, y)
+    assert duplication_distance_bfs(x, y, 10) == d == 2
+    before = sum(
+        (len(descendants(x, t)) + len(descendants(y, t))) * (len(x) + 2 * t) for t in range(d)
+    )
+    monkeypatch.setattr(metric, "WALK_SYMBOL_BUDGET", before)
+    assert duplication_distance_bfs(x, y, 10) == d
+    monkeypatch.setattr(metric, "WALK_SYMBOL_BUDGET", before - 1)
+    with pytest.raises(ResourceCapError, match=f"^a search to depth {d - 1} from words of length"):
+        duplication_distance_bfs(x, y, 10)

@@ -6,9 +6,14 @@ the whole ``summary()`` text.  A suite counts every comparison but keeps only
 its first ``MAX_REPORTED`` counterexamples.
 """
 
+import json
+import math
+from itertools import islice
+
 import pytest
 
 from tandemreco import ResourceCapError, oracles
+from tandemreco.duplication import _key
 from tandemreco.metric import duplication_distance
 from tandemreco.oracles import MAX_REPORTED, OracleResult
 from tandemreco.utr import UtrCheck
@@ -148,3 +153,62 @@ def test_root_range_priced_before_any_walk(monkeypatch, suite, cap):
             return
     assert oracles.ALL_SUITES[suite](max_root_len=max_len).checks == 0
     assert walked
+
+
+# argv whose ranges lie far above the budget
+UNPRICED_ARGV = [
+    ["oracle", "--suite", "checker", "--samples", "1000000000"],
+    ["oracle", "--suite", "bounds", "--samples", "1000000000"],
+    ["oracle", "--suite", "cone-count", "--max-root-len", "2", "--max-t", "1000000000"],
+    ["oracle", "--suite", "intersection", "--max-root-len", "2", "--max-t", "1000000000"],
+]
+
+
+def test_oracle_ranges_are_refused_before_any_check(run_optimized):
+    # in a process under a 2 GB address-space limit it set on itself, each run ends at once;
+    # an unpriced range would run on, so the alarm ends the process and the test fails
+    script = (
+        "import contextlib, io, json, resource, signal, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "signal.alarm(20)\n"
+        "from tandemreco.cli import main\n"
+        "out = []\n"
+        f"for argv in {UNPRICED_ARGV!r}:\n"
+        "    err, start = io.StringIO(), time.perf_counter()\n"
+        "    with contextlib.redirect_stdout(err), contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    out.append([code, err.getvalue(), time.perf_counter() - start])\n"
+        "print(json.dumps(out))\n"
+    )
+    runs = json.loads(run_optimized(script))
+    suites = ["checker", "bounds", "cone-count", "intersection"]
+    for suite, (code, text, seconds) in zip(suites, runs):
+        lines = text.splitlines()
+        assert code == 2 and len(lines) == 1, (suite, text)
+        assert lines[0].startswith(f"error: {suite} suite costs "), lines
+        assert lines[0].endswith(f" steps, above cap {oracles.ORACLE_BUDGET}")
+        assert seconds < 2, (suite, seconds)
+
+
+def _walked(key: str, k: int, max_t: int) -> int:
+    """The symbols of the layers 0 ... max_t of a literal walk from key."""
+    layers = islice(oracles._walk(key, k, oracles._effective_cap()), max_t + 1)
+    return sum(len(layer) * len(next(iter(layer))) for layer in layers if layer)
+
+
+@pytest.mark.parametrize("pairs", [False, True])
+def test_cone_price_counts_the_walks_and_pairs(monkeypatch, pairs):
+    # the closed-form price equals the symbols the suite's walks build plus its pair checks
+    charged = []
+    monkeypatch.setattr(oracles, "_charge", lambda suite, steps: charged.append(steps))
+    max_len, max_t = 4, 2
+    oracles._price_cones("demo", max_len, max_t, pairs)
+    steps = 0
+    for q in oracles.QS:
+        for k in oracles.KS:
+            for x in oracles._all_roots(q, k, max_len):
+                cone = islice(oracles._layers(x, oracles._effective_cap()), oracles.MAX_S + 1)
+                for layer in cone if pairs else [{_key(x.symbols)}]:
+                    steps += sum(_walked(key, k, max_t) for key in layer)
+                    steps += math.comb(len(layer), 2) * (max_t + 1)
+    assert charged == [steps]

@@ -223,6 +223,22 @@ def test_described_checker_names_the_listed_witness():
     assert failed == is_utr_code_reduced(listed_twin(bad))
 
 
+def test_failing_reduced_check_grows_one_cone(monkeypatch):
+    data = construction_a(P22, 20, 2, 1).to_json()
+    for entry in data["construction"]["dimensions"]:
+        if entry["m"] in (11, 13):
+            entry.update(weights=[0] * (entry["m"] + 1), modulus=1, residue=0)
+    code = UtrCode.from_json(data)
+    failing = [(sym, len(steps)) for sym, ends, steps in code._cones if len(ends) - 1 in (11, 13)]
+    grown = []
+    monkeypatch.setattr(utr, "_grow", lambda *args: grown.append(args) or _grow(*args))
+    failed = is_utr_code_reduced(code)
+    # of the 936 failing cones, the one with the least root names the pair and alone is grown
+    least, size = min(failing)
+    assert len(failing) == 936 and len(grown) == size
+    assert not failed.ok and {root(w).symbols for w in failed.witness} == {least}
+
+
 def test_described_listing_is_priced(monkeypatch):
     # 120 codewords of length 12: 1 440 symbols
     code = construction_a(P22, 12, 2, 1)
@@ -374,8 +390,8 @@ def assert_index_decomposes_the_code(code: UtrCode) -> None:
 
 
 def all_pairs_reduced_checker(code: UtrCode) -> UtrCheck:
-    """The cone reduction, every pair of every cone compared: the listed checker's twin."""
-    for members in code.cone_index.values():
+    """The cone reduction, every pair of every cone compared in root order: the checker's twin."""
+    for _, members in sorted(code.cone_index.items()):
         need = required_distance(code.N, code.t, len(members[0][1]) - 1)
         if need <= 1:
             continue

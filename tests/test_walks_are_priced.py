@@ -1,10 +1,14 @@
-"""Every literal walk of the package is priced before it starts.
+"""Every literal walk of the package is priced.
 
-A function that calls ``_layer`` builds a word's layers D_0 ... D_t, and
-their cost follows from the word's cone dimension alone
-(``duplication._walk_price``).  This test reads the syntax tree of every
-module and fails on a function that calls ``_layer`` but names neither that
-kernel nor ``utr._priced_walks``, which prices every walk of a code.
+A function that calls one of the walk kernels ``_layer``, ``_walk`` or
+``_layers`` builds a word's layers D_0 ... D_t, and their cost follows from
+the word's cone dimension alone (``duplication._walk_price``).  This test
+reads the syntax tree of every module and fails on a function, other than
+the kernels themselves, that calls a kernel but names none of the prices:
+``_walk_price``; ``utr._priced_walks``, which prices every walk of a code;
+``oracles._price_cones``, which prices a suite's walks; or
+``WALK_SYMBOL_BUDGET``, against which a search that stops where its walks
+meet prices each layer it builds.
 """
 
 import ast
@@ -13,7 +17,8 @@ from pathlib import Path
 import tandemreco
 
 PACKAGE = Path(tandemreco.__file__).resolve().parent
-PRICES = {"_walk_price", "_priced_walks"}
+KERNELS = {"_layer", "_walk", "_layers"}
+PRICES = {"_walk_price", "_priced_walks", "_price_cones", "WALK_SYMBOL_BUDGET"}
 
 
 def _names(node: ast.AST) -> set[str]:
@@ -39,9 +44,10 @@ def test_every_walk_names_its_price():
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-            if isinstance(node, functions) and "_layer" in _called(node):
+            walks = isinstance(node, functions) and _called(node) & KERNELS
+            if walks and node.name not in KERNELS:
                 walkers.append(f"{path.name}:{node.name}")
                 if not _names(node) & PRICES:
                     unpriced.append(walkers[-1])
-    assert walkers, "no function calls _layer: the guard reads nothing"
+    assert walkers, "no function calls a walk kernel: the guard reads nothing"
     assert not unpriced, f"walks that name no walk price: {unpriced}"
