@@ -45,8 +45,7 @@ from .simplex import (
 from .utr import (
     IRREDUCIBLE_CAP,
     UtrCode,
-    _rll_weights,
-    irreducible_count,
+    _root_weights,
     irreducible_words,
     is_utr_code_direct,
     is_utr_code_reduced,
@@ -91,22 +90,6 @@ class OracleResult:
         return line
 
 
-def _price_roots(max_len: int) -> None:
-    """Refuse a root range that holds more than ``IRREDUCIBLE_CAP`` roots, before any walk.
-
-    Lengths are counted in increasing order over every alphabet and duplication
-    length of the suites, and the count stops once the running total passes the cap.
-    """
-    total = 0
-    for length in range(1, max_len + 1):
-        total += sum(irreducible_count(DupParams(q, k), length) for q in QS for k in KS)
-        if total > IRREDUCIBLE_CAP:
-            raise ResourceCapError(
-                f"oracle range holds {total} roots up to length {length},"
-                f" above cap {IRREDUCIBLE_CAP}"
-            )
-
-
 def _charge(suite: str, steps: int) -> None:
     """Refuse a suite run whose price passes ``ORACLE_BUDGET``."""
     if steps > ORACLE_BUDGET:
@@ -114,25 +97,29 @@ def _charge(suite: str, steps: int) -> None:
 
 
 def _price_cones(suite: str, max_len: int, max_t: int, pairs: bool) -> None:
-    """Refuse a walk suite above ``ORACLE_BUDGET`` steps, before its first walk.
+    """Refuse a walk suite's root range or its steps, before its first walk.
 
-    The roots of length n are counted by cone dimension m, as
-    ``irreducible_count`` counts them.  Layer s of a root's cone holds
-    C(s + m, m) members.  The suite walks every member of layers s <= MAX_S
-    (with ``pairs``; of layer 0 alone without) to depth max_t, building the
-    symbols ``_walk_symbols`` counts, and with ``pairs`` compares every two
-    members of a layer at each depth.
+    Each length n's roots over every (q, k) of the suites are counted by cone
+    dimension m (:func:`_root_weights`); the range is refused at the first n
+    whose running total passes ``IRREDUCIBLE_CAP``.  Layer s of a root's cone
+    holds C(s + m, m) members.  The suite walks every member of layers s <=
+    MAX_S (with ``pairs``; of layer 0 alone without) to depth max_t, building
+    the symbols ``_walk_symbols`` counts, and with ``pairs`` compares every
+    two members of a layer at each depth.
     """
-    _price_roots(max_len)
-    steps = 0
-    for q in QS:
-        for k in KS:
-            for n in range(k, max_len + 1):
-                for m, count in enumerate(_rll_weights(n - k, n - k, DupParams(q, k))):
-                    for s in range(MAX_S + 1 if pairs else 1):
-                        members = math.comb(s + m, m)
-                        walks = members * _walk_symbols(m, max_t, n + s * k, k)
-                        steps += q**k * count * (walks + math.comb(members, 2) * (max_t + 1))
+    roots = steps = 0
+    for n in range(1, max_len + 1):
+        for q, k in product(QS, KS):
+            for m, count in enumerate(_root_weights(DupParams(q, k), n)):
+                roots += count
+                for s in range(MAX_S + 1 if pairs else 1):
+                    members = math.comb(s + m, m)
+                    walks = members * _walk_symbols(m, max_t, n + s * k, k)
+                    steps += count * (walks + math.comb(members, 2) * (max_t + 1))
+        if roots > IRREDUCIBLE_CAP:
+            raise ResourceCapError(
+                f"oracle range holds {roots} roots up to length {n}, above cap {IRREDUCIBLE_CAP}"
+            )
     _charge(suite, steps)
 
 

@@ -508,12 +508,21 @@ def count_rll_weight(l: int, m: int, params: DupParams) -> int:
     return _rll_weights(l, m, params)[m]
 
 
+def _root_weights(params: DupParams, length: int) -> list[int]:
+    """The irreducible words of this length by cone dimension m = 0 ... length - k; [] below k.
+
+    Each count is q^k prefixes times the difference strings of length - k with
+    m nonzeros and no zero run of k, all m from one :func:`_rll_weights` pass.
+    """
+    l = length - params.k
+    if l < 0:
+        return []
+    return [params.q**params.k * c for c in _rll_weights(l, l, params)]
+
+
 def irreducible_count(params: DupParams, n: int) -> int:
     """Number of irreducible words of length n."""
-    if n < params.k:
-        return 0
-    l = n - params.k
-    return params.q**params.k * sum(_rll_weights(l, l, params))
+    return sum(_root_weights(params, n))
 
 
 SizeFn = Callable[[int, int, int], int]
@@ -539,13 +548,11 @@ def utr_size_formula(
     Sums code_size_fn(m, r, required_distance(N, t, m)) over every root
     shape reachable at length n, weighted by how many roots have that shape.
     """
-    q, k = params.q, params.k
     total = 0
-    for r in range(0, n // k):
-        l = n - (r + 1) * k
-        for m, cnt in enumerate(_rll_weights(l, l, params)):
+    for r in range(0, n // params.k):
+        for m, cnt in enumerate(_root_weights(params, n - r * params.k)):
             if cnt:
-                total += code_size_fn(m, r, required_distance(N, t, m)) * q**k * cnt
+                total += code_size_fn(m, r, required_distance(N, t, m)) * cnt
     return total
 
 
@@ -590,23 +597,19 @@ def _roots(params: DupParams, length: int, min_weight: int) -> list[tuple[Symbol
 def _root_counts(params: DupParams, root_len: int, m_n: int) -> dict[int, int]:
     """The number of Construction A's roots of each cone dimension m that has one.
 
-    The roots are the irreducible words of length root_len and weight m >= m_n:
-    q^k prefixes times ``count_rll_weight``(root_len - k, m) difference strings,
-    all m from one :func:`_rll_weights` pass, whose k * l * (l + 1) cells
-    are priced against ``DEFAULT_ENUM_CAP`` before it runs.  Each node of
-    the walk in :func:`_roots` completes to a root, so no layer of it
-    outgrows the result, and the walk passes ``IRREDUCIBLE_CAP`` exactly
-    when the total does; that error is raised here, before any walk.
+    The roots are the irreducible words of length root_len and weight m >= m_n,
+    counted by :func:`_root_weights` once its k * l * (l + 1) cells, l =
+    root_len - k, are priced against ``DEFAULT_ENUM_CAP``.  Each node of the
+    walk in :func:`_roots` completes to a root, so the walk passes
+    ``IRREDUCIBLE_CAP`` exactly when the total does; that is raised here, before it.
     """
-    q, k = params.q, params.k
-    l = root_len - k
+    l = root_len - params.k
     if l < m_n:
         return {}
-    cells = k * l * (l + 1)
+    cells = params.k * l * (l + 1)
     if cells > DEFAULT_ENUM_CAP:
         raise ResourceCapError(f"root count of {cells} cells above cap {DEFAULT_ENUM_CAP}")
-    weights = _rll_weights(l, l, params)
-    counts = {m: q**k * weights[m] for m in range(m_n, l + 1) if weights[m]}
+    counts = {m: c for m, c in enumerate(_root_weights(params, root_len)) if m >= m_n and c}
     if sum(counts.values()) > IRREDUCIBLE_CAP:
         raise ResourceCapError(f"irreducible enumeration above cap {IRREDUCIBLE_CAP}")
     return counts
@@ -668,15 +671,17 @@ def max_utr_code_bruteforce(params: DupParams, n: int, N: int, t: int) -> UtrCod
     sets share at most N members; a maximum code is a maximum clique.
     Independent of the per-cone accounting, so it serves as its oracle.
     """
-    UtrCode(params, n, N, t, ())  # checks n, N and t before anything is enumerated
-    q = params.q
+    _check_budget(n, N, t)
+    q, k = params.q, params.k
     total = q**n
     if total > BRUTEFORCE_MAX_WORDS:
         raise ResourceCapError(f"{total} words exceed the cap of {BRUTEFORCE_MAX_WORDS}")
-    words = [Word(sym, params) for sym in product(range(q), repeat=n)]
-    _priced_walks(UtrCode(params, n, N, t, words), t)
+    # a word whose differences are all nonzero has the largest cone dimension, n - k
+    if n >= k:
+        _walk_price(n - k, t, n, k)
+    syms = list(product(range(q), repeat=n))
     cap = _effective_cap()
-    desc = [_layer(_key(w.symbols), params.k, t, cap) for w in words]
+    desc = [_layer(_key(sym), k, t, cap) for sym in syms]
     adjacency = [0] * total
     for i in range(total):
         for j in range(i + 1, total):
@@ -684,7 +689,7 @@ def max_utr_code_bruteforce(params: DupParams, n: int, N: int, t: int) -> UtrCod
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
     chosen = max_clique_bitset(adjacency)
-    return UtrCode(params, n, N, t, tuple(words[i] for i in chosen))
+    return UtrCode(params, n, N, t, [Word._trusted(syms[i], params) for i in chosen])
 
 
 def _read_symbols(code: UtrCode, reads: Iterable[Word]) -> list[Symbols]:
