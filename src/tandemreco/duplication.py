@@ -29,6 +29,7 @@ from .errors import (
     ParamsMismatchError,
     ResourceCapError,
     WordLengthError,
+    _shown,
 )
 
 DEFAULT_NODE_CAP = 10**7
@@ -303,6 +304,8 @@ def _walk(key: str, k: int, cap: int) -> Iterator[set[str]]:
 
 def _layer(key: str, k: int, t: int, cap: int) -> set[str]:
     """The keys of D_t of the word with this key, no layer above ``cap`` nodes."""
+    if len(key) < k:  # a word shorter than k has no duplication, so no walk to step
+        return set() if t else {key}
     layer = {key}
     memo = _memo(k)
     for _ in range(t):
@@ -332,7 +335,7 @@ def _walk_price(m: int, t: int, length: int, k: int) -> int:
         _walk_symbols(m, t, length, k) > WALK_SYMBOL_BUDGET
     ):
         raise ResourceCapError(
-            f"a walk of {t} duplications from a word of length {length} exceeds the "
+            f"a walk of {_shown(t)} duplications from a word of length {length} exceeds the "
             f"budget of {WALK_SYMBOL_BUDGET} symbols"
         )
     return math.comb(t + m, m)

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all modules."""
 
+import sys
+
 
 class TandemError(Exception):
     """Base class for every error raised by this library."""
@@ -67,3 +69,11 @@ class NoCandidateError(DecodeError):
 
 class AmbiguityError(DecodeError):
     """More than one codeword is consistent with the given reads."""
+
+
+def _shown(count: int) -> str:
+    """count in decimal for a message, or a bound on it past the digits Python will print."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"at least 10^{sys.get_int_max_str_digits()}"

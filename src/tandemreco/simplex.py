@@ -24,12 +24,15 @@ from .errors import (
     ResourceCapError,
     TandemError,
     WeightMismatchError,
+    _shown,
 )
 
 SimplexPoint = tuple[int, ...]
 
 DEFAULT_ENUM_CAP = 1_000_000
 EXACT_MAX_POINTS = 2000
+# vertices one exact clique search may colour, summed over all its branches
+CLIQUE_WORK_CAP = 10**6
 # (order, size) -> (set, modulus): every set of size >= 3 that a search
 # scanning moduli upward from the counting bound finds within 500 000 attempts
 SIDON_TABLE = {
@@ -72,7 +75,7 @@ def enumerate_simplex(m: int, r: int, cap: int | None = None) -> list[SimplexPoi
     cap = DEFAULT_ENUM_CAP if cap is None else cap
     total = simplex_size(m, r)
     if total > cap:
-        raise ResourceCapError(f"simplex has {total} points, above cap {cap}")
+        raise ResourceCapError(f"simplex has {_shown(total)} points, above cap {cap}")
 
     # each next point moves one unit from the last nonzero coordinate to the one
     # before it and the rest of that coordinate to the end
@@ -206,8 +209,9 @@ def max_clique_bitset(adjacency: list[int]) -> list[int]:
     """Exact maximum clique of a graph given as per-vertex neighbor bitmasks.
 
     Deterministic branch-and-bound with a greedy-coloring bound; vertices
-    are explored in index order, so ties resolve lexicographically.  Only
-    meant for the desk-scale graphs this library produces.
+    are explored in index order, so ties resolve lexicographically.  Each
+    branch colours its candidates, so the search's work is the vertices
+    coloured over all branches; past ``CLIQUE_WORK_CAP`` it is refused.
     """
     n = len(adjacency)
     if n == 0:
@@ -237,9 +241,13 @@ def max_clique_bitset(adjacency: list[int]) -> list[int]:
         return order, bounds
 
     current: list[int] = []
+    work = 0
 
     def expand(cand: int):
-        nonlocal best
+        nonlocal best, work
+        work += cand.bit_count()
+        if work > CLIQUE_WORK_CAP:
+            raise ResourceCapError(f"clique search coloured more than {CLIQUE_WORK_CAP} vertices")
         order, bounds = color_sort(cand)
         for idx in range(len(order) - 1, -1, -1):
             if len(current) + bounds[idx] <= len(best):

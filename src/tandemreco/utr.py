@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
@@ -47,6 +48,7 @@ from .errors import (
     ResourceCapError,
     TandemError,
     WordLengthError,
+    _shown,
 )
 from .simplex import (
     DEFAULT_ENUM_CAP,
@@ -608,7 +610,7 @@ def _root_counts(params: DupParams, root_len: int, m_n: int) -> dict[int, int]:
         return {}
     cells = params.k * l * (l + 1)
     if cells > DEFAULT_ENUM_CAP:
-        raise ResourceCapError(f"root count of {cells} cells above cap {DEFAULT_ENUM_CAP}")
+        raise ResourceCapError(f"root count of {_shown(cells)} cells above cap {DEFAULT_ENUM_CAP}")
     counts = {m: c for m, c in enumerate(_root_weights(params, root_len)) if m >= m_n and c}
     if sum(counts.values()) > IRREDUCIBLE_CAP:
         raise ResourceCapError(f"irreducible enumeration above cap {IRREDUCIBLE_CAP}")
@@ -673,6 +675,9 @@ def max_utr_code_bruteforce(params: DupParams, n: int, N: int, t: int) -> UtrCod
     """
     _check_budget(n, N, t)
     q, k = params.q, params.k
+    # q^n of more digits than Python prints is far past the cap, and is not formed
+    if n * math.log10(q) >= sys.get_int_max_str_digits() > 0:
+        raise ResourceCapError(f"{q}^{n} words exceed the cap of {BRUTEFORCE_MAX_WORDS}")
     total = q**n
     if total > BRUTEFORCE_MAX_WORDS:
         raise ResourceCapError(f"{total} words exceed the cap of {BRUTEFORCE_MAX_WORDS}")

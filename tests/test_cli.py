@@ -429,12 +429,20 @@ def input_files(tmp_path) -> list[tuple[list[str], int]]:
     dimension = {"m": 999, "weights": [0] * 1000, "modulus": 1, "residue": 0}
     construction = {"m_n": 0, "r_n": 0, "dimensions": [dimension]}
     deep = write("deep.json", json.dumps(dict(head, n=1000, construction=construction)))
+    # numbers past the 4300 digits Python prints: a root count's cells, a simplex's points
+    huge = 10**2200
+    cells = write("cells.json", json.dumps(dict(COMPACT, n=huge)))
+    dimensions = [{"m": m, "weights": [0] * (m + 1), "modulus": 1, "residue": 0} for m in (2, 3)]
+    points = {"m_n": 2, "r_n": huge, "dimensions": dimensions}
+    points = write("points.json", json.dumps(dict(COMPACT, n=2 * huge + 5, construction=points)))
     return [
         (["code", "info", "--code", nested], 2),
         (["code", "info", "--code", long_n], 2),
         (["code", "info", "--code", wide], 2),
         (["code", "decode", "--code", q11, "--reads", reads], 2),
         (["code", "info", "--code", deep], 0),
+        (["code", "info", "--code", cells], 2),
+        (["code", "info", "--code", points], 2),
     ]
 
 
@@ -465,6 +473,35 @@ def test_input_files_exit_2_without_a_traceback(tmp_path, capsys, run_optimized)
     for line, (_, want) in zip(lines, cases):
         status, out, err = json.loads(line)
         check_input_file_outcome(status, want, out, err)
+
+
+# exhaustive builds whose word count q^n has more digits than Python prints
+HUGE_BUILDS = {
+    "20000": "error: 2^20000 words exceed the cap of 4096\n",
+    "1000000000": "error: 2^1000000000 words exceed the cap of 4096\n",
+}
+
+
+def test_word_counts_past_the_print_limit_exit_2_at_once(tmp_path, run_optimized):
+    # in a process under a 2 GB address-space limit it set on itself, q^n is never formed
+    head = ["code", "build", "--q", "2", "--k", "2", "--t", "1", "--N", "1", "--method"]
+    runs = [[*head, "exhaustive", "--n", n, "--out", str(tmp_path / "o.json")] for n in HUGE_BUILDS]
+    script = (
+        "import contextlib, io, json, resource, signal, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "signal.alarm(20)\n"
+        "from tandemreco.cli import main\n"
+        "out = []\n"
+        f"for argv in {runs!r}:\n"
+        "    err, start = io.StringIO(), time.perf_counter()\n"
+        "    with contextlib.redirect_stdout(err), contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    out.append([code, err.getvalue(), time.perf_counter() - start])\n"
+        "print(json.dumps(out))\n"
+    )
+    for (code, text, seconds), want in zip(json.loads(run_optimized(script)), HUGE_BUILDS.values()):
+        assert code == 2 and text == want and seconds < 2, (code, text, seconds)
+    assert not (tmp_path / "o.json").exists()
 
 
 @pytest.mark.parametrize("key", ["q", "k", "n", "N", "t"])
@@ -703,6 +740,9 @@ def test_usage_error_exit():
         ["code", "build", "--q", "2", "--k", "2", "--n", "4", "--t", "-1", "--N", "1",
          "--method", "exhaustive", "--out", "{tmp}/o.json"],
         ["rate-curve", "--q", "2", "--k", "2", "--points", "100000000", "--out", "{tmp}/c.csv"],
+        # 256 words, whose exact clique search ran for minutes before it counted its work
+        ["code", "build", "--q", "2", "--k", "1", "--n", "8", "--t", "1", "--N", "0",
+         "--method", "exhaustive", "--out", "{tmp}/o.json"],
         *SWEEP_REFUSALS,
     ],
 )

@@ -185,6 +185,22 @@ def test_walk_price_refuses_a_long_walk_before_its_binomials():
     assert time.perf_counter() - start < 0.1
 
 
+def test_walk_of_an_unprintable_length_is_refused_with_a_bound():
+    # 10^4300 has 4301 digits, one more than Python prints
+    message = "^a walk of at least 10\\^4300 duplications from a word of length 4 exceeds"
+    with pytest.raises(ResourceCapError, match=message):
+        descendants(word("0011", 2, 2), 10**4300)
+
+
+def test_a_word_shorter_than_k_walks_nothing_at_any_depth():
+    # its walk once stepped through 10^9 empty layers, for minutes
+    x = word("01", 2, 3)
+    start = time.perf_counter()
+    assert descendants(x, 10**9) == descendants(x, 1) == set()
+    assert descendants(x, 0) == {x}
+    assert time.perf_counter() - start < 0.1
+
+
 def literal_layers(x: Word, depth: int) -> list[set[str]]:
     """D_0(x), ..., D_depth(x) as walk keys, duplicating at every offset of every word, in order."""
     layers = [{_key(x.symbols)}]

@@ -8,11 +8,12 @@ its first ``MAX_REPORTED`` counterexamples.
 
 import json
 import math
+import sys
 from itertools import islice
 
 import pytest
 
-from tandemreco import ResourceCapError, oracles
+from tandemreco import ResourceCapError, oracles, utr
 from tandemreco.duplication import _key
 from tandemreco.metric import duplication_distance
 from tandemreco.oracles import MAX_REPORTED, OracleResult
@@ -153,6 +154,23 @@ def test_root_range_priced_before_any_walk(monkeypatch, suite, cap):
             return
     assert oracles.ALL_SUITES[suite](max_root_len=max_len).checks == 0
     assert walked
+
+
+def test_cone_price_counts_each_length_once(monkeypatch):
+    # one weight DP per (q, k, length) prices both the roots and the steps: 18 at length 5
+    calls = []
+    weights = utr._rll_weights
+
+    def counted(l, top, params):
+        calls.append((params.q, params.k, l))
+        return weights(l, top, params)
+
+    # every module that binds the DP calls the wrapper, so no call goes uncounted
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("tandemreco") and vars(module).get("_rll_weights") is weights:
+            monkeypatch.setattr(module, "_rll_weights", counted)
+    oracles._price_cones("intersection", 5, 3, True)
+    assert len(calls) == len(set(calls)) == 18
 
 
 # argv whose ranges lie far above the budget

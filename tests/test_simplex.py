@@ -30,6 +30,7 @@ from tandemreco import (
     half_manhattan,
     in_class,
     is_sidon_set,
+    max_clique_bitset,
     min_half_distance,
     required_distance,
     required_distance_upper_entropy,
@@ -95,6 +96,31 @@ def test_enumeration_caps():
         enumerate_simplex(10, 50, cap=1000)
     with pytest.raises(ResourceCapError):
         exact_max_code(10, 50, 2)  # simplex above the 2000-point limit
+
+
+def test_simplex_size_past_the_print_limit_is_bounded_in_the_message():
+    with pytest.raises(ResourceCapError, match=r"^simplex has at least 10\^4300 points, above cap"):
+        enumerate_simplex(2, 10**2200)
+
+
+def test_clique_work_counts_coloured_vertices(monkeypatch):
+    # the search colours a complete graph's n vertices once, and its greedy seed is maximum
+    n = 64
+    complete = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
+    monkeypatch.setattr(simplex, "CLIQUE_WORK_CAP", n)
+    assert max_clique_bitset(complete) == list(range(n))
+    monkeypatch.setattr(simplex, "CLIQUE_WORK_CAP", n - 1)
+    message = f"^clique search coloured more than {n - 1} vertices$"
+    with pytest.raises(ResourceCapError, match=message):
+        max_clique_bitset(complete)
+
+
+@pytest.mark.parametrize("m, r, d", [(3, 8, 2), (2, 20, 3), (4, 6, 2)])
+def test_exact_search_past_its_work_is_refused(m, r, d):
+    # each ran for 8 s or more before the search counted its work
+    message = f"^clique search coloured more than {simplex.CLIQUE_WORK_CAP} vertices$"
+    with pytest.raises(ResourceCapError, match=message):
+        exact_max_code(m, r, d)
 
 
 def test_half_manhattan_examples():

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import time
 import tracemalloc
 from collections import Counter
 from operator import attrgetter
@@ -840,6 +841,60 @@ def test_root_counts_match_the_walk():
                     walked = Counter(len(ends) - 1 for _, ends in roots)
                     got = utr._root_counts(params, length, min_weight)
                     assert got == walked, (q, k, length, min_weight)
+
+
+def test_root_weights_count_the_walk_by_cone_dimension():
+    for q in (2, 3):
+        for k in (1, 2, 3):
+            params = DupParams(q, k)
+            for n in range(9):
+                weights = utr._root_weights(params, n)
+                want = [q**k * count_rll_weight(n - k, m, params) for m in range(n - k + 1)]
+                assert weights == want, (q, k, n)
+                assert sum(weights) == irreducible_count(params, n)
+                walked = Counter(len(ends) - 1 for _, ends in utr._roots(params, n, 0))
+                assert {m: c for m, c in enumerate(weights) if c} == walked
+
+
+def test_root_count_past_the_print_limit_is_bounded_in_the_message():
+    message = "^root count of at least 10\\^4300 cells above cap 1000000$"
+    with pytest.raises(ResourceCapError, match=message):
+        utr._root_counts(P22, 10**2200, 0)
+
+
+def test_bruteforce_builds_one_code_and_prices_the_largest_cone(monkeypatch):
+    # every word of length n >= k has cone dimension at most n - k, reached when all
+    # of its differences are nonzero: the brute force prices its walks there
+    for q, k in itertools.product((2, 3), (1, 2, 3)):
+        for n in range(k, 7):
+            words = itertools.product(range(q), repeat=n)
+            assert max(len(_cone(sym, k)[1]) - 1 for sym in words) == n - k
+    built = []
+    init = UtrCode.__init__
+
+    def counted(code, *args):
+        built.append(args)
+        init(code, *args)
+
+    monkeypatch.setattr(UtrCode, "__init__", counted)
+    code = max_utr_code_bruteforce(P22, 4, 0, 1)
+    assert len(built) == 1 and len(code) == 16
+    built.clear()
+    message = (
+        "a walk of 1000000000 duplications from a word of length 4 exceeds the budget of "
+        "100000000 symbols"
+    )
+    with pytest.raises(ResourceCapError) as excinfo:
+        max_utr_code_bruteforce(P22, 4, 0, 10**9)
+    assert str(excinfo.value) == message and built == []
+
+
+def test_words_shorter_than_k_are_checked_at_any_depth():
+    # D_t of a word shorter than k is empty for t >= 1; its walk once stepped t empty layers
+    start = time.perf_counter()
+    code = max_utr_code_bruteforce(DupParams(2, 3), 2, 0, 10**9)
+    assert len(code) == 4 and is_utr_code_direct(code).ok and is_utr_code_reduced(code).ok
+    assert time.perf_counter() - start < 0.5
 
 
 # construction_a over P22 at t = 1, N = 1: code length and the roots its walk lists
