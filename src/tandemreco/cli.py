@@ -36,6 +36,16 @@ EXIT_ORACLE = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 MAX_CURVE_POINTS = 10**5  # rows one rate-curve run may write, priced before any is computed
+# the oracle flags with their values when not given, and the flags each suite reads
+ORACLE_DEFAULTS = {"max_root_len": 4, "max_t": 2, "samples": 25, "seed": 20240}
+SUITE_FLAGS = {
+    "cone-count": ("max_root_len", "max_t"),
+    "intersection": ("max_root_len", "max_t"),
+    "distance": ("max_root_len",),
+    "checker": ("samples", "seed"),
+    "bounds": ("samples", "seed"),
+}
+DISTANCE_MAX_ROOT_LEN = 5  # the longest roots whose pairs the distance suite searches
 
 
 def _print_json(data: dict) -> None:
@@ -202,23 +212,32 @@ def cmd_code_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    names = list(ALL_SUITES) if args.suite == "all" else [args.suite]
+    read = {flag for name in names for flag in SUITE_FLAGS.get(name, ())}
+    given = {f: getattr(args, f) for f in ORACLE_DEFAULTS if getattr(args, f) is not None}
+    # a flag that no chosen suite reads would be dropped in silence
+    unread = [f for f in given if f not in read]
+    if unread:
+        flags = ", ".join("--" + f.replace("_", "-") for f in unread)
+        raise DomainError(f"the {args.suite} suite does not read {flags}")
+    value = {**ORACLE_DEFAULTS, **given}
     # a suite at these values would check nothing and still print OK
-    if args.max_root_len < 1 or args.samples < 1 or args.max_t < 0:
+    if value["max_root_len"] < 1 or value["samples"] < 1 or value["max_t"] < 0:
         raise DomainError(
             "need --max-root-len >= 1, --samples >= 1 and --max-t >= 0, got "
-            f"{args.max_root_len}, {args.samples} and {args.max_t}"
+            f"{value['max_root_len']}, {value['samples']} and {value['max_t']}"
         )
-    names = list(ALL_SUITES) if args.suite == "all" else [args.suite]
-    overrides = {
-        "cone-count": {"max_root_len": args.max_root_len, "max_t": args.max_t},
-        "intersection": {"max_root_len": args.max_root_len, "max_t": args.max_t},
-        "distance": {"max_root_len": min(args.max_root_len, 5)},
-        "checker": {"samples": args.samples, "seed": args.seed},
-        "bounds": {"samples": args.samples * 10, "seed": args.seed},
-    }
+    if "distance" in names and value["max_root_len"] > DISTANCE_MAX_ROOT_LEN:
+        raise DomainError(
+            f"the distance suite reads --max-root-len up to {DISTANCE_MAX_ROOT_LEN}, "
+            f"got {value['max_root_len']}"
+        )
     failed = False
     for name in names:
-        result = ALL_SUITES[name](**overrides.get(name, {}))
+        kwargs = {f: value[f] for f in SUITE_FLAGS.get(name, ())}
+        if name == "bounds":
+            kwargs["samples"] *= 10
+        result = ALL_SUITES[name](**kwargs)
         print(result.summary())
         failed = failed or not result.ok
     return EXIT_ORACLE if failed else EXIT_OK
@@ -286,10 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="run brute-force cross-check suites")
     p.add_argument("--suite", choices=["all", *ALL_SUITES], default="all")
-    p.add_argument("--max-root-len", type=int, default=4)
-    p.add_argument("--max-t", type=int, default=2)
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--seed", type=int, default=20240)
+    # each flag is refused by a suite that does not read it (SUITE_FLAGS)
+    for flag, default in ORACLE_DEFAULTS.items():
+        name = "--" + flag.replace("_", "-")
+        p.add_argument(name, type=int, default=None, help=f"default {default}")
     p.set_defaults(func=cmd_oracle)
 
     return parser

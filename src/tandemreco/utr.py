@@ -17,11 +17,11 @@ import random
 import sys
 from collections import Counter, defaultdict
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from itertools import accumulate, islice, product, repeat
 from operator import attrgetter, le
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .capacity import capacity_profile
 from .duplication import (
@@ -35,6 +35,7 @@ from .duplication import (
     _layer,
     _symbols,
     _walk_price,
+    _walk_symbols,
     channel_sample,
     descendants,
 )
@@ -73,6 +74,9 @@ _CONSTRUCTION_KEYS = (("m_n", int), ("r_n", int), ("dimensions", list))
 _DIMENSION_KEYS = (("m", int), ("modulus", int), ("residue", int), ("weights", list))
 IRREDUCIBLE_CAP = 10**6
 BRUTEFORCE_MAX_WORDS = 4096
+# steps one simulation may take (0.06-0.25 us a step on a shared 2-vCPU machine), priced
+# before its first trial: the symbols its reads hold, the cone points it scans, 100 a trial
+SIMULATION_BUDGET = 10**8
 
 
 Symbols = tuple[int, ...]
@@ -394,31 +398,19 @@ def _pair(code: UtrCode, a: Symbols, b: Symbols) -> tuple[Word, Word]:
     return Word._trusted(a, code.params), Word._trusted(b, code.params)
 
 
-def is_utr_code_direct(code: UtrCode) -> UtrCheck:
-    """Definition checked literally: count every pair's shared descendants.
+def _sharing_pairs(walks: Iterable[set[str]], count: int, N: int, cap: int) -> Iterator:
+    """Each (i, j, shared), i < j, of words i and j that share more than N t-descendants.
 
-    An index maps each expanded t-descendant's key to the codewords that own
-    it.  Words enter it from last to first, so word i counts what it shares
-    with every later word j, and the last violation seen is the smallest
-    (i, j).  The descendants together may hold at most the node cap: a
-    codeword of cone dimension m has C(t + m, m) of them, and when no single
-    layer can pass the cap but their total does, the walk would surely end
-    on the index error, so it is raised before any codeword is grown.  A
-    described code grows its walk keys, not its symbols.  Only a violating
-    pair is turned back into symbols and wrapped in ``Word``s.
+    walks gives each of the count words' D_t keys, from the last word to the
+    first, into an index from each key to its owners, so word i counts what it
+    shares with each later word j.  At most ``cap`` nodes are indexed, and at
+    most ``cap`` owner entries, one per pair and descendant it shares, copied.
     """
-    cap, t = _effective_cap(), code.t
-    dims, largest = _priced_walks(code, t)
-    if largest <= cap < sum(count * math.comb(t + m, m) for m, count in dims):
-        raise ResourceCapError(f"descendant index exceeded cap of {cap} nodes")
-    keys, k, N = _keys(code), code.params.k, code.N
-    total = 0
+    nodes = entries = 0
     owners: dict[str, tuple[int, ...]] = {}
-    found = UtrCheck(True)
-    for i in range(len(keys) - 1, -1, -1):
-        desc = _layer(keys[i], k, t, cap)
-        total += len(desc)
-        if total > cap:
+    for i, desc in zip(range(count - 1, -1, -1), walks):
+        nodes += len(desc)
+        if nodes > cap:
             raise ResourceCapError(f"descendant index exceeded cap of {cap} nodes")
         # the descendants word i owns alone share its one tuple; mates gets one
         # entry per descendant that word i shares with a later word
@@ -431,15 +423,34 @@ def is_utr_code_direct(code: UtrCode) -> UtrCheck:
             else:
                 mates += owned
                 owners[d] = owned + mine
+        entries += len(mates)
+        if entries > cap:
+            raise ResourceCapError(f"shared descendants exceeded cap of {cap} owner entries")
         # a later word sharing more than N descendants repeats N times in mates
         if len(mates) > N and len(mates) - len(set(mates)) >= N:
-            shared = Counter(mates)
-            bad = [j for j, count in shared.items() if count > N]
-            if bad:
-                j = min(bad)
-                pair = _pair(code, _symbols(keys[i]), _symbols(keys[j]))
-                found = UtrCheck(False, pair, shared[j])
-    return found
+            for j, shared in Counter(mates).items():
+                if shared > N:
+                    yield i, j, shared
+
+
+def is_utr_code_direct(code: UtrCode) -> UtrCheck:
+    """Definition checked literally: the least pair that :func:`_sharing_pairs` yields.
+
+    A codeword of cone dimension m has C(t + m, m) descendants; when no layer
+    can pass the node cap but their total does, the index error is raised
+    before any codeword is grown.  A described code grows walk keys only.
+    """
+    cap, t = _effective_cap(), code.t
+    dims, largest = _priced_walks(code, t)
+    if largest <= cap < sum(count * math.comb(t + m, m) for m, count in dims):
+        raise ResourceCapError(f"descendant index exceeded cap of {cap} nodes")
+    keys, k = _keys(code), code.params.k
+    walks = (_layer(key, k, t, cap) for key in reversed(keys))
+    least = min(_sharing_pairs(walks, len(keys), code.N, cap), default=None)
+    if least is None:
+        return UtrCheck(True)
+    i, j, shared = least
+    return UtrCheck(False, _pair(code, _symbols(keys[i]), _symbols(keys[j])), shared)
 
 
 def _priced_walks(code: UtrCode, t: int) -> tuple[list[tuple[int, int]], int]:
@@ -542,9 +553,7 @@ def sidon_size(m: int, r: int, d: int) -> int:
     return sidon_code_size(m, r, max(d, 1))
 
 
-def utr_size_formula(
-    n: int, N: int, t: int, params: DupParams, code_size_fn: SizeFn
-) -> int:
+def utr_size_formula(n: int, N: int, t: int, params: DupParams, code_size_fn: SizeFn) -> int:
     """Total code size over all cones, for a pluggable per-cone code size.
 
     Sums code_size_fn(m, r, required_distance(N, t, m)) over every root
@@ -618,11 +627,7 @@ def _root_counts(params: DupParams, root_len: int, m_n: int) -> dict[int, int]:
 
 
 def construction_a(
-    params: DupParams,
-    n: int,
-    t: int,
-    N: int,
-    theta: float | None = None,
+    params: DupParams, n: int, t: int, N: int, theta: float | None = None
 ) -> UtrCode:
     """Build a reconstruction code from the rate-maximizing geometry.
 
@@ -649,9 +654,7 @@ def construction_a(
 
     counts = _root_counts(params, root_len, m_n)
     if not counts:
-        raise InfeasibleGeometryError(
-            f"no roots of length {root_len} with weight >= {m_n}"
-        )
+        raise InfeasibleGeometryError(f"no roots of length {root_len} with weight >= {m_n}")
 
     # every root of one cone dimension gets the same simplex code, so the code is
     # described by its roots' length and least weight and one congruence class per dimension
@@ -686,13 +689,13 @@ def max_utr_code_bruteforce(params: DupParams, n: int, N: int, t: int) -> UtrCod
         _walk_price(n - k, t, n, k)
     syms = list(product(range(q), repeat=n))
     cap = _effective_cap()
-    desc = [_layer(_key(sym), k, t, cap) for sym in syms]
-    adjacency = [0] * total
-    for i in range(total):
-        for j in range(i + 1, total):
-            if len(desc[i] & desc[j]) <= N:
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
+    walks = (_layer(_key(sym), k, t, cap) for sym in reversed(syms))
+    # from the complete graph, drop each pair that shares more than N descendants
+    full = (1 << total) - 1
+    adjacency = [full ^ (1 << i) for i in range(total)]
+    for i, j, _ in _sharing_pairs(walks, total, N, cap):
+        adjacency[i] ^= 1 << j
+        adjacency[j] ^= 1 << i
     chosen = max_clique_bitset(adjacency)
     return UtrCode(params, n, N, t, [Word._trusted(syms[i], params) for i in chosen])
 
@@ -769,14 +772,10 @@ def reconstruct_scan(code: UtrCode, reads: Iterable[Word]) -> Word:
     """Oracle decoder: test read containment in literally expanded descendant sets."""
     syms = _read_symbols(code, reads)
     extra = (len(syms[0]) - code.n) // code.params.k
-    read_keys = list(map(_key, syms))
+    read_keys = set(map(_key, syms))
     _priced_walks(code, extra)
     cap = _effective_cap()
-    candidates = []
-    for key in _keys(code):
-        pool = _layer(key, code.params.k, extra, cap)
-        if all(r in pool for r in read_keys):
-            candidates.append(key)
+    candidates = [key for key in _keys(code) if read_keys <= _layer(key, code.params.k, extra, cap)]
     if not candidates:
         raise NoCandidateError("no codeword is an ancestor of all reads")
     if len(candidates) > 1:
@@ -812,41 +811,41 @@ def simulate_reconstruction(code: UtrCode, trials: int, seed: int) -> Simulation
     """
     if trials < 0:
         raise DomainError("trials must be nonnegative")
-    if not code.symbols:
+    if not len(code):
         raise DomainError("cannot simulate an empty code")
-    if code.n < code.params.k:
+    n, t, k, needed = code.n, code.t, code.params.k, code.N + 1
+    if n < k:
         raise DomainError("codewords below the duplication length never mutate")
+    # a trial walks needed reads, each priced as channel_sample prices it, and decodes them
+    if trials:
+        _walk_price(0, t, n, k)
+    scan = max(len(vs) * len(vs[0]) for vs, _ in code._groups.values() if vs)
+    steps = trials * (needed * (_walk_symbols(0, t, n, k) + n + t * k) + scan + 100)
+    if steps > SIMULATION_BUDGET:
+        raise ResourceCapError(
+            f"{_shown(trials)} trials cost {_shown(steps)} steps, above cap {SIMULATION_BUDGET}"
+        )
     rng = random.Random(seed)
     words = code.codewords
-    successes = wrong = ambiguous = undecodable = short_cones = 0
-    needed = code.N + 1
+    seen: Counter[str] = Counter()  # trials by outcome, each named as its report field
     for _ in range(trials):
         c = words[rng.randrange(len(words))]
         # c and its root share their cone dimension, the number of zero runs less one
-        m = len(_cone(c.symbols, code.params.k)[1]) - 1
-        if binom(code.t + m, m) < needed:
-            reads = set(descendants(c, code.t))
-            short_cones += 1
+        m = len(_cone(c.symbols, k)[1]) - 1
+        if binom(t + m, m) < needed:
+            reads = set(descendants(c, t))
+            seen["short_cone_trials"] += 1
         else:
-            reads = set()
-            attempts = 0
+            reads, attempts = set(), 0
             while len(reads) < needed:
-                reads.add(channel_sample(c, code.t, seed=rng.randrange(2**32)))
+                reads.add(channel_sample(c, t, seed=rng.randrange(2**32)))
                 attempts += 1
                 if attempts > 1000 * needed:
                     raise ResourceCapError("rejection sampling budget exhausted")
         try:
-            decoded = reconstruct(code, reads)
+            seen["successes" if reconstruct(code, reads) == c else "wrong"] += 1
         except AmbiguityError:
-            ambiguous += 1
-            continue
+            seen["ambiguous"] += 1
         except NoCandidateError:
-            undecodable += 1
-            continue
-        if decoded == c:
-            successes += 1
-        else:
-            wrong += 1
-    return SimulationReport(
-        trials, successes, wrong, ambiguous, undecodable, short_cones
-    )
+            seen["undecodable"] += 1
+    return SimulationReport(trials, *[seen[f.name] for f in fields(SimulationReport)[1:]])

@@ -368,6 +368,32 @@ def test_code_simulate(tmp_path, capsys):
     assert data["success_rate"] == 1.0
 
 
+def test_simulate_trials_are_priced_before_the_first_trial(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "code.json"
+    path.write_text(construction_a(DupParams(2, 2), 12, 1, 1).dumps())
+    # a trial: 2 reads of 26 walked and 14 read symbols, a cone of 81 coordinates, and 100
+    monkeypatch.setattr(utr, "SIMULATION_BUDGET", 3 * 261)
+    argv = ["code", "simulate", "--code", str(path), "--seed", "1", "--trials"]
+    assert main([*argv, "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 3
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran a trial of a refused simulation")
+
+    monkeypatch.setattr(utr, "channel_sample", refuse)
+    assert main([*argv, "4"]) == 2
+    assert capsys.readouterr().err == "error: 4 trials cost 1044 steps, above cap 783\n"
+    monkeypatch.undo()
+    start = time.perf_counter()
+    assert main([*argv, "1000000000000"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 1000000000000 trials cost 261000000000000 steps, above cap 100000000\n"
+    )
+
+
 def test_missing_file_exit(capsys):
     assert main(["code", "info", "--code", "/nonexistent/x.json"]) == 2
     capsys.readouterr()
@@ -686,6 +712,51 @@ def test_oracle_that_checks_nothing_exit_2(capsys):
     # no duplication is still a check: every word is its own only descendant
     assert main(["oracle", "--suite", "cone-count", "--max-t", "0"]) == 0
     assert capsys.readouterr().out == "cone-count: 185 checks, OK\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["--suite", "ball", "--max-root-len", "3"], "the ball suite does not read --max-root-len"),
+        (["--suite", "sidon", "--seed", "1", "--samples", "3"],
+         "the sidon suite does not read --samples, --seed"),
+        (["--suite", "checker", "--max-t", "1"], "the checker suite does not read --max-t"),
+        (["--suite", "bounds", "--max-root-len", "1000000000"],
+         "the bounds suite does not read --max-root-len"),
+        (["--suite", "cone-count", "--seed", "3"], "the cone-count suite does not read --seed"),
+        (["--suite", "distance", "--max-t", "1"], "the distance suite does not read --max-t"),
+        (["--suite", "distance", "--max-root-len", "6"],
+         "the distance suite reads --max-root-len up to 5, got 6"),
+        (["--max-root-len", "6"], "the distance suite reads --max-root-len up to 5, got 6"),
+    ],
+)
+def test_oracle_flag_no_suite_reads_exit_2(monkeypatch, capsys, argv, message):
+    # a flag the chosen suites would drop or clamp is refused before any suite runs
+    monkeypatch.setattr(cli, "ALL_SUITES", dict.fromkeys(oracles.ALL_SUITES))
+    assert main(["oracle", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_oracle_passes_each_suite_the_flags_it_reads(monkeypatch, capsys):
+    # a flag left out takes its default; bounds draws ten samples per --samples
+    calls = []
+
+    def suite(name):
+        return lambda **kwargs: calls.append((name, kwargs)) or oracles.OracleResult(name)
+
+    monkeypatch.setattr(cli, "ALL_SUITES", {name: suite(name) for name in oracles.ALL_SUITES})
+    assert main(["oracle", "--max-root-len", "5", "--samples", "2"]) == 0
+    assert calls == [
+        ("cone-count", {"max_root_len": 5, "max_t": 2}),
+        ("intersection", {"max_root_len": 5, "max_t": 2}),
+        ("distance", {"max_root_len": 5}),
+        ("checker", {"samples": 2, "seed": 20240}),
+        ("ball", {}),
+        ("bounds", {"samples": 20, "seed": 20240}),
+        ("sidon", {}),
+    ]
+    assert capsys.readouterr().out.count(": 0 checks, OK\n") == 7
 
 
 def test_oracle_failure_exit(monkeypatch, capsys):

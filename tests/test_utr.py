@@ -530,7 +530,7 @@ def tuple_direct_checker(code: UtrCode) -> UtrCheck:
     """
     words, params = code.symbols, code.params
     cap = _effective_cap()
-    total = 0
+    total = entries = 0
     owners: dict[tuple[int, ...], tuple[int, ...]] = {}
     found = UtrCheck(True)
     for i in range(len(words) - 1, -1, -1):
@@ -543,6 +543,9 @@ def tuple_direct_checker(code: UtrCode) -> UtrCheck:
             owned = owners.get(d, ())
             mates += owned
             owners[d] = owned + (i,)
+        entries += len(mates)
+        if entries > cap:
+            raise ResourceCapError(f"shared descendants exceeded cap of {cap} owner entries")
         shared = Counter(mates)
         bad = [j for j, count in shared.items() if count > code.N]
         if bad:
@@ -596,6 +599,10 @@ def small_codes(draw):
     return UtrCode(params, n, N, t, [Word(sym, params) for sym in picks])
 
 
+# seven words of one cone at k = 1, t = 2: three of their 2-descendants have five owners each
+DENSE_CONE = ("000100", "000110", "001000", "001100", "001110", "011000", "011100")
+
+
 def capped(cap: int | None):
     """The environment with TANDEM_NODE_CAP set to cap, or left unset for None."""
     env = {k: v for k, v in os.environ.items() if k != "TANDEM_NODE_CAP"}
@@ -609,6 +616,8 @@ def capped(cap: int | None):
 @example(code=fixture_code(N=0), cap=None)  # invalid: 0010 and 0100 share 0100
 @example(code=fixture_code(N=1), cap=None)
 @example(code=fixture_code(N=1), cap=8)
+# 42 descendants and 45 owner entries copied: a cap between them ends on the entries
+@example(code=UtrCode(P21, 6, 1, 2, [word(s, 2, 1) for s in DENSE_CONE]), cap=44)
 def test_keyed_direct_checker_matches_tuple_twin(code, cap):
     with capped(cap):
         assert outcome(is_utr_code_direct, code) == outcome(tuple_direct_checker, code)
@@ -887,6 +896,60 @@ def test_bruteforce_builds_one_code_and_prices_the_largest_cone(monkeypatch):
     with pytest.raises(ResourceCapError) as excinfo:
         max_utr_code_bruteforce(P22, 4, 0, 10**9)
     assert str(excinfo.value) == message and built == []
+
+
+def pairwise_graphs(params: DupParams, n: int, t: int, Ns: range) -> list[list[int]]:
+    """The brute force's compatibility graph at each N, over the words of length n, by pairs.
+
+    Its twin: it intersects the t-descendant sets of every two words, in
+    symbol order, and joins them when they share at most N.
+    """
+    words = [Word(sym, params) for sym in itertools.product(range(params.q), repeat=n)]
+    desc = [{w.text() for w in descendants(x, t)} for x in words]
+    graphs = [[0] * len(words) for _ in Ns]
+    for i in range(len(words)):
+        for j in range(i + 1, len(words)):
+            shared = len(desc[i] & desc[j])
+            for adjacency, N in zip(graphs, Ns):
+                if shared <= N:
+                    adjacency[i] |= 1 << j
+                    adjacency[j] |= 1 << i
+    return graphs
+
+
+# (q, k, n) of the graph twin: q in {2, 3}, k in {1, 2}, n <= 8, at most 256 words
+GRAPH_TWIN_RANGE = [
+    (q, k, n) for q in (2, 3) for k in (1, 2) for n in range(1, 9) if q**n <= 256
+]
+
+
+def test_bruteforce_graph_matches_pairwise_loop(monkeypatch):
+    # the graph from the shared-descendant index, bit for bit, at t <= 3 and N <= 2
+    graphs = []
+    monkeypatch.setattr(utr, "max_clique_bitset", lambda adjacency: graphs.append(adjacency) or [])
+    Ns = range(3)
+    for q, k, n in GRAPH_TWIN_RANGE:
+        params = DupParams(q, k)
+        for t in range(4):
+            for N in Ns:
+                max_utr_code_bruteforce(params, n, N, t)
+            assert graphs == pairwise_graphs(params, n, t, Ns), (q, k, n, t)
+            graphs.clear()
+
+
+def test_bruteforce_prices_its_shared_pairs_before_the_clique_search(monkeypatch):
+    # all 64 words at (2, 1, 6, 3): 1 104 descendants and 1 330 owner entries copied
+    def refuse(adjacency):
+        raise AssertionError("searched a graph whose pairs passed the cap")
+
+    monkeypatch.setattr(utr, "max_clique_bitset", refuse)
+    monkeypatch.setenv("TANDEM_NODE_CAP", "1329")
+    with pytest.raises(ResourceCapError) as excinfo:
+        max_utr_code_bruteforce(P21, 6, 0, 3)
+    assert str(excinfo.value) == "shared descendants exceeded cap of 1329 owner entries"
+    monkeypatch.setenv("TANDEM_NODE_CAP", "1330")
+    with pytest.raises(AssertionError, match="^searched a graph"):
+        max_utr_code_bruteforce(P21, 6, 0, 3)
 
 
 def test_words_shorter_than_k_are_checked_at_any_depth():
